@@ -140,6 +140,15 @@ class OCA:
         return any(g.kind == "eq" for g in self.guards.values())
 
 
+class InternalError(RuntimeError):
+    """A soundness check inside the solver failed.
+
+    Raised instead of returning a verdict the solver cannot back, so a
+    bug surfaces as a crash and never as an answer.  Unlike ``assert``
+    it survives ``python -O``.
+    """
+
+
 class ReplayError(ValueError):
     """A path failed to replay; ``index`` points at the first bad spot.
 

@@ -2,7 +2,9 @@
 
 Exit codes follow one contract everywhere: 0 when the answer is
 reachable or the evidence verified, 1 when unreachable or refuted, 2 on
-malformed input or an exhausted budget.
+malformed input or an exhausted budget, 3 on an internal error (a
+failed soundness check, exhausted recursion or memory), so that a crash
+never reads as an answer.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import sys
 from pathlib import Path as FsPath
 
 from .analysis import structure_report
-from .automaton import OCA, Config, parse_config, parse_oca, format_oca
+from .automaton import OCA, Config, InternalError, parse_config, parse_oca, format_oca
 from .campaign import format_report, run_campaign
 from .evidence import format_run, verify_evidence
 from .exploration import ExplorationBudget, ResourceExceeded
@@ -226,6 +228,9 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceExceeded as exc:
         print(f"resource exceeded: {exc}", file=sys.stderr)
         return 2
+    except (InternalError, RecursionError, MemoryError) as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

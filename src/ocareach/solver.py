@@ -8,6 +8,7 @@ wrapper that reduces equality tests to disequality-only queries.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .analysis import in_pumpable_region
@@ -15,7 +16,9 @@ from .automaton import (
     OCA,
     Config,
     Guard,
+    InternalError,
     Path,
+    ReplayError,
     Transition,
     apply_path,
     path_effect_drop,
@@ -102,9 +105,11 @@ def normalize_endpoints(a: OCA, src: Config, trg: Config) -> tuple[OCA, Config, 
     n = OCA(a.states + (sp, tp), transitions, guards)
     src2 = Config(sp, src.value)
     trg2 = Config(tp, trg.value)
-    assert in_pumpable_region(n, src2) and is_locally_bounded(n, src2)
+    if not (in_pumpable_region(n, src2) and is_locally_bounded(n, src2)):
+        raise InternalError(f"normalized source {src2} is not a fenced pump")
     rev = reverse(n)
-    assert in_pumpable_region(rev, trg2) and is_locally_bounded(rev, trg2)
+    if not (in_pumpable_region(rev, trg2) and is_locally_bounded(rev, trg2)):
+        raise InternalError(f"normalized target {trg2} is not a fenced pump")
     return n, src2, trg2
 
 
@@ -165,9 +170,10 @@ def _pumping_cycle(a: OCA, c: Config) -> tuple[Path, int]:
         raise ResourceExceeded(f"no climb above {goal} found from {c}")
     climb = res.run_to(high)
     cycle = tuple(back[i] for i in climb + _state_path(sub, high.state, c.state))
-    configs = apply_path(a, c, cycle)
-    effect = configs[-1].value - c.value
-    assert configs[-1].state == c.state and effect > a.max_test
+    end = _replay(a, c, cycle)
+    effect = end.value - c.value
+    if end.state != c.state or effect <= a.max_test:
+        raise InternalError(f"cycle from {c} ends at {end}, not above the tests")
     return cycle, effect
 
 
@@ -175,10 +181,23 @@ def lift_candidate_run(a: OCA, c: Config, d: Config, p: Path) -> Path:
     """Turn a candidate path into a valid run by pumping at both ends.
 
     Requires ``c`` locally unbounded forwards and ``d`` locally
-    unbounded backwards.  Climbs high enough at the source that the
-    candidate path runs entirely above the tests, then descends at the
-    target; the climb and descent repeat whole cycles so the heights
-    cancel exactly.
+    unbounded backwards.  The run is ``up^(H/e_up) p down^(H/e_down)``:
+    laps of a cycle climbing ``e_up`` at the source, the candidate path,
+    then laps of a cycle descending ``e_down`` into the target.  ``H``
+    is the least common multiple of ``e_up`` and ``e_down`` that is at
+    least ``m = drop(p) + max_test + 1``.
+
+    Any common multiple ``H >= m`` is sound.  Being a multiple of both
+    effects, the climb and the descent cancel, so the run ends at ``d``.
+    The first climbing lap is valid by construction; each later lap
+    replays an earlier one shifted up by ``e_up > max_test``, so it runs
+    above every test.  The same holds for the descent read backwards
+    from ``d``.  In between, ``p`` starts at ``c.value + H`` and never
+    drops by more than ``drop(p)``, so it stays at or above
+    ``max_test + 1``.  The least such ``H`` keeps the run's length
+    linear in the test values rather than in their product.
+
+    The result is not replayed here; callers certify it.
     """
     if a.has_equality_tests():
         raise ValueError("lifting needs an automaton with disequality tests only")
@@ -197,13 +216,24 @@ def lift_candidate_run(a: OCA, c: Config, d: Config, p: Path) -> Path:
     down = tuple(reversed(down_rev))
     _, drop = path_effect_drop(a, p)
     m = drop + a.max_test + 1
-    run = up * (m * e_down) + p + down * (m * e_up)
-    assert apply_path(a, c, run)[-1] == d
-    return run
+    lcm = math.lcm(e_up, e_down)
+    height = lcm * -(-m // lcm)
+    return up * (height // e_up) + p + down * (height // e_down)
+
+
+def _replay(a: OCA, start: Config, path: Path) -> Config:
+    """Where ``path`` ends from ``start``; a path that does not replay is a bug."""
+    try:
+        return apply_path(a, start, path)[-1]
+    except ReplayError as exc:
+        raise InternalError(f"path from {start} does not replay: {exc}") from exc
 
 
 def _certify_run(a: OCA, src: Config, trg: Config, run: Path) -> Verdict:
-    assert apply_path(a, src, run)[-1] == trg
+    """The one replay every reachable verdict passes before it is returned."""
+    end = _replay(a, src, run)
+    if end != trg:
+        raise InternalError(f"run from {src} ends at {end}, not {trg}")
     return Verdict(REACHABLE, run=run)
 
 
@@ -233,7 +263,8 @@ def _decide_disequality(
     # No witness means the perfect cores failed verification, which only
     # happens on reachable instances; the oracle digs up the run.
     run = reach_oracle(a, src, trg, budget)
-    assert run is not None, "witness synthesis and exploration disagree"
+    if run is None:
+        raise InternalError("witness synthesis and exploration disagree")
     return _certify_run(a, src, trg, run)
 
 
@@ -262,9 +293,8 @@ def decide_disequality(
         except ResourceExceeded:
             pass
         else:
-            assert (run is not None) == (verdict.kind == REACHABLE), (
-                f"oracle disagrees with {verdict.kind} for {src} -> {trg}"
-            )
+            if (run is not None) != (verdict.kind == REACHABLE):
+                raise InternalError(f"oracle disagrees with {verdict.kind} for {src} -> {trg}")
     return verdict
 
 
@@ -348,7 +378,8 @@ def decide_full(
                     undecided = True
                     continue
                 if got.kind == REACHABLE:
-                    assert got.run is not None
+                    if got.run is None:
+                        raise InternalError(f"reachable verdict for {e} -> {x} has no run")
                     return pre + tuple(back[i] for i in got.run) + post
                 refusals.append((e, x, got))
         if undecided:

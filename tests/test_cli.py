@@ -2,6 +2,8 @@
 
 import pytest
 
+import ocareach.cli as cli
+from ocareach.automaton import InternalError
 from ocareach.cli import main
 
 LOOP = (
@@ -99,6 +101,18 @@ def test_truncated_evidence_is_an_error(loop_file, tmp_path, capsys):
     ev.write_text("RUN\npath 0\n")
     assert main(["verify", loop_file, "--src", "q:0", "--trg", "q:1", str(ev)]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "exc", [InternalError("run does not replay"), RecursionError(), MemoryError()]
+)
+def test_internal_errors_never_read_as_verdicts(loop_file, monkeypatch, capsys, exc):
+    def crash(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "decide_full", crash)
+    assert main(["decide", loop_file, "--src", "q:1", "--trg", "q:36"]) == 3
+    assert capsys.readouterr().err.startswith("internal error:")
 
 
 def test_analyze_is_deterministic(loop_file, capsys):

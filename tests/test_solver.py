@@ -5,7 +5,14 @@ import random
 import pytest
 
 from conftest import FIG_LOOP, random_oca
-from ocareach.automaton import Config, Transition, apply_path, parse_oca, reverse
+from ocareach.automaton import (
+    Config,
+    InternalError,
+    Transition,
+    apply_path,
+    parse_oca,
+    reverse,
+)
 from ocareach.exploration import (
     ResourceExceeded,
     candidate_reach,
@@ -198,6 +205,48 @@ def test_lift_fuzz_matches_candidate_level():
         assert apply_path(a, src, run)[-1] == trg
         lifted += 1
     assert lifted >= 15
+
+
+def scaled_lift_loop(k):
+    """The fixture loop with tests scaled by k and a -3 self-loop on q.
+
+    From q:5k+1 down to q:1 both endpoints pump, so the decision lifts a
+    candidate run.
+    """
+    return parse_oca(
+        "states: q r s\n"
+        f"guard q != {5 * k}\n"
+        f"guard r != {30 * k}\n"
+        f"guard s != {15 * k}\n"
+        "trans q +2 r\n"
+        "trans r +1 s\n"
+        "trans s +2 q\n"
+        "trans q -3 q\n"
+    )
+
+
+@pytest.mark.parametrize("k", [1, 10, 50])
+def test_lifted_run_grows_linearly_in_the_tests(k):
+    # climbing to the product of both cycle effects gave 82,709
+    # transitions at k=1, 33.6 M at k=10 and MemoryError at k=50
+    a = scaled_lift_loop(k)
+    src, trg = Config("q", 5 * k + 1), Config("q", 1)
+    v = decide_full(a, src, trg)
+    assert v.kind == REACHABLE
+    assert apply_path(a, src, v.run)[-1] == trg
+    assert len(v.run) <= 100 * k + 100
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [lambda run: run[:-1], lambda run: run + (0,), lambda run: (1,) + run],
+    ids=["ends-short", "ends-past", "bad-first-step"],
+)
+def test_corrupted_lift_is_an_internal_error(monkeypatch, corrupt):
+    real = solver.lift_candidate_run
+    monkeypatch.setattr(solver, "lift_candidate_run", lambda *args: corrupt(real(*args)))
+    with pytest.raises(InternalError):
+        decide_full(scaled_lift_loop(1), Config("q", 6), Config("q", 1))
 
 
 # ------------------------------------------------------- decide_disequality
