@@ -17,11 +17,13 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
+from weakref import WeakKeyDictionary
 
 from .analysis import climbing_cycles, definitely_unbounded
 from .automaton import (
     OCA,
     Config,
+    InternalError,
     Path,
     apply_path,
     restrict,
@@ -170,7 +172,8 @@ def reach_oracle(a: OCA, src: Config, trg: Config, budget=None) -> Path | None:
             break
         if src in back.configs:
             run = tuple(reversed(back.run_to(src)))
-            assert apply_path(a, src, run)[-1] == trg
+            if apply_path(a, src, run)[-1] != trg:
+                raise InternalError(f"backward oracle run does not reach {trg}")
             return run
         if not back.cap_hit:
             return None
@@ -180,8 +183,20 @@ def reach_oracle(a: OCA, src: Config, trg: Config, budget=None) -> Path | None:
 # --------------------------------------------------------------- boundedness
 
 
-def _bounded_probe(a: OCA, c: Config, value_cap: int, node_cap: int):
-    """True = closure closed, False = unbounded chain reached, None = cap."""
+# Boundedness labels per automaton (see is_bounded): True when finitely
+# many configurations are reachable, False when infinitely many.
+_LABELS: WeakKeyDictionary[OCA, dict[Config, bool]] = WeakKeyDictionary()
+
+
+def _bounded_probe(
+    a: OCA, c: Config, value_cap: int, node_cap: int, labels: dict[Config, bool]
+):
+    """True = closure closed, False = unbounded chain reached, None = cap.
+
+    Configurations already labeled bounded are neither expanded nor
+    counted against either cap; reaching one labeled unbounded settles
+    the probe.  A closed probe labels everything it saw as bounded.
+    """
     seen = {c}
     queue = deque([c])
     cap_hit = False
@@ -194,6 +209,11 @@ def _bounded_probe(a: OCA, c: Config, value_cap: int, node_cap: int):
             d = Config(t.dst, cur.value + t.update)
             if d in seen or not a.is_valid(d):
                 continue
+            known = labels.get(d)
+            if known is not None:
+                if not known:
+                    return False
+                continue
             if d.value > value_cap:
                 cap_hit = True
                 continue
@@ -203,10 +223,12 @@ def _bounded_probe(a: OCA, c: Config, value_cap: int, node_cap: int):
                 )
             seen.add(d)
             queue.append(d)
-    return None if cap_hit else True
+    if cap_hit:
+        return None
+    labels.update(dict.fromkeys(seen, True))
+    return True
 
 
-@lru_cache(maxsize=None)
 def is_bounded(a: OCA, c: Config) -> bool:
     """Is the set of configurations reachable from ``c`` finite?
 
@@ -214,13 +236,30 @@ def is_bounded(a: OCA, c: Config) -> bool:
     proves bounded; touching a value known to sit in an endless chain
     (see :func:`ocareach.analysis.definitely_unbounded`) proves
     unbounded, which keeps escalation short on unbounded inputs.
+
+    Verdicts go into one label table per automaton, which every later
+    query reads.  A probe that closes labels every configuration it saw
+    bounded, not just ``c``: each of them was reached from ``c``, so
+    its reachable set lies inside the closed one and is finite too.
+    Later probes stop at labeled configurations instead of exploring
+    past them: one labeled bounded adds only finitely many
+    configurations to a closure, and one labeled unbounded makes every
+    configuration that reaches it unbounded.  A probe cut off by a cap
+    labels nothing.  Labels are exact, so the order of queries changes
+    only the work, never a verdict.  The table is keyed weakly by the
+    automaton object and lives exactly as long as it does.
     """
     if not a.is_valid(c):
         raise ValueError(f"configuration {c} is not valid")
+    labels = _LABELS.setdefault(a, {})
+    known = labels.get(c)
+    if known is not None:
+        return known
     cap = a.max_test + c.value + (len(a.states) + 2) * (a.max_update + 1)
     for _ in range(12):
-        verdict = _bounded_probe(a, c, cap, 2_000_000)
+        verdict = _bounded_probe(a, c, cap, 2_000_000, labels)
         if verdict is not None:
+            labels[c] = verdict
             return verdict
         cap *= 2
     raise ResourceExceeded(f"boundedness of {c} undecided at value cap {cap}")
@@ -427,8 +466,10 @@ def _mixed_coeffs(effs: list[int], r: int) -> dict[int, int]:
     t = max(0, _ceil_div(-k.get(p, 0), cp), _ceil_div(-k.get(n, 0), cn))
     k[p] = k.get(p, 0) + t * cp
     k[n] = k.get(n, 0) + t * cn
-    assert all(c >= 0 for c in k.values())
-    assert sum(e * c for e, c in k.items()) == r
+    if any(c < 0 for c in k.values()):
+        raise InternalError(f"negative cycle coefficient in {k}")
+    if sum(e * c for e, c in k.items()) != r:
+        raise InternalError(f"cycle coefficients {k} do not sum to {r}")
     return {e: c for e, c in k.items() if c > 0}
 
 
@@ -531,6 +572,7 @@ def candidate_reach(a: OCA, src: Config, trg: Config) -> Path | None:
                 counts[i] += m * mult
         flow = Flow.make(counts, src.state, trg.state)
         path = path_from_flow(a, flow)
-        assert apply_path(a, src, path, mode="candidate")[-1] == trg
+        if apply_path(a, src, path, mode="candidate")[-1] != trg:
+            raise InternalError(f"candidate path does not reach {trg}")
         return path
     return None

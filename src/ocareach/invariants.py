@@ -25,16 +25,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .analysis import chain_of, climbing_cycles, in_pumpable_region
+from .analysis import Chain, chain_of, climbing_cycles, in_pumpable_region
 from .automaton import (
     OCA,
     Config,
-    Guard,
-    Transition,
+    InternalError,
     reverse,
-    restrict,
     scc_decompose,
-    scc_of,
 )
 from .exploration import (
     ResourceExceeded,
@@ -178,13 +175,25 @@ def _compress_core(a: OCA, core: set[Config]) -> APSet:
 
     Anything else means the core was not produced by a locally bounded
     exploration, so fail loudly instead of emitting a wrong witness.
+    Members are visited in value order per state, so a member either
+    lies in the chain last found in its residue class or starts a new
+    one; :func:`chain_of` runs once per chain, not once per member.
     """
     by_chain: dict[tuple[str, int], list[int]] = {}
     chains = {}
+    latest: dict[tuple[str, int], Chain] = {}
+    period: dict[str, int] = {}
     for c in sorted(core, key=lambda c: (c.state, c.value)):
-        chain = chain_of(a, c)
-        assert chain is not None, f"core configuration {c} is outside every chain"
-        assert chain.last is not None, f"core configuration {c} sits in an unbounded chain"
+        g = period.get(c.state)
+        chain = latest.get((c.state, c.value % g)) if g else None
+        if chain is None or not chain.contains_value(c.value):
+            chain = chain_of(a, c)
+            if chain is None:
+                raise InternalError(f"core configuration {c} is outside every chain")
+            if chain.last is None:
+                raise InternalError(f"core configuration {c} sits in an unbounded chain")
+            period[c.state] = chain.period
+            latest[(c.state, c.value % chain.period)] = chain
         key = (chain.state, chain.first)
         chains[key] = chain
         by_chain.setdefault(key, []).append(c.value)
@@ -192,7 +201,8 @@ def _compress_core(a: OCA, core: set[Config]) -> APSet:
     for key, values in sorted(by_chain.items()):
         chain = chains[key]
         expected = list(range(min(values), chain.last + 1, chain.period))
-        assert values == expected, f"core at {key} is not a chain suffix: {values}"
+        if values != expected:
+            raise InternalError(f"core at {key} is not a chain suffix: {values}")
         progressions.append(
             Progression(chain.state, values[0], chain.period, values[0], chain.last)
         )
@@ -347,34 +357,9 @@ def check_separator(a: OCA, w: NonReachabilityWitness) -> CheckResult:
     return CheckResult(True)
 
 
-def _probe_automaton(a: OCA, p: Progression) -> tuple[OCA, str]:
-    """Strongly connected slice around the progression's state, plus a
-    probe state that can enter the slice at exactly the member values."""
-    sub, _ = restrict(a, scc_of(a)[p.state])
-    probe = p.state + "'"
-    while probe in sub.states:
-        probe += "'"
-    top = p.max_value()
-    assert top is not None
-    return (
-        OCA(
-            sub.states + (probe,),
-            sub.transitions
-            + (Transition(probe, 0, p.state), Transition(probe, p.period, probe)),
-            {**sub.guards, probe: Guard("ne", top + p.period)},
-        ),
-        probe,
-    )
-
-
 def check_ap_domain(a: OCA, p: Progression) -> CheckResult:
     """One progression's domain obligations: valid members, the least
-    member pumpable, and every member locally bounded.
-
-    Local boundedness is decided twice, through a probe automaton that
-    feeds all members into the state's component and by checking the
-    members one by one; the two must agree.
-    """
+    member pumpable, and every member locally bounded."""
     members = [Config(p.state, v) for v in p.values()]
     if not members or p.state not in a.state_index:
         return CheckResult(False, "malformed", p)
@@ -385,10 +370,6 @@ def check_ap_domain(a: OCA, p: Progression) -> CheckResult:
     if cyc is None or members[0].value < cyc.drop:
         return CheckResult(False, "outside-pumpable", members[0])
     loose = next((c for c in members if not is_locally_bounded(a, c)), None)
-    gadget, probe = _probe_automaton(a, p)
-    assert is_bounded(gadget, Config(probe, members[0].value)) == (loose is None), (
-        "probe automaton and per-member scan disagree on local boundedness"
-    )
     if loose is not None:
         return CheckResult(False, "locally-unbounded", loose)
     return CheckResult(True)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from ocareach.automaton import OCA, Config, Path
+from ocareach.automaton import OCA, Config, Guard, Path, Transition, restrict, scc_of
 
 
 def naive_successors(a: OCA, c: Config) -> list[tuple[Config, int]]:
@@ -180,3 +180,28 @@ def naive_chain_partition(a: OCA, q: str, cycle: Path, drop: int, window: int):
         if current:
             chains.append((current, False, False))
     return chains
+
+
+def probe_automaton(a: OCA, p) -> tuple[OCA, str]:
+    """Strongly connected slice around progression ``p``'s state, plus a
+    probe state that can enter the slice at exactly the member values.
+
+    Every member of ``p`` is locally bounded exactly when the probe
+    state, started at the least member, is bounded in the result.
+    """
+    sub, _ = restrict(a, scc_of(a)[p.state])
+    probe = p.state + "'"
+    while probe in sub.states:
+        probe += "'"
+    top = p.max_value()
+    if top is None:
+        raise ValueError(f"progression {p} has no members")
+    return (
+        OCA(
+            sub.states + (probe,),
+            sub.transitions
+            + (Transition(probe, 0, p.state), Transition(probe, p.period, probe)),
+            {**sub.guards, probe: Guard("ne", top + p.period)},
+        ),
+        probe,
+    )

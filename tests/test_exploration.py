@@ -2,7 +2,15 @@ import random
 
 import pytest
 
-from ocareach.automaton import Config, apply_path, parse_oca, reverse, restrict, scc_of
+from ocareach.automaton import (
+    Config,
+    apply_path,
+    format_oca,
+    parse_oca,
+    reverse,
+    restrict,
+    scc_of,
+)
 from ocareach.exploration import (
     ExplorationBudget,
     ResourceExceeded,
@@ -195,6 +203,42 @@ def test_is_bounded_against_naive_closure():
             assert not hit, f"{a.states} {c}: bounded verdict but naive still grows"
         else:
             assert hit, f"{a.states} {c}: unbounded verdict but naive closed"
+
+
+def test_bounded_labels_do_not_depend_on_query_order():
+    # Each query order shares one automaton object, so later queries
+    # read the labels earlier probes left; a fresh parse has none.
+    rng = random.Random(31)
+    automata = eq_tests = 0
+    while automata < 100:
+        a = random_oca(
+            rng,
+            num_states=rng.randint(1, 4),
+            max_update=2,
+            max_guard=6,
+            equality_fraction=0.3,
+        )
+        text = format_oca(a)
+        configs = [
+            Config(q, v) for q in a.states for v in range(21) if a.is_valid(Config(q, v))
+        ]
+        if not configs:
+            continue
+        expected = {}
+        for c in configs:
+            expected[c] = is_bounded(parse_oca(text), c)
+            # Bounded closures here stay below 25; unbounded ones pass 100.
+            _, hit = naive_post_star(a, c, value_bound=100)
+            assert expected[c] == (not hit), f"{text}{c}: naive closure disagrees"
+        shuffled = list(configs)
+        rng.shuffle(shuffled)
+        for order in (configs, configs[::-1], shuffled):
+            shared = parse_oca(text)
+            got = {c: is_bounded(shared, c) for c in order}
+            assert got == expected, text
+        automata += 1
+        eq_tests += a.has_equality_tests()
+    assert eq_tests >= 20
 
 
 def test_is_locally_bounded_on_strongly_connected_equals_global(loop3):

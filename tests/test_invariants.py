@@ -2,11 +2,13 @@ import random
 
 import pytest
 
+from ocareach import exploration, invariants
 from ocareach.analysis import in_pumpable_region
 from ocareach.automaton import (
     OCA,
     Config,
     Guard,
+    InternalError,
     Transition,
     apply_path,
     parse_oca,
@@ -29,7 +31,9 @@ from ocareach.invariants import (
     verify_witness,
     _compress_core,
 )
+from ocareach.solver import decide_full
 
+from _oracles import probe_automaton
 from conftest import random_oca
 
 
@@ -160,9 +164,9 @@ def test_compress_requires_chain_suffixes():
     a, src, trg = blocked_pair()
     # {(pp, 3)} is the true suffix of its chain; a gap below the top is not.
     fenced = parse_oca("states: pp\nguard pp != 4\ntrans pp +1 pp\n")
-    with pytest.raises(AssertionError):
+    with pytest.raises(InternalError):
         _compress_core(fenced, {Config("pp", 1), Config("pp", 3)})
-    with pytest.raises(AssertionError):
+    with pytest.raises(InternalError):
         _compress_core(fenced, {Config("pp", 5)})  # unbounded chain
 
 
@@ -287,13 +291,67 @@ def test_ap_domain_golden():
 
 
 def test_ap_domain_dual_paths_agree():
+    # The member-by-member scan in check_ap_domain against one probe
+    # automaton that feeds every member into the state's component.
     rng = random.Random(2024)
+    compared = 0
     for _ in range(200):
         a = random_oca(rng, num_states=rng.randint(1, 4), max_update=3, max_guard=8)
         st = rng.choice(a.states)
         lo = rng.randint(0, 8)
         p = Progression(st, lo, rng.randint(1, 3), lo, lo + rng.randint(0, 8))
-        check_ap_domain(a, p)  # the dual-path agreement assert runs inside
+        res = check_ap_domain(a, p)
+        if res.condition not in (None, "locally-unbounded"):
+            continue
+        gadget, probe = probe_automaton(a, p)
+        assert is_bounded(gadget, Config(probe, p.min_value())) == res.holds, (a, p)
+        compared += 1
+    assert compared >= 50
+
+
+def _loop_witness_work(monkeypatch, k):
+    """Decide the README loop with its tests scaled by k, from q:0 to the
+    first q past the stop; returns (configurations expanded by
+    boundedness probes, chain_of calls, progressions emitted).
+
+    The cores span the whole orbit below 5k, so boundedness is asked of
+    O(k) configurations and the cores have O(k) members.  One BFS per
+    question would expand O(k^2) configurations, and one chain walk per
+    core member would take O(k^2) chain steps.
+    """
+    a = parse_oca(
+        f"states: q r s\nguard q != {5 * k}\nguard r != {30 * k}\n"
+        f"guard s != {15 * k}\ntrans q +2 r\ntrans r +1 s\ntrans s +2 q\n"
+    )
+    counts = {"expanded": 0, "chain_of": 0}
+    real_unbounded = exploration.definitely_unbounded
+    real_chain_of = invariants.chain_of
+
+    def counting_unbounded(b, c):
+        counts["expanded"] += 1  # a probe asks once per configuration it expands
+        return real_unbounded(b, c)
+
+    def counting_chain_of(b, c):
+        counts["chain_of"] += 1
+        return real_chain_of(b, c)
+
+    monkeypatch.setattr(exploration, "definitely_unbounded", counting_unbounded)
+    monkeypatch.setattr(invariants, "chain_of", counting_chain_of)
+    verdict = decide_full(a, Config("q", 0), Config("q", 5 * k + 5))
+    assert verdict.kind == "unreachable" and verdict.witness is not None
+    w = verdict.witness
+    return counts["expanded"], counts["chain_of"], len(w.fwd.progressions) + len(w.bwd.progressions)
+
+
+def test_loop_witness_boundedness_work_is_linear(monkeypatch):
+    k = 200
+    expanded, _, _ = _loop_witness_work(monkeypatch, k)
+    assert expanded <= 25 * k + 1000, expanded
+
+
+def test_loop_witness_walks_each_chain_once(monkeypatch):
+    _, chain_walks, emitted = _loop_witness_work(monkeypatch, 200)
+    assert 0 < chain_walks <= emitted, (chain_walks, emitted)
 
 
 # ------------------------------------------------- strongly connected flavor
