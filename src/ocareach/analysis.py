@@ -16,14 +16,15 @@ chain flagged ``invalid_anchor``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from ocareach.automaton import (
     OCA,
     Config,
+    InternalError,
     Path,
     path_effect_drop,
     path_states,
+    per_automaton,
     restrict,
     scc_decompose,
 )
@@ -121,10 +122,10 @@ def _lex_least_cycle(a: OCA, q: str, d: int) -> Path:
                 state, value = t.dst, v2
                 break
         else:
-            raise AssertionError("feasible climbing cycle vanished during reconstruction")
+            raise InternalError("feasible climbing cycle vanished during reconstruction")
 
 
-@lru_cache(maxsize=None)
+@per_automaton
 def climbing_cycles(a: OCA) -> dict[str, CanonicalCycle]:
     """Canonical climbing cycle per pumpable state."""
     result: dict[str, CanonicalCycle] = {}
@@ -141,7 +142,8 @@ def climbing_cycles(a: OCA) -> dict[str, CanonicalCycle]:
                 lo = mid + 1
         path = _lex_least_cycle(a, q, lo)
         effect, drop = path_effect_drop(a, path)
-        assert effect > 0 and drop == lo, "canonical cycle disagrees with its search"
+        if effect <= 0 or drop != lo:
+            raise InternalError(f"canonical cycle at {q} disagrees with its search")
         result[q] = CanonicalCycle(q, path, effect, lo)
     return result
 
@@ -156,7 +158,7 @@ class _ChainContext:
     """Pre-chewed data for orbit walks at one pumpable state."""
 
     def __init__(self, a: OCA, cyc: CanonicalCycle):
-        self.a = a
+        self.guards = a.guards  # not ``a``: the context sits in a's memo
         self.q = cyc.state
         self.period = cyc.effect
         self.drop = cyc.drop
@@ -189,11 +191,11 @@ class _ChainContext:
         self.degenerate = not (self.generic_step and self.generic_member)
 
     def member_ok(self, z: int) -> bool:
-        return self.a.is_valid(Config(self.q, z))
+        return z >= 0 and self.guards[self.q].allows(z)
 
     def step_ok(self, z: int) -> bool:
         for st, eff in self.lap:
-            if not self.a.guards[st].allows(z + eff):
+            if not self.guards[st].allows(z + eff):
                 return False
         return True
 
@@ -206,7 +208,7 @@ class _ChainContext:
         return cap
 
 
-@lru_cache(maxsize=None)
+@per_automaton
 def _chain_context(a: OCA, q: str) -> _ChainContext | None:
     cyc = climbing_cycles(a).get(q)
     return _ChainContext(a, cyc) if cyc else None
@@ -290,7 +292,7 @@ def chain_of(a: OCA, c: Config) -> Chain | None:
     return Chain(c.state, g, first, last)
 
 
-@lru_cache(maxsize=None)
+@per_automaton
 def sure_unbounded_thresholds(a: OCA) -> dict[str, int]:
     """Per state: a value above which configurations certainly pump forever.
 
@@ -305,7 +307,8 @@ def sure_unbounded_thresholds(a: OCA) -> dict[str, int]:
     out: dict[str, int] = {}
     for q in climbing_cycles(sub):
         ctx = _chain_context(sub, q)
-        assert ctx is not None and not ctx.degenerate
+        if ctx is None or ctx.degenerate:
+            raise InternalError(f"equality-free cycle at {q} has no generic orbit")
         bound = max(ctx.exceptions) + 1 if ctx.exceptions else ctx.drop
         out[q] = max(ctx.drop, bound)
     return out

@@ -14,8 +14,8 @@ file formats reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, wraps
 from typing import Iterable, Literal
 
 GuardKind = Literal["true", "eq", "ne"]
@@ -79,14 +79,16 @@ class Config:
 class OCA:
     """Automaton container.
 
-    Instances compare by identity on purpose: every derived analysis in
-    this package is memoized per automaton object, so two parses of the
-    same file are two cache keys, never a collision.
+    ``memo`` holds every analysis derived from this automaton, one entry
+    per :func:`per_automaton` function, and is freed with it.  Instances
+    compare by identity on purpose: two parses of the same file are two
+    automata with two memos, never a shared or stale one.
     """
 
     states: tuple[str, ...]
     transitions: tuple[Transition, ...]
     guards: dict[str, Guard]
+    memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(set(self.states)) != len(self.states):
@@ -138,6 +140,35 @@ class OCA:
 
     def has_equality_tests(self) -> bool:
         return any(g.kind == "eq" for g in self.guards.values())
+
+
+def per_automaton(fn):
+    """Memoize ``fn`` in ``a.memo[fn]``: the result of ``fn(a)``, or a
+    table keyed by the arguments after ``a``.  The wrapper keeps ``fn``'s
+    name and signature, so callers bind it like any function."""
+
+    def one(a):
+        if fn not in a.memo:
+            a.memo[fn] = fn(a)
+        return a.memo[fn]
+
+    def two(a, x):
+        try:
+            return a.memo[fn][x]
+        except KeyError:
+            pass
+        value = a.memo.setdefault(fn, {})[x] = fn(a, x)
+        return value
+
+    def many(a, *key):
+        try:
+            return a.memo[fn][key]
+        except KeyError:
+            pass
+        value = a.memo.setdefault(fn, {})[key] = fn(a, *key)
+        return value
+
+    return wraps(fn)((one, two, many)[min(fn.__code__.co_argcount, 3) - 1])
 
 
 class InternalError(RuntimeError):
@@ -230,7 +261,7 @@ def format_oca(a: OCA) -> str:
     return "\n".join(lines) + "\n"
 
 
-@lru_cache(maxsize=None)
+@per_automaton
 def reverse(a: OCA) -> OCA:
     """The reversed automaton: arrows flipped, updates negated, tests kept.
 
@@ -241,7 +272,7 @@ def reverse(a: OCA) -> OCA:
     return OCA(a.states, flipped, dict(a.guards))
 
 
-@lru_cache(maxsize=None)
+@per_automaton
 def restrict(a: OCA, states: frozenset[str]) -> tuple[OCA, tuple[int, ...]]:
     """Sub-automaton induced by ``states``.
 
@@ -318,7 +349,7 @@ def scc_decompose(a: OCA) -> tuple[frozenset[str], ...]:
     return tuple(components)
 
 
-@lru_cache(maxsize=None)
+@per_automaton
 def scc_of(a: OCA) -> dict[str, frozenset[str]]:
     """State -> its strongly connected component."""
     table: dict[str, frozenset[str]] = {}

@@ -88,8 +88,10 @@ def shrink(a: OCA, src: Config, trg: Config, keeps=_disagrees) -> OCA:
     zero, delete guards.  Each accepted step strictly shrinks the
     instance, so the loop terminates.  ``keeps`` is the predicate a
     step must preserve; the default is the campaign's disagreement.
+    Raises ValueError when the instance does not satisfy ``keeps``.
     """
-    assert keeps(a, src, trg), "nothing to shrink"
+    if not keeps(a, src, trg):
+        raise ValueError("nothing to shrink")
     smaller = True
     while smaller:
         smaller = False

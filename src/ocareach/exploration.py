@@ -15,9 +15,7 @@ from __future__ import annotations
 import heapq
 from collections import Counter, deque
 from dataclasses import dataclass
-from functools import lru_cache
 from math import gcd
-from weakref import WeakKeyDictionary
 
 from .analysis import climbing_cycles, definitely_unbounded
 from .automaton import (
@@ -26,6 +24,7 @@ from .automaton import (
     InternalError,
     Path,
     apply_path,
+    per_automaton,
     restrict,
     reverse,
     scc_of,
@@ -91,10 +90,11 @@ def post_star(a, start, budget, restrict=None, stop_at=None) -> PostStarResult:
     ``stop_at`` ends the search early once that configuration is found
     (the level in progress is finished first, keeping runs shortest).
     """
-    order = a.state_index
+    order, out_edges, transitions, is_valid = a.state_index, a.out_edges, a.transitions, a.is_valid
+    value_cap, node_cap = budget.value_cap, budget.node_cap
     roots = sorted(set(start), key=lambda c: (order[c.state], c.value))
     for c in roots:
-        if not a.is_valid(c):
+        if not is_valid(c):
             raise ValueError(f"start configuration {c} is not valid")
     parents: dict[Config, tuple[Config, int] | None] = {}
     frontier: list[Config] = []
@@ -102,12 +102,11 @@ def post_star(a, start, budget, restrict=None, stop_at=None) -> PostStarResult:
     for c in roots:
         if restrict is not None and not restrict(c):
             continue
-        if c.value > budget.value_cap:
+        if c.value > value_cap:
             cap_hit = True
             continue
-        if c not in parents:
-            parents[c] = None
-            frontier.append(c)
+        parents[c] = None
+        frontier.append(c)
     depth = 0
     while frontier:
         if stop_at is not None and stop_at in parents:
@@ -117,20 +116,18 @@ def post_star(a, start, budget, restrict=None, stop_at=None) -> PostStarResult:
             break
         nxt: list[Config] = []
         for c in frontier:
-            for i in a.out_edges[c.state]:
-                t = a.transitions[i]
+            for i in out_edges[c.state]:
+                t = transitions[i]
                 d = Config(t.dst, c.value + t.update)
-                if d in parents or not a.is_valid(d):
+                if d in parents or not is_valid(d):
                     continue
                 if restrict is not None and not restrict(d):
                     continue
-                if d.value > budget.value_cap:
+                if d.value > value_cap:
                     cap_hit = True
                     continue
-                if len(parents) >= budget.node_cap:
-                    raise ResourceExceeded(
-                        f"post_star exceeded {budget.node_cap} configurations"
-                    )
+                if len(parents) >= node_cap:
+                    raise ResourceExceeded(f"post_star exceeded {node_cap} configurations")
                 parents[d] = (c, i)
                 nxt.append(d)
         nxt.sort(key=lambda c: (order[c.state], c.value))
@@ -183,9 +180,10 @@ def reach_oracle(a: OCA, src: Config, trg: Config, budget=None) -> Path | None:
 # --------------------------------------------------------------- boundedness
 
 
-# Boundedness labels per automaton (see is_bounded): True when finitely
-# many configurations are reachable, False when infinitely many.
-_LABELS: WeakKeyDictionary[OCA, dict[Config, bool]] = WeakKeyDictionary()
+@per_automaton
+def _labels(a: OCA) -> dict[Config, bool]:
+    """Boundedness labels of ``a``'s configurations, see :func:`is_bounded`."""
+    return {}
 
 
 def _bounded_probe(
@@ -246,12 +244,12 @@ def is_bounded(a: OCA, c: Config) -> bool:
     configurations to a closure, and one labeled unbounded makes every
     configuration that reaches it unbounded.  A probe cut off by a cap
     labels nothing.  Labels are exact, so the order of queries changes
-    only the work, never a verdict.  The table is keyed weakly by the
-    automaton object and lives exactly as long as it does.
+    only the work, never a verdict.  The table sits in the automaton's
+    memo and lives exactly as long as the automaton does.
     """
     if not a.is_valid(c):
         raise ValueError(f"configuration {c} is not valid")
-    labels = _LABELS.setdefault(a, {})
+    labels = _labels(a)
     known = labels.get(c)
     if known is not None:
         return known
@@ -265,17 +263,24 @@ def is_bounded(a: OCA, c: Config) -> bool:
     raise ResourceExceeded(f"boundedness of {c} undecided at value cap {cap}")
 
 
-@lru_cache(maxsize=None)
+@per_automaton
+def _component(a: OCA, q: str) -> tuple[OCA, int | None]:
+    """q's strongly connected component as a sub-automaton, and the value
+    from which, high above every disequality test, it is a free counter
+    machine: bounded exactly when it has no climbing cycle.  The value is
+    None when the component has equality tests."""
+    sub, _ = restrict(a, scc_of(a)[q])
+    if sub.has_equality_tests():
+        return sub, None
+    return sub, sub.max_test + (2 * len(sub.states) + 2) * (sub.max_update + 1)
+
+
+@per_automaton
 def is_locally_bounded(a: OCA, c: Config) -> bool:
     """is_bounded inside the sub-automaton of c's strongly connected component."""
-    comp = scc_of(a)[c.state]
-    sub, _ = restrict(a, frozenset(comp))
-    if not sub.has_equality_tests():
-        # High above every disequality test the component is a free
-        # counter machine: bounded exactly when it has no climbing cycle.
-        threshold = sub.max_test + (2 * len(sub.states) + 2) * (sub.max_update + 1)
-        if c.value >= threshold:
-            return not climbing_cycles(sub)
+    sub, threshold = _component(a, c.state)
+    if threshold is not None and c.value >= threshold:
+        return not climbing_cycles(sub)
     return is_bounded(sub, c)
 
 
@@ -371,7 +376,7 @@ def _ordkey(a: OCA, states: frozenset[str]) -> tuple[int, ...]:
     return tuple(sorted(a.state_index[s] for s in states))
 
 
-@lru_cache(maxsize=None)
+@per_automaton
 def _candidate_tables(a: OCA, u: str, v: str):
     """Skeleton table for candidate queries between two states.
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass
 
-from ocareach.automaton import OCA, Path, path_effect_drop, path_states
+from ocareach.automaton import OCA, InternalError, Path, path_effect_drop, path_states
 
 
 class FlowError(ValueError):
@@ -141,7 +141,8 @@ def path_from_flow(a: OCA, flow: Flow) -> Path:
                 trail.append(via)
     trail.reverse()
     # The flow conditions guarantee the trail spends every edge.
-    assert len(trail) == flow.size(), "Euler trail failed to cover the flow"
+    if len(trail) != flow.size():
+        raise InternalError("Euler trail failed to cover the flow")
     return tuple(trail)
 
 
@@ -201,5 +202,6 @@ def rotate_to_zero_drop(a: OCA, cycle: Path) -> Path:
             cut = pos + 1
     rotated = cycle[cut:] + cycle[:cut]
     _, drop = path_effect_drop(a, rotated)
-    assert drop == 0, "rotation at the minimum prefix must clear the drop"
+    if drop != 0:
+        raise InternalError("rotation at the minimum prefix must clear the drop")
     return rotated

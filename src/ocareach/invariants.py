@@ -246,15 +246,6 @@ def strong_invariant_core(a: OCA, src: Config) -> APSet:
     return aps
 
 
-def _run_from_parents(parents, end: Config) -> tuple[Config, tuple[int, ...]]:
-    steps: list[int] = []
-    cur = end
-    while (link := parents[cur]) is not None:
-        cur, i = link
-        steps.append(i)
-    return cur, tuple(reversed(steps))
-
-
 def check_strong_invariant(a: OCA, src: Config, trg: Config, core: APSet) -> CheckResult:
     """Three-condition invariant check for strongly connected automata.
 
@@ -276,10 +267,13 @@ def check_strong_invariant(a: OCA, src: Config, trg: Config, core: APSet) -> Che
             raise ValueError(f"core member {c} is neither pumpable nor the source")
     if not core.contains(src):
         return CheckResult(False, "Cond1", src)
-    parents = _closure(a, members, locally_bounded=False)
-    if trg in parents:
-        return CheckResult(False, "Cond2", _run_from_parents(parents, trg))
-    for c in sorted(parents, key=lambda c: (a.state_index[c.state], c.value)):
+    closure = _closure(a, members, locally_bounded=False)
+    if trg in closure.parents:
+        run = closure.run_to(trg)
+        climb = sum(a.transitions[i].update for i in run)
+        root = Config(a.transitions[run[0]].src if run else trg.state, trg.value - climb)
+        return CheckResult(False, "Cond2", (root, run))
+    for c in sorted(closure.configs, key=lambda c: (a.state_index[c.state], c.value)):
         for i in a.out_edges[c.state]:
             t = a.transitions[i]
             d = Config(t.dst, c.value + t.update)

@@ -3,7 +3,10 @@
 A run is pessimistic when no configuration after the first sits in the
 pumpable region.  Such runs cannot climb more than (|Q|-1) times the
 largest update above where they start, which makes the search space
-finite and the whole engine exact, budget-free.
+finite and the whole engine exact.  Closures run on
+:func:`ocareach.exploration.post_star` with caps derived from that
+ceiling.  The caps are not a budget: a closure that hits one has found
+a bug and raises :class:`InternalError`.
 
 A :class:`PessimisticCertificate` packages a run's flow, a short
 decomposition of it with waypoint configurations, and per-guard
@@ -21,56 +24,41 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .analysis import in_pumpable_region
+from .analysis import climbing_cycles
 from .automaton import (
     OCA,
     Config,
+    InternalError,
     Path,
     ReplayError,
     apply_path,
     parse_config,
 )
-from .exploration import is_locally_bounded
+from .exploration import ExplorationBudget, PostStarResult, is_locally_bounded, post_star
 from .flows import Flow, FlowError, check_flow, flow_has_positive_cycle, flow_of_path, path_from_flow
 
 
-def _closure(a: OCA, roots, locally_bounded: bool):
-    """Parent-mapped pessimistic closure; root configurations are exempt
-    from the pumpable-region restriction but not from local boundedness."""
-    roots = list(roots)
-    for c in roots:
-        if not a.is_valid(c):
-            raise ValueError(f"start configuration {c} is not valid")
+def _closure(a: OCA, roots, locally_bounded: bool) -> PostStarResult:
+    """Pessimistic closure on :func:`post_star`; roots are exempt from the
+    pumpable-region restriction but not from local boundedness.  Values
+    stay at or below ``ceiling``, so at most ``|Q|`` configurations each."""
+    roots = frozenset(roots)
     ceiling = max((c.value for c in roots), default=0)
     ceiling += (len(a.states) - 1) * a.max_update
-    parents: dict[Config, tuple[Config, int] | None] = {}
-    order = a.state_index
-    frontier = []
-    for c in sorted(set(roots), key=lambda c: (order[c.state], c.value)):
-        if locally_bounded and not is_locally_bounded(a, c):
-            continue
-        parents[c] = None
-        frontier.append(c)
-    while frontier:
-        nxt = []
-        for c in frontier:
-            for i in a.out_edges[c.state]:
-                t = a.transitions[i]
-                d = Config(t.dst, c.value + t.update)
-                if d in parents or not a.is_valid(d):
-                    continue
-                if in_pumpable_region(a, d):
-                    continue
-                if locally_bounded and not is_locally_bounded(a, d):
-                    continue
-                # Runs that never re-enter the pumpable region cannot
-                # climb; a value above this ceiling means a bug.
-                assert d.value <= ceiling, f"pessimistic value bound broken at {d}"
-                parents[d] = (c, i)
-                nxt.append(d)
-        nxt.sort(key=lambda c: (order[c.state], c.value))
-        frontier = nxt
-    return parents
+    nodes = len(a.states) * (ceiling + 1)
+    cycles = climbing_cycles(a)
+
+    def admit(c: Config) -> bool:
+        cyc = cycles.get(c.state)
+        if cyc is not None and c.value >= cyc.drop and c not in roots:
+            return False
+        return not locally_bounded or is_locally_bounded(a, c)
+
+    budget = ExplorationBudget(max(ceiling, 1), nodes, nodes)  # caps must be positive
+    res = post_star(a, roots, budget, restrict=admit)
+    if res.cap_hit:
+        raise InternalError(f"pessimistic closure climbed above {ceiling}")
+    return res
 
 
 def pessimistic_post_star(a: OCA, configs, locally_bounded: bool = False) -> set[Config]:
@@ -79,7 +67,7 @@ def pessimistic_post_star(a: OCA, configs, locally_bounded: bool = False) -> set
     With ``locally_bounded`` the runs must additionally stay inside
     locally bounded configurations throughout, start included.
     """
-    return set(_closure(a, configs, locally_bounded))
+    return _closure(a, configs, locally_bounded).configs
 
 
 def decide_pessimistic_reach(a: OCA, src: Config, trg: Config) -> Path | None:
@@ -90,15 +78,8 @@ def decide_pessimistic_reach(a: OCA, src: Config, trg: Config) -> Path | None:
     """
     if not a.is_valid(trg):
         return None
-    parents = _closure(a, [src], locally_bounded=False)
-    if trg not in parents:
-        return None
-    rev: list[int] = []
-    cur = trg
-    while (link := parents[cur]) is not None:
-        cur, i = link
-        rev.append(i)
-    return tuple(reversed(rev))
+    res = _closure(a, [src], locally_bounded=False)
+    return res.run_to(trg) if trg in res.parents else None
 
 
 # ------------------------------------------------------------- certificates
@@ -169,7 +150,8 @@ def make_certificate(a: OCA, src: Config, run: Path) -> PessimisticCertificate:
         cuts.update((hi, lo))
         crossing_cuts.append((state, hi, lo))
     marks = sorted(cuts)
-    assert len(marks) - 1 <= 4 * len(a.states) + 1
+    if len(marks) - 1 > 4 * len(a.states) + 1:
+        raise InternalError(f"{len(marks) - 1} segments exceed the waypoint bound")
     waypoints = tuple(configs[p] for p in marks)
     decomposition = tuple(
         flow_of_path(a, configs[lo].state, run[lo:hi])

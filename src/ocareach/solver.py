@@ -41,11 +41,6 @@ REACHABLE = "reachable"
 UNREACHABLE = "unreachable"
 RESOURCE_EXCEEDED = "resource-exceeded"
 
-# Re-derive every decisive verdict through the exploration oracle and
-# fail hard on disagreement.  The test suite flips this on; it roughly
-# doubles the cost of a decision.
-CROSS_CHECK = False
-
 
 @dataclass(frozen=True)
 class Verdict:
@@ -237,9 +232,24 @@ def _certify_run(a: OCA, src: Config, trg: Config, run: Path) -> Verdict:
     return Verdict(REACHABLE, run=run)
 
 
-def _decide_disequality(
-    a: OCA, src: Config, trg: Config, budget: ExplorationBudget | None
+def decide_disequality(
+    a: OCA, src: Config, trg: Config, budget: ExplorationBudget | None = None
 ) -> Verdict:
+    """Decide src ->* trg in an automaton without equality tests.
+
+    Both endpoints locally unbounded (forwards resp. backwards): decided
+    at the candidate level and lifted.  Otherwise the endpoints are
+    normalized and the invariant engine either synthesizes a witness or,
+    by failing to, certifies reachability.  ``budget`` caps the
+    exploration fallback that extracts the run; the structural legs
+    manage their own escalation.  Raises :class:`ResourceExceeded` when
+    a budget ran out undecided.
+    """
+    if a.has_equality_tests():
+        raise ValueError("decide_disequality needs disequality tests only")
+    for c in (src, trg):
+        if not a.is_valid(c):
+            raise ValueError(f"configuration {c} is not valid")
     if src == trg:
         return Verdict(REACHABLE, run=())
     if not is_locally_bounded(a, src) and not is_locally_bounded(reverse(a), trg):
@@ -266,36 +276,6 @@ def _decide_disequality(
     if run is None:
         raise InternalError("witness synthesis and exploration disagree")
     return _certify_run(a, src, trg, run)
-
-
-def decide_disequality(
-    a: OCA, src: Config, trg: Config, budget: ExplorationBudget | None = None
-) -> Verdict:
-    """Decide src ->* trg in an automaton without equality tests.
-
-    Both endpoints locally unbounded (forwards resp. backwards): decided
-    at the candidate level and lifted.  Otherwise the endpoints are
-    normalized and the invariant engine either synthesizes a witness or,
-    by failing to, certifies reachability.  ``budget`` caps the
-    exploration fallback that extracts the run; the structural legs
-    manage their own escalation.  Raises :class:`ResourceExceeded` when
-    a budget ran out undecided.
-    """
-    if a.has_equality_tests():
-        raise ValueError("decide_disequality needs disequality tests only")
-    for c in (src, trg):
-        if not a.is_valid(c):
-            raise ValueError(f"configuration {c} is not valid")
-    verdict = _decide_disequality(a, src, trg, budget)
-    if CROSS_CHECK:
-        try:
-            run = reach_oracle(a, src, trg)
-        except ResourceExceeded:
-            pass
-        else:
-            if (run is not None) != (verdict.kind == REACHABLE):
-                raise InternalError(f"oracle disagrees with {verdict.kind} for {src} -> {trg}")
-    return verdict
 
 
 def _pinned_configs(a: OCA) -> list[Config]:

@@ -1,8 +1,13 @@
+import ast
+import gc
 import random
+import weakref
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import ocareach
 from ocareach.automaton import (
     Config,
     Guard,
@@ -18,6 +23,9 @@ from ocareach.automaton import (
     reverse,
     scc_decompose,
 )
+from ocareach.evidence import verify_evidence
+from ocareach.invariants import format_witness
+from ocareach.solver import decide_full
 
 from _oracles import naive_effect_drop
 from conftest import FIG_LOOP, random_oca
@@ -225,3 +233,51 @@ def test_apply_path_step_mismatch(loop3):
         apply_path(loop3, Config("q", 1), (1,), mode="candidate")
     assert err.value.reason == "step source mismatch"
     assert err.value.index == 0
+
+
+# ------------------------------------------------------------- ownership
+
+
+def test_analyses_die_with_their_automaton(monkeypatch):
+    """Every memoized analysis sits in its automaton's memo, so deciding
+    and verifying leaves no automaton alive, derived ones included
+    (reverse, restrictions, normalizations)."""
+    created = []
+    init = OCA.__post_init__
+
+    def tracked(self):
+        init(self)
+        created.append(weakref.ref(self))
+
+    monkeypatch.setattr(OCA, "__post_init__", tracked)
+    k = 50
+    text = (
+        f"states: q r s\nguard q != {5 * k}\nguard r != {30 * k}\nguard s != {15 * k}\n"
+        "trans q +2 r\ntrans r +1 s\ntrans s +2 q\n"
+    )
+    src, trg = Config("q", 0), Config("q", 5 * k + 5)
+    for _ in range(3):
+        a = parse_oca(text)
+        verdict = decide_full(a, src, trg)
+        assert verdict.kind == "unreachable" and verdict.witness is not None
+        evidence = format_witness(verdict.witness, normalized=True)
+        assert verify_evidence(a, src, trg, evidence).verified
+    del a, verdict
+    gc.collect()
+    alive = [r() for r in created if r() is not None]
+    assert created and not alive, f"{len(alive)} of {len(created)} automata still alive"
+
+
+def test_no_assert_in_the_package():
+    """Soundness checks raise InternalError: ``python -O`` strips asserts."""
+    found = []
+    for path in sorted(Path(ocareach.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            exc = node.exc if isinstance(node, ast.Raise) else None
+            if isinstance(exc, ast.Call):
+                exc = exc.func
+            if isinstance(node, ast.Assert) or (
+                isinstance(exc, ast.Name) and exc.id == "AssertionError"
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"assert left in the package at {', '.join(found)}"

@@ -79,5 +79,5 @@ def test_shrink_keeps_endpoint_states():
 
 def test_shrink_rejects_a_dead_property():
     a = parse_oca(SHRINK_FIXTURE)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         shrink(a, Config("a", 0), Config("b", 0), keeps=lambda *_: False)

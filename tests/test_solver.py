@@ -34,7 +34,26 @@ from ocareach.solver import (
 
 @pytest.fixture(autouse=True)
 def _cross_checked(monkeypatch):
-    monkeypatch.setattr(solver, "CROSS_CHECK", True)
+    """Re-derive every decisive ``decide_disequality`` verdict through the
+    exploration oracle and fail hard on disagreement.
+
+    Both bindings are wrapped: the solver's own, which ``decide_full``
+    calls for its segment queries, and this module's.
+    """
+    decide = solver.decide_disequality
+
+    def checked(a, src, trg, budget=None):
+        verdict = decide(a, src, trg, budget)
+        try:
+            run = reach_oracle(a, src, trg)
+        except ResourceExceeded:
+            return verdict
+        if (run is not None) != (verdict.kind == REACHABLE):
+            raise InternalError(f"oracle disagrees with {verdict.kind} for {src} -> {trg}")
+        return verdict
+
+    monkeypatch.setattr(solver, "decide_disequality", checked)
+    monkeypatch.setitem(globals(), "decide_disequality", checked)
 
 
 def check_verdict(a, src, trg, v: Verdict) -> None:
