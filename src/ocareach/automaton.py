@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, wraps
-from typing import Iterable, Literal
+from typing import Iterable, Iterator, Literal, NamedTuple
 
 GuardKind = Literal["true", "eq", "ne"]
 
@@ -66,8 +66,13 @@ class Transition:
         return f"{self.src} {self.update:+d} {self.dst}"
 
 
-@dataclass(frozen=True)
-class Config:
+class Config(NamedTuple):
+    """A configuration ``state:value``.
+
+    A named tuple, so hashing, equality and field access run in C; it
+    is immutable, and it also equals the plain tuple ``(state, value)``.
+    """
+
     state: str
     value: int
 
@@ -122,6 +127,21 @@ class OCA:
         return {q: tuple(v) for q, v in inc.items()}
 
     @cached_property
+    def step_table(self):
+        """``(out, blocked, pinned)``: ``out[q]`` lists ``(index, dst,
+        update)`` per transition leaving ``q`` in index order,
+        ``blocked[q]`` is the value a ``!=`` test at ``q`` forbids (-1
+        when there is none), and ``pinned`` maps each ``==`` test state
+        to its one allowed value."""
+        out: dict[str, list[tuple[int, str, int]]] = {q: [] for q in self.states}
+        for i, t in enumerate(self.transitions):
+            out[t.src].append((i, t.dst, t.update))
+        guards = self.guards
+        blocked = {q: g.value if g.kind == "ne" else -1 for q, g in guards.items()}
+        pinned = {q: g.value for q, g in guards.items() if g.kind == "eq"}
+        return {q: tuple(v) for q, v in out.items()}, blocked, pinned
+
+    @cached_property
     def max_update(self) -> int:
         return max((abs(t.update) for t in self.transitions), default=0)
 
@@ -136,10 +156,26 @@ class OCA:
         return self.guards[state]
 
     def is_valid(self, c: Config) -> bool:
-        return c.value >= 0 and self.guards[c.state].allows(c.value)
+        state, value = c
+        _, blocked, pinned = self.step_table
+        return value >= 0 and value != blocked[state] and pinned.get(state, value) == value
 
     def has_equality_tests(self) -> bool:
         return any(g.kind == "eq" for g in self.guards.values())
+
+
+def valid_steps(a: OCA, configs: Iterable[Config]) -> Iterator[tuple[Config, int, Config]]:
+    """Every valid step ``(c, i, d)`` out of ``configs``: ``c`` in the
+    order given, its transitions ``i`` in index order, ``d`` valid."""
+    out, blocked, pinned = a.step_table
+    new = tuple.__new__  # skips the named tuple's Python-level __new__
+    for c in configs:
+        state, value = c
+        for i, dst, update in out[state]:
+            v = value + update
+            if v < 0 or v == blocked[dst] or (pinned and pinned.get(dst, v) != v):
+                continue
+            yield c, i, new(Config, (dst, v))
 
 
 def per_automaton(fn):

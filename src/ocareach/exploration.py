@@ -28,6 +28,7 @@ from .automaton import (
     restrict,
     reverse,
     scc_of,
+    valid_steps,
 )
 from .flows import Flow, path_from_flow
 
@@ -90,7 +91,7 @@ def post_star(a, start, budget, restrict=None, stop_at=None) -> PostStarResult:
     ``stop_at`` ends the search early once that configuration is found
     (the level in progress is finished first, keeping runs shortest).
     """
-    order, out_edges, transitions, is_valid = a.state_index, a.out_edges, a.transitions, a.is_valid
+    order, is_valid = a.state_index, a.is_valid
     value_cap, node_cap = budget.value_cap, budget.node_cap
     roots = sorted(set(start), key=lambda c: (order[c.state], c.value))
     for c in roots:
@@ -115,21 +116,18 @@ def post_star(a, start, budget, restrict=None, stop_at=None) -> PostStarResult:
             cap_hit = True
             break
         nxt: list[Config] = []
-        for c in frontier:
-            for i in out_edges[c.state]:
-                t = transitions[i]
-                d = Config(t.dst, c.value + t.update)
-                if d in parents or not is_valid(d):
-                    continue
-                if restrict is not None and not restrict(d):
-                    continue
-                if d.value > value_cap:
-                    cap_hit = True
-                    continue
-                if len(parents) >= node_cap:
-                    raise ResourceExceeded(f"post_star exceeded {node_cap} configurations")
-                parents[d] = (c, i)
-                nxt.append(d)
+        for c, i, d in valid_steps(a, frontier):
+            if d in parents:
+                continue
+            if restrict is not None and not restrict(d):
+                continue
+            if d.value > value_cap:
+                cap_hit = True
+                continue
+            if len(parents) >= node_cap:
+                raise ResourceExceeded(f"post_star exceeded {node_cap} configurations")
+            parents[d] = (c, i)
+            nxt.append(d)
         nxt.sort(key=lambda c: (order[c.state], c.value))
         frontier = nxt
         depth += 1
@@ -202,10 +200,8 @@ def _bounded_probe(
         cur = queue.popleft()
         if definitely_unbounded(a, cur):
             return False
-        for i in a.out_edges[cur.state]:
-            t = a.transitions[i]
-            d = Config(t.dst, cur.value + t.update)
-            if d in seen or not a.is_valid(d):
+        for _, _, d in valid_steps(a, (cur,)):
+            if d in seen:
                 continue
             known = labels.get(d)
             if known is not None:
@@ -310,65 +306,64 @@ def _walk_states(a: OCA, u: str, v: str) -> frozenset[str]:
 _ENUM_CAP = 500_000
 
 
+def _simple_walks(succ, start: str, goal: str, out: dict, steps: int, what: str) -> int:
+    """Record in ``out`` one exemplar per (state set, effect) class of the
+    simple walks start -> goal along ``succ`` (``start == goal`` for
+    cycles), and return ``steps`` plus the edges tried.
+
+    Depth first with an explicit stack of edge iterators, one per state
+    on the current walk, so long walks need no recursion.
+    """
+    visited = {start, goal}
+    acc: list[int] = []
+    stack = [(iter(succ[start]), 0, start)]
+    while stack:
+        edges, eff, _ = stack[-1]
+        for i, dst, update in edges:
+            if dst in visited and dst != goal:
+                continue
+            steps += 1
+            if steps > _ENUM_CAP:
+                raise ResourceExceeded(f"too many simple {what} to enumerate")
+            if dst == goal:
+                out.setdefault((frozenset(visited), eff + update), (*acc, i))
+                continue
+            acc.append(i)
+            visited.add(dst)
+            stack.append((iter(succ[dst]), eff + update, dst))
+            break
+        else:
+            state = stack.pop()[2]
+            if stack:
+                acc.pop()
+                visited.discard(state)
+    return steps
+
+
 def _simple_paths(a: OCA, u: str, v: str, rel: frozenset[str]):
     """One exemplar per (state set, effect) class of simple paths u -> v."""
     if u == v:
         return {(frozenset([u]), 0): ()}
+    out_steps = a.step_table[0]
+    succ = {q: [e for e in out_steps[q] if e[1] in rel] for q in rel}
     out: dict[tuple[frozenset[str], int], Path] = {}
-    steps = 0
-
-    def walk(state: str, visited: set[str], acc: list[int], eff: int) -> None:
-        nonlocal steps
-        for i in a.out_edges[state]:
-            t = a.transitions[i]
-            if t.dst not in rel or t.dst in visited:
-                continue
-            steps += 1
-            if steps > _ENUM_CAP:
-                raise ResourceExceeded("too many simple paths to enumerate")
-            acc.append(i)
-            if t.dst == v:
-                key = (frozenset(visited | {v}), eff + t.update)
-                out.setdefault(key, tuple(acc))
-            else:
-                visited.add(t.dst)
-                walk(t.dst, visited, acc, eff + t.update)
-                visited.discard(t.dst)
-            acc.pop()
-
-    walk(u, {u}, [], 0)
+    _simple_walks(succ, u, v, out, 0, "paths")
     return out
 
 
 def _simple_cycles(a: OCA, rel: frozenset[str]):
-    """One exemplar per (state set, effect) class of simple cycles in rel."""
+    """One exemplar per (state set, effect) class of simple cycles in rel,
+    each found from its least state in ``a.states`` order."""
     order = a.state_index
+    out_steps = a.step_table[0]
     out: dict[tuple[frozenset[str], int], Path] = {}
     steps = 0
-
-    def walk(pivot: str, state: str, visited: set[str], acc: list[int], eff: int):
-        nonlocal steps
-        for i in a.out_edges[state]:
-            t = a.transitions[i]
-            if t.dst not in rel or order[t.dst] < order[pivot]:
-                continue
-            if t.dst in visited and t.dst != pivot:
-                continue
-            steps += 1
-            if steps > _ENUM_CAP:
-                raise ResourceExceeded("too many simple cycles to enumerate")
-            acc.append(i)
-            if t.dst == pivot:
-                key = (frozenset(visited), eff + t.update)
-                out.setdefault(key, tuple(acc))
-            else:
-                visited.add(t.dst)
-                walk(pivot, t.dst, visited, acc, eff + t.update)
-                visited.discard(t.dst)
-            acc.pop()
-
     for pivot in sorted(rel, key=order.get):
-        walk(pivot, pivot, {pivot}, [], 0)
+        floor = order[pivot]
+        succ = {
+            q: [e for e in out_steps[q] if e[1] in rel and order[e[1]] >= floor] for q in rel
+        }
+        steps = _simple_walks(succ, pivot, pivot, out, steps, "cycles")
     return out
 
 

@@ -23,6 +23,7 @@ compresses to one arithmetic progression.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Iterator
 
 from .analysis import Chain, chain_of, climbing_cycles, in_pumpable_region
@@ -32,6 +33,7 @@ from .automaton import (
     InternalError,
     reverse,
     scc_decompose,
+    valid_steps,
 )
 from .exploration import (
     ResourceExceeded,
@@ -160,9 +162,22 @@ def _materialize(aps: APSet, cap: int = 200_000) -> list[Config]:
     return list(aps.members())
 
 
+def _pumpable(a: OCA):
+    """:func:`in_pumpable_region` for valid configurations, with the
+    climbing cycles looked up once instead of once per configuration."""
+    drops = {q: cyc.drop for q, cyc in climbing_cycles(a).items()}
+    return lambda c: c.state in drops and c.value >= drops[c.state]
+
+
+def _step_order(a: OCA):
+    """Sort key of a step ``(c, i, d)``: c's state index, c's value, i."""
+    order = a.state_index
+    return lambda step: (order[step[0].state], step[0].value, step[1])
+
+
 def _closed_post_star(a: OCA, root: Config, locally_bounded: bool) -> set[Config]:
     """Full forward closure, escalating value budgets until it closes."""
-    pred = (lambda c: is_locally_bounded(a, c)) if locally_bounded else None
+    pred = partial(is_locally_bounded, a) if locally_bounded else None
     for scale in (1, 4, 16, 64, 256, 1024):
         res = post_star(a, [root], default_budget(a, root.value, scale=scale), restrict=pred)
         if not res.cap_hit:
@@ -223,8 +238,8 @@ def perfect_cores(a: OCA, src: Config, trg: Config) -> tuple[APSet, APSet]:
         raise ValueError(f"target {trg} is not pumpable and locally bounded in reverse")
     fwd_reach = _closed_post_star(a, src, locally_bounded=True)
     bwd_reach = _closed_post_star(rev, trg, locally_bounded=True)
-    fwd = _compress_core(a, {c for c in fwd_reach if in_pumpable_region(a, c)})
-    bwd = _compress_core(rev, {c for c in bwd_reach if in_pumpable_region(rev, c)})
+    fwd = _compress_core(a, set(filter(_pumpable(a), fwd_reach)))
+    bwd = _compress_core(rev, set(filter(_pumpable(rev), bwd_reach)))
     return fwd, bwd
 
 
@@ -238,8 +253,7 @@ def strong_invariant_core(a: OCA, src: Config) -> APSet:
     if not is_bounded(a, src):
         raise ValueError(f"source {src} is unbounded, no finite core exists")
     reached = _closed_post_star(a, src, locally_bounded=False)
-    core = {c for c in reached if in_pumpable_region(a, c)}
-    aps = _compress_core(a, core)
+    aps = _compress_core(a, set(filter(_pumpable(a), reached)))
     if not aps.contains(src):
         extra = Progression(src.state, src.value, 1, src.value, src.value)
         aps = APSet(aps.progressions + (extra,))
@@ -260,12 +274,14 @@ def check_strong_invariant(a: OCA, src: Config, trg: Config, core: APSet) -> Che
     if not is_bounded(a, src):
         raise ValueError(f"source {src} is unbounded")
     members = _materialize(core)
+    pumpable = _pumpable(a)
     for c in members:
         if not a.is_valid(c):
             raise ValueError(f"core member {c} is not a valid configuration")
-        if c != src and not in_pumpable_region(a, c):
+        if c != src and not pumpable(c):
             raise ValueError(f"core member {c} is neither pumpable nor the source")
-    if not core.contains(src):
+    inside = set(members)
+    if src not in inside:
         return CheckResult(False, "Cond1", src)
     closure = _closure(a, members, locally_bounded=False)
     if trg in closure.parents:
@@ -273,12 +289,10 @@ def check_strong_invariant(a: OCA, src: Config, trg: Config, core: APSet) -> Che
         climb = sum(a.transitions[i].update for i in run)
         root = Config(a.transitions[run[0]].src if run else trg.state, trg.value - climb)
         return CheckResult(False, "Cond2", (root, run))
-    for c in sorted(closure.configs, key=lambda c: (a.state_index[c.state], c.value)):
-        for i in a.out_edges[c.state]:
-            t = a.transitions[i]
-            d = Config(t.dst, c.value + t.update)
-            if a.is_valid(d) and in_pumpable_region(a, d) and not core.contains(d):
-                return CheckResult(False, "Cond3", (c, i, d))
+    escapes = (s for s in valid_steps(a, closure.configs) if pumpable(s[2]) and s[2] not in inside)
+    escape = min(escapes, key=_step_order(a), default=None)
+    if escape is not None:
+        return CheckResult(False, "Cond3", escape)
     return CheckResult(True)
 
 
@@ -288,14 +302,11 @@ def _inductive_escape(a: OCA, aps: APSet) -> tuple[Config, int, Config] | None:
         if not a.is_valid(c):
             raise ValueError(f"core member {c} is not a valid configuration")
     closure = pessimistic_post_star(a, members, locally_bounded=True)
-    for c in sorted(closure, key=lambda c: (a.state_index[c.state], c.value)):
-        for i in a.out_edges[c.state]:
-            t = a.transitions[i]
-            d = Config(t.dst, c.value + t.update)
-            if not a.is_valid(d) or aps.contains(d):
-                continue
-            if in_pumpable_region(a, d) and is_locally_bounded(a, d):
-                return c, i, d
+    pumpable, inside = _pumpable(a), set(members)
+    escapes = (s for s in valid_steps(a, closure) if s[2] not in inside and pumpable(s[2]))
+    for escape in sorted(escapes, key=_step_order(a)):
+        if is_locally_bounded(a, escape[2]):
+            return escape
     return None
 
 
@@ -314,14 +325,7 @@ def check_inductive(a: OCA, w: NonReachabilityWitness) -> CheckResult:
 def _induced_set(a: OCA, aps: APSet) -> set[Config]:
     """Pessimistic closure of the core plus its one-step boundary."""
     closure = pessimistic_post_star(a, _materialize(aps))
-    out = set(closure)
-    for c in closure:
-        for i in a.out_edges[c.state]:
-            t = a.transitions[i]
-            d = Config(t.dst, c.value + t.update)
-            if a.is_valid(d):
-                out.add(d)
-    return out
+    return closure | {d for _, _, d in valid_steps(a, closure)}
 
 
 def check_separator(a: OCA, w: NonReachabilityWitness) -> CheckResult:
@@ -334,15 +338,13 @@ def check_separator(a: OCA, w: NonReachabilityWitness) -> CheckResult:
     rev = reverse(a)
     fwd_side = _induced_set(a, w.fwd)
     bwd_side = _induced_set(rev, w.bwd)
+    crossings = (s for s in valid_steps(a, fwd_side) if s[2] in bwd_side)
+    crossing = min(crossings, key=_step_order(a), default=None)
+    if crossing is not None:
+        return CheckResult(False, "Sep1", crossing)
     order = lambda c: (a.state_index[c.state], c.value)
-    for c in sorted(fwd_side, key=order):
-        for i in a.out_edges[c.state]:
-            t = a.transitions[i]
-            d = Config(t.dst, c.value + t.update)
-            if a.is_valid(d) and d in bwd_side:
-                return CheckResult(False, "Sep1", (c, i, d))
-    loose_fwd = [c for c in sorted(fwd_side, key=order) if not is_locally_bounded(a, c)]
-    loose_bwd = [d for d in sorted(bwd_side, key=order) if not is_locally_bounded(rev, d)]
+    loose_fwd = sorted((c for c in fwd_side if not is_locally_bounded(a, c)), key=order)
+    loose_bwd = sorted((d for d in bwd_side if not is_locally_bounded(rev, d)), key=order)
     for c in loose_fwd:
         for d in loose_bwd:
             path = candidate_reach(a, c, d)

@@ -25,6 +25,7 @@ from .automaton import (
     restrict,
     reverse,
     scc_of,
+    valid_steps,
 )
 from .exploration import (
     ExplorationBudget,
@@ -320,24 +321,13 @@ def decide_full(
     def entries(u: Config) -> list[tuple[Path, Config]]:
         if u.state not in eq_states:
             return [((), u)]
-        out = []
-        for i in a.out_edges[u.state]:
-            t = a.transitions[i]
-            e = Config(t.dst, u.value + t.update)
-            if t.dst not in eq_states and a.is_valid(e):
-                out.append(((i,), e))
-        return out
+        return [((i,), e) for _, i, e in valid_steps(a, (u,)) if e.state not in eq_states]
 
     def exits(v: Config) -> list[tuple[Config, Path]]:
         if v.state not in eq_states:
             return [(v, ())]
-        out = []
-        for i in a.in_edges[v.state]:
-            t = a.transitions[i]
-            e = Config(t.src, v.value - t.update)
-            if t.src not in eq_states and a.is_valid(e):
-                out.append((e, (i,)))
-        return out
+        # Steps into v are steps out of v in the reversed automaton.
+        return [(e, (i,)) for _, i, e in valid_steps(reverse(a), (v,)) if e.state not in eq_states]
 
     refusals: list[tuple[Config, Config, Verdict]] = []
     blocked = 0
@@ -345,9 +335,8 @@ def decide_full(
     def segment(u: Config, v: Config) -> Path | None:
         """A valid run u -> v meeting no equality state in between."""
         nonlocal blocked
-        for i in a.out_edges[u.state]:
-            t = a.transitions[i]
-            if Config(t.dst, u.value + t.update) == v:
+        for _, i, d in valid_steps(a, (u,)):
+            if d == v:
                 return (i,)
         undecided = False
         for pre, e in entries(u):

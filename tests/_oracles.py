@@ -205,3 +205,13 @@ def probe_automaton(a: OCA, p) -> tuple[OCA, str]:
         ),
         probe,
     )
+
+
+def naive_first_step(a: OCA, configs, hit) -> tuple[Config, int, Config] | None:
+    """First valid step ``(c, i, d)`` with ``hit(d)``, scanning ``configs``
+    sorted by (state index, value) and each one's transitions by index."""
+    for c in sorted(configs, key=lambda c: (a.states.index(c.state), c.value)):
+        for d, i in naive_successors(a, c):
+            if hit(d):
+                return c, i, d
+    return None

@@ -22,6 +22,7 @@ from ocareach.automaton import (
     restrict,
     reverse,
     scc_decompose,
+    valid_steps,
 )
 from ocareach.evidence import verify_evidence
 from ocareach.invariants import format_witness
@@ -75,6 +76,42 @@ def test_parse_config_literal():
     assert parse_config("odd:name:12") == Config("odd:name", 12)
     with pytest.raises(ValueError):
         parse_config("justastate")
+
+
+def test_config_is_an_immutable_named_tuple():
+    c = Config("q", 3)
+    assert c == Config("q", 3) and hash(c) == hash(Config("q", 3))
+    assert c != Config("q", 4) and c != Config("r", 3)
+    assert c == ("q", 3) and hash(c) == hash(("q", 3))
+    assert len({c, Config("q", 3), ("q", 3)}) == 1
+    assert (c.state, c.value) == ("q", 3)
+    assert str(c) == "q:3"
+    assert repr(c) == "Config(state='q', value=3)"
+    with pytest.raises(AttributeError):
+        c.value = 4
+    with pytest.raises(TypeError):
+        c[1] = 4
+    for text in ("q:0", "odd:name:12", "s:1000000"):
+        assert str(parse_config(text)) == text
+        assert parse_config(str(parse_config(text))) == parse_config(text)
+
+
+def test_step_table_agrees_with_guards_and_transitions():
+    rng = random.Random(5)
+    for _ in range(60):
+        a = random_oca(rng, num_states=5, equality_fraction=0.4, guard_density=0.7)
+        for q in a.states:
+            for v in range(-2, 12):
+                c = Config(q, v)
+                assert a.is_valid(c) == (v >= 0 and a.guards[q].allows(v))
+        configs = [Config(q, v) for q in a.states for v in range(10)]
+        expected = [
+            (c, i, Config(t.dst, c.value + t.update))
+            for c in configs
+            for i, t in enumerate(a.transitions)
+            if t.src == c.state and a.is_valid(Config(t.dst, c.value + t.update))
+        ]
+        assert list(valid_steps(a, configs)) == expected
 
 
 def test_guard_allows():

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from conftest import random_oca
 from ocareach.automaton import Config, parse_oca
+from ocareach.exploration import ResourceExceeded
+from ocareach.generators import FuzzSpec, gen_subset_sum, instances
 from ocareach.evidence import (
     EvidenceReport,
     evidence_kind,
@@ -13,7 +17,7 @@ from ocareach.evidence import (
 )
 from ocareach.invariants import format_witness, parse_witness, synthesize_witness
 from ocareach.pessimistic import decide_pessimistic_reach, format_certificate, make_certificate
-from ocareach.solver import decide_disequality, normalize_endpoints
+from ocareach.solver import decide_disequality, decide_full, normalize_endpoints
 
 
 def test_run_round_trip_with_chunking(loop3):
@@ -112,3 +116,47 @@ def test_solver_witnesses_verify_as_evidence_corpus():
         assert verify_evidence(a, src, trg, text), (src, trg)
         checked += 1
     assert checked > 20
+
+
+# ---------------------------------------------------------------- stability
+
+# Subset-sum values and targets (reachable, unreachable) per n.
+_SUBSET_SUM = {
+    8: ((44, 957, 593, 549, 86, 342, 708, 694), (1980, 1986)),
+    12: ((785, 736, 905, 152, 3, 49, 135, 760, 962, 977, 312, 274), (3025, 3024)),
+}
+_FUZZ_MIXED = FuzzSpec(num_states=8, max_update=4, max_guard=12, equality_fraction=0.25, count=60)
+
+
+def _evidence_digest(queries) -> str:
+    """SHA-256 over each query's verdict and formatted evidence: the run,
+    the witness, or the witnesses of the equality wrapper's parts."""
+    h = hashlib.sha256()
+    for a, src, trg in queries:
+        try:
+            verdict = decide_full(a, src, trg)
+        except ResourceExceeded:
+            h.update(f"{src} {trg} resource-exceeded\n".encode())
+            continue
+        h.update(f"{src} {trg} {verdict.kind}\n".encode())
+        if verdict.run is not None:
+            h.update(format_run(src, trg, verdict.run).encode())
+        if verdict.witness is not None:
+            h.update(format_witness(verdict.witness, normalized=True).encode())
+        for e, x, part in verdict.parts:
+            if part.witness is not None:
+                h.update(f"part {e} {x}\n{format_witness(part.witness, normalized=True)}".encode())
+    return h.hexdigest()
+
+
+def test_evidence_is_stable():
+    """Runs and witnesses are byte-identical to those of earlier releases:
+    the same parent choices in every closure, the same core compression."""
+    subset = [gen_subset_sum(values, x) for values, xs in _SUBSET_SUM.values() for x in xs]
+    fuzz = [instance for _, instance in instances(_FUZZ_MIXED)]
+    assert _evidence_digest(subset) == (
+        "62565462993477a3265881388b8d7eeac070e3d15de21392ad2a7c7e767b3fb3"
+    )
+    assert _evidence_digest(fuzz) == (
+        "272ef5a9ed73260d4c67ddd73e0bc6214ca9fab69a4c48e73adf836e5d4c806f"
+    )

@@ -1,8 +1,12 @@
+import gc
 import random
+import weakref
 
 import pytest
 
+from ocareach import cli
 from ocareach.automaton import (
+    OCA,
     Config,
     apply_path,
     format_oca,
@@ -20,7 +24,11 @@ from ocareach.exploration import (
     is_locally_bounded,
     post_star,
     reach_oracle,
+    _simple_cycles,
+    _simple_paths,
 )
+from ocareach.generators import FuzzSpec, instances
+from ocareach.solver import decide_full
 
 from _oracles import naive_post_star, naive_reach, naive_z_reach
 from conftest import random_oca
@@ -401,3 +409,75 @@ def test_default_budget_shape(loop3):
     assert b.value_cap == 55
     with pytest.raises(ValueError):
         ExplorationBudget(0, 1, 1)
+
+
+# ------------------------------------------------------ deep and long walks
+
+
+def _chain_text(n: int) -> str:
+    """c0 climbs on a +1 self-loop, then a +1 chain c0 -> ... -> c(n-1),
+    which descends on a -1 self-loop."""
+    lines = ["states: " + " ".join(f"c{i}" for i in range(n)), "trans c0 +1 c0"]
+    lines += [f"trans c{i} +1 c{i + 1}" for i in range(n - 1)]
+    lines.append(f"trans c{n - 1} -1 c{n - 1}")
+    return "\n".join(lines) + "\n"
+
+
+def test_simple_walks_need_no_recursion():
+    n = 1500
+    chain = parse_oca(_chain_text(n))
+    rel = frozenset(chain.states)
+    path = tuple(range(1, n))
+    assert _simple_paths(chain, "c0", f"c{n - 1}", rel) == {(rel, n - 1): path}
+    # A ring walked against state order: only c0, the least state, can
+    # start a cycle, and it runs through all n states.
+    ring = parse_oca(
+        "states: " + " ".join(f"c{i}" for i in range(n)) + "\n"
+        + f"trans c0 +1 c{n - 1}\n"
+        + "".join(f"trans c{i + 1} -1 c{i}\n" for i in range(n - 1))
+    )
+    cycle = (0,) + tuple(range(n - 1, 0, -1))
+    assert _simple_cycles(ring, frozenset(ring.states)) == {(rel, 1 - (n - 1)): cycle}
+
+
+def test_long_chain_decides_without_recursion(tmp_path, capsys):
+    n = 1500
+    a = parse_oca(_chain_text(n))
+    src, trg = Config("c0", 0), Config(f"c{n - 1}", 3)
+    try:
+        verdict = decide_full(a, src, trg)
+    except ResourceExceeded:
+        pass  # the simple-cycle step cap: a budget answer, not a crash
+    else:
+        assert verdict.kind == "reachable"
+        assert apply_path(a, src, verdict.run)[-1] == trg
+    path = tmp_path / "chain.oca"
+    path.write_text(_chain_text(n))
+    code = cli.main(["decide", str(path), "--src", str(src), "--trg", str(trg)])
+    assert code in (0, 2), capsys.readouterr().err
+
+
+def test_automata_die_without_the_cycle_collector(monkeypatch):
+    """Deciding leaves no reference cycle that holds an automaton, so
+    every automaton is freed as soon as its last reference goes."""
+    created = []
+    init = OCA.__post_init__
+
+    def tracked(self):
+        init(self)
+        created.append(weakref.ref(self))
+
+    monkeypatch.setattr(OCA, "__post_init__", tracked)
+    spec = FuzzSpec(num_states=8, max_update=4, max_guard=12, equality_fraction=0.25, count=60)
+    gc.disable()
+    try:
+        for _, (a, src, trg) in instances(spec):
+            try:
+                decide_full(a, src, trg)
+            except ResourceExceeded:
+                pass
+        del a
+        alive = [r for r in created if r() is not None]
+    finally:
+        gc.enable()
+    assert created and not alive, f"{len(alive)} of {len(created)} automata still alive"

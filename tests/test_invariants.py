@@ -15,13 +15,14 @@ from ocareach.automaton import (
     reverse,
     scc_decompose,
 )
-from ocareach.exploration import ResourceExceeded, is_bounded, reach_oracle
+from ocareach.exploration import ResourceExceeded, is_bounded, is_locally_bounded, reach_oracle
 from ocareach.invariants import (
     APSet,
     NonReachabilityWitness,
     Progression,
     check_ap_domain,
     check_inductive,
+    check_separator,
     check_strong_invariant,
     format_witness,
     parse_witness,
@@ -33,7 +34,9 @@ from ocareach.invariants import (
 )
 from ocareach.solver import decide_full
 
-from _oracles import probe_automaton
+from ocareach.pessimistic import pessimistic_post_star
+
+from _oracles import naive_first_step, naive_successors, probe_automaton
 from conftest import random_oca
 
 
@@ -295,7 +298,7 @@ def test_ap_domain_dual_paths_agree():
     # automaton that feeds every member into the state's component.
     rng = random.Random(2024)
     compared = 0
-    for _ in range(200):
+    for _ in range(3000):
         a = random_oca(rng, num_states=rng.randint(1, 4), max_update=3, max_guard=8)
         st = rng.choice(a.states)
         lo = rng.randint(0, 8)
@@ -493,3 +496,91 @@ def test_enlarged_verified_witnesses_contain_the_cores():
             members = set(grown.fwd.members())
             assert set(w.fwd.members()) <= members
     assert grown_verified > 0
+
+
+# --------------------------------------------------------- refutation detail
+
+
+def _thinned(rng, a, aps, keep, extra):
+    """Singleton progressions for a random half of ``aps`` plus ``extra``
+    random valid configurations; ``keep`` always stays."""
+    members = {c for c in aps.members() if c == keep or rng.random() < 0.5}
+    for _ in range(extra):
+        c = Config(rng.choice(a.states), rng.randint(0, 12))
+        if a.is_valid(c):
+            members.add(c)
+    singles = (Progression(c.state, c.value, 1, c.value, c.value) for c in sorted(members, key=str))
+    return APSet(tuple(singles))
+
+
+def test_refutation_details_match_a_sorted_scan():
+    """Each scan reports the least offending step by (state index, value,
+    transition index), the first one a sorted scan meets."""
+    rng = random.Random(23)
+    hits = {"inductive": 0, "Sep1": 0, "Cond3": 0}
+    for _ in range(300):
+        a = random_oca(rng, num_states=rng.randint(2, 4), max_update=3, max_guard=10)
+        src = Config(rng.choice(a.states), rng.randint(0, 5))
+        trg = Config(rng.choice(a.states), rng.randint(0, 8))
+        if not (a.is_valid(src) and a.is_valid(trg)) or src == trg:
+            continue
+        b, s2, t2 = normalize(a, src, trg)
+        rev = reverse(b)
+        try:
+            fwd, bwd = perfect_cores(b, s2, t2)
+        except ResourceExceeded:
+            continue
+        w = NonReachabilityWitness(
+            _thinned(rng, b, fwd, s2, rng.randint(0, 3)),
+            _thinned(rng, rev, bwd, t2, rng.randint(0, 3)),
+        )
+        expected = None
+        for side, machine, aps in (("forward", b, w.fwd), ("backward", rev, w.bwd)):
+            members = set(aps.members())
+            closure = pessimistic_post_star(machine, members, locally_bounded=True)
+            found = naive_first_step(
+                machine,
+                closure,
+                lambda d: d not in members
+                and in_pumpable_region(machine, d)
+                and is_locally_bounded(machine, d),
+            )
+            if found is not None:
+                expected = (side, found)
+                break
+        res = check_inductive(b, w)
+        assert (res.condition, res.detail) == (expected or (None, None))
+        hits["inductive"] += expected is not None
+
+        sides = []
+        for machine, aps in ((b, w.fwd), (rev, w.bwd)):
+            closure = pessimistic_post_star(machine, list(aps.members()))
+            sides.append(closure | {d for c in closure for d, _ in naive_successors(machine, c)})
+        crossing = naive_first_step(b, sides[0], lambda d: d in sides[1])
+        res = check_separator(b, w)
+        if crossing is not None:
+            assert (res.condition, res.detail) == ("Sep1", crossing)
+            hits["Sep1"] += 1
+        else:
+            assert res.condition != "Sep1"
+
+    for _ in range(3000):
+        a = random_oca(rng, num_states=rng.randint(1, 4), max_update=3, max_guard=10)
+        if len(scc_decompose(a)) != 1:
+            continue
+        src = Config(rng.choice(a.states), rng.randint(0, 5))
+        trg = Config(rng.choice(a.states), rng.randint(0, 8))
+        if not (a.is_valid(src) and a.is_valid(trg)) or not is_bounded(a, src):
+            continue
+        core = _thinned(rng, a, strong_invariant_core(a, src), src, 0)
+        res = check_strong_invariant(a, src, trg, core)
+        if res.condition not in (None, "Cond3"):
+            continue
+        members = set(core.members())
+        closure = pessimistic_post_star(a, members)
+        escape = naive_first_step(
+            a, closure, lambda d: in_pumpable_region(a, d) and d not in members
+        )
+        assert res.detail == escape
+        hits["Cond3"] += escape is not None
+    assert min(hits.values()) >= 20, hits
