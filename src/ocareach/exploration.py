@@ -4,16 +4,17 @@ Everything here is explicit-state.  :func:`post_star` runs a budgeted
 breadth-first closure and keeps a parent map so witnesses can be read
 back; :func:`reach_oracle` layers escalating budgets (forward, then
 backward on the reversed automaton) on top of it and never answers
-unless the answer is certain.  :func:`candidate_reach` decides
-reachability under integer semantics (counter may go negative, tests
-are ignored) exactly, by decomposing walks into a simple path plus
-attached simple cycles.
+unless the answer is certain; it is the only search that escalates.
+:func:`candidate_reach` decides reachability under integer semantics
+(counter may go negative, tests are ignored) exactly, by decomposing
+walks into a simple path plus attached simple cycles.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import Counter, deque
+from collections.abc import KeysView
 from dataclasses import dataclass
 from math import gcd
 
@@ -63,9 +64,15 @@ def default_budget(a: OCA, *values: int, scale: int = 1) -> ExplorationBudget:
 
 @dataclass
 class PostStarResult:
-    configs: set[Config]
+    """``parents`` maps each configuration found to the step first reaching
+    it (None at a start); ``configs`` is a view of its keys, not a copy."""
+
     parents: dict[Config, tuple[Config, int] | None]
     cap_hit: bool
+
+    @property
+    def configs(self) -> KeysView[Config]:
+        return self.parents.keys()
 
     def run_to(self, c: Config) -> Path:
         """Transition indices of a shortest discovered run ending at ``c``."""
@@ -131,27 +138,27 @@ def post_star(a, start, budget, restrict=None, stop_at=None) -> PostStarResult:
         nxt.sort(key=lambda c: (order[c.state], c.value))
         frontier = nxt
         depth += 1
-    return PostStarResult(set(parents), parents, cap_hit)
+    return PostStarResult(parents, cap_hit)
 
 
 def reach_oracle(a: OCA, src: Config, trg: Config, budget=None) -> Path | None:
     """Decide src ->* trg by exploration; never guesses.
 
-    Returns a replayable run, or None when unreachability is certain
-    (candidate reachability already fails, or a closure completed
-    without hitting its cap).  Raises :class:`ResourceExceeded` when
+    Returns a replayable run, or None when unreachability is certain: a
+    closure completed without hitting its cap, or candidate reachability
+    fails, asked once when both closures of a rung were cut off or a
+    node cap ended the ladder.  Raises :class:`ResourceExceeded` when
     every budget rung was cut off undecided.
     """
     for c in (src, trg):
         if not a.is_valid(c):
             raise ValueError(f"configuration {c} is not valid")
-    if candidate_reach(a, src, trg) is None:
-        return None
     if budget is not None:
         rungs = [budget]
     else:
         rungs = [default_budget(a, src.value, trg.value, scale=4**k) for k in range(4)]
     rev = reverse(a)
+    checked = False
     for rung in rungs:
         try:
             res = post_star(a, [src], rung, stop_at=trg)
@@ -172,6 +179,11 @@ def reach_oracle(a: OCA, src: Config, trg: Config, budget=None) -> Path | None:
             return run
         if not back.cap_hit:
             return None
+        if not checked and candidate_reach(a, src, trg) is None:
+            return None
+        checked = True
+    if not checked and candidate_reach(a, src, trg) is None:
+        return None
     raise ResourceExceeded(f"reach_oracle undecided for {src} -> {trg}")
 
 
@@ -184,18 +196,15 @@ def _labels(a: OCA) -> dict[Config, bool]:
     return {}
 
 
-def _bounded_probe(
-    a: OCA, c: Config, value_cap: int, node_cap: int, labels: dict[Config, bool]
-):
-    """True = closure closed, False = unbounded chain reached, None = cap.
+def _bounded_probe(a: OCA, c: Config, node_cap: int, labels: dict[Config, bool]) -> bool:
+    """True = closure closed, False = unbounded configuration reached.
 
-    Configurations already labeled bounded are neither expanded nor
-    counted against either cap; reaching one labeled unbounded settles
-    the probe.  A closed probe labels everything it saw as bounded.
+    No value cap.  Configurations labeled bounded are neither expanded
+    nor counted against ``node_cap``; one labeled unbounded settles the
+    probe.  A closed probe labels everything it saw as bounded.
     """
     seen = {c}
     queue = deque([c])
-    cap_hit = False
     while queue:
         cur = queue.popleft()
         if definitely_unbounded(a, cur):
@@ -208,17 +217,10 @@ def _bounded_probe(
                 if not known:
                     return False
                 continue
-            if d.value > value_cap:
-                cap_hit = True
-                continue
             if len(seen) >= node_cap:
-                raise ResourceExceeded(
-                    f"boundedness probe exceeded {node_cap} configurations"
-                )
+                raise ResourceExceeded(f"boundedness probe exceeded {node_cap} configurations")
             seen.add(d)
             queue.append(d)
-    if cap_hit:
-        return None
     labels.update(dict.fromkeys(seen, True))
     return True
 
@@ -226,22 +228,21 @@ def _bounded_probe(
 def is_bounded(a: OCA, c: Config) -> bool:
     """Is the set of configurations reachable from ``c`` finite?
 
-    Explores under an escalating value cap.  A closure that completes
-    proves bounded; touching a value known to sit in an endless chain
-    (see :func:`ocareach.analysis.definitely_unbounded`) proves
-    unbounded, which keeps escalation short on unbounded inputs.
+    One breadth-first probe with no value cap.  A closure that completes
+    proves bounded.  An infinite one reaches a configuration that
+    :func:`ocareach.analysis.definitely_unbounded` flags, proving
+    unbounded: above every test plus ``|Q|*max_update`` a climbing cycle
+    of the equality-free restriction runs freely, and a run that climbs
+    that high without coming back down repeats a state on such a cycle.
+    Only the node cap of 2,000,000 stops the probe early, raising
+    :class:`ResourceExceeded`.
 
-    Verdicts go into one label table per automaton, which every later
-    query reads.  A probe that closes labels every configuration it saw
-    bounded, not just ``c``: each of them was reached from ``c``, so
-    its reachable set lies inside the closed one and is finite too.
-    Later probes stop at labeled configurations instead of exploring
-    past them: one labeled bounded adds only finitely many
-    configurations to a closure, and one labeled unbounded makes every
-    configuration that reaches it unbounded.  A probe cut off by a cap
-    labels nothing.  Labels are exact, so the order of queries changes
-    only the work, never a verdict.  The table sits in the automaton's
-    memo and lives exactly as long as the automaton does.
+    Verdicts go into one label table per automaton, in its memo.  A
+    closed probe labels every configuration it saw bounded: each one's
+    closure lies inside the closed one.  Later probes stop at labels:
+    one labeled bounded adds finitely many configurations, one labeled
+    unbounded makes every configuration reaching it unbounded.  Labels
+    are exact, so the order of queries changes only the work.
     """
     if not a.is_valid(c):
         raise ValueError(f"configuration {c} is not valid")
@@ -249,14 +250,8 @@ def is_bounded(a: OCA, c: Config) -> bool:
     known = labels.get(c)
     if known is not None:
         return known
-    cap = a.max_test + c.value + (len(a.states) + 2) * (a.max_update + 1)
-    for _ in range(12):
-        verdict = _bounded_probe(a, c, cap, 2_000_000, labels)
-        if verdict is not None:
-            labels[c] = verdict
-            return verdict
-        cap *= 2
-    raise ResourceExceeded(f"boundedness of {c} undecided at value cap {cap}")
+    labels[c] = _bounded_probe(a, c, 2_000_000, labels)
+    return labels[c]
 
 
 @per_automaton
@@ -353,15 +348,17 @@ def _simple_paths(a: OCA, u: str, v: str, rel: frozenset[str]):
 
 def _simple_cycles(a: OCA, rel: frozenset[str]):
     """One exemplar per (state set, effect) class of simple cycles in rel,
-    each found from its least state in ``a.states`` order."""
+    each found from its least state in ``a.states`` order, walking only
+    that state's strongly connected component."""
     order = a.state_index
     out_steps = a.step_table[0]
     out: dict[tuple[frozenset[str], int], Path] = {}
     steps = 0
     for pivot in sorted(rel, key=order.get):
         floor = order[pivot]
+        comp = rel & scc_of(a)[pivot]
         succ = {
-            q: [e for e in out_steps[q] if e[1] in rel and order[e[1]] >= floor] for q in rel
+            q: [e for e in out_steps[q] if e[1] in comp and order[e[1]] >= floor] for q in comp
         }
         steps = _simple_walks(succ, pivot, pivot, out, steps, "cycles")
     return out

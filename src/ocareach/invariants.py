@@ -22,7 +22,8 @@ compresses to one arithmetic progression.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import KeysView
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Iterator
 
@@ -175,14 +176,24 @@ def _step_order(a: OCA):
     return lambda step: (order[step[0].state], step[0].value, step[1])
 
 
-def _closed_post_star(a: OCA, root: Config, locally_bounded: bool) -> set[Config]:
-    """Full forward closure, escalating value budgets until it closes."""
+def _closed_post_star(a: OCA, root: Config, locally_bounded: bool) -> KeysView[Config]:
+    """Full forward closure of ``root`` in one search, through locally
+    bounded configurations only if ``locally_bounded``.
+
+    The closure is finite: a locally bounded one across the DAG of
+    strongly connected components, an unrestricted one because callers
+    check that ``root`` is bounded.  The caps are :func:`default_budget`'s
+    but the value cap, which cannot bind: runs among ``node_cap``
+    configurations are shorter than that, each step climbing at most
+    ``max_update``.  Exceeding ``node_cap`` raises ResourceExceeded.
+    """
+    budget = default_budget(a, root.value)
+    budget = replace(budget, value_cap=root.value + budget.node_cap * a.max_update + 1)
     pred = partial(is_locally_bounded, a) if locally_bounded else None
-    for scale in (1, 4, 16, 64, 256, 1024):
-        res = post_star(a, [root], default_budget(a, root.value, scale=scale), restrict=pred)
-        if not res.cap_hit:
-            return set(res.configs)
-    raise ResourceExceeded(f"closure from {root} did not stabilize")
+    res = post_star(a, [root], budget, restrict=pred)
+    if res.cap_hit:
+        raise InternalError(f"closure from {root} was cut off by a cap")
+    return res.configs
 
 
 def _compress_core(a: OCA, core: set[Config]) -> APSet:

@@ -22,6 +22,7 @@ replaying it, so "verified" always comes with a concrete witness.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import KeysView
 from dataclasses import dataclass
 
 from .analysis import climbing_cycles
@@ -61,7 +62,7 @@ def _closure(a: OCA, roots, locally_bounded: bool) -> PostStarResult:
     return res
 
 
-def pessimistic_post_star(a: OCA, configs, locally_bounded: bool = False) -> set[Config]:
+def pessimistic_post_star(a: OCA, configs, locally_bounded: bool = False) -> KeysView[Config]:
     """All configurations reachable by pessimistic runs from ``configs``.
 
     With ``locally_bounded`` the runs must additionally stay inside

@@ -139,31 +139,21 @@ def _state_path(a: OCA, u: str, v: str) -> Path:
 def _pumping_cycle(a: OCA, c: Config) -> tuple[Path, int]:
     """Cycle on ``c.state`` that climbs from ``c`` and from anywhere above.
 
-    Explores c's component until the counter clears every test plus the
-    worst a return walk can drop, then closes the loop along a shortest
-    path back.  The first lap is valid by construction and every later
-    lap runs entirely above the tests, so the cycle pumps freely.
-    Returns the cycle and its (positive) effect.
+    One search of c's component climbs past every test plus the worst a
+    return walk can drop (``goal``), and a shortest path back closes the
+    loop.  The first lap is valid by construction and every later lap
+    runs above the tests, so the cycle pumps freely.  Returns the cycle
+    and its (positive) effect.  The value cap exceeds ``goal`` plus any
+    update of the component, so it holds the first crossing of ``goal``;
+    the node cap raises ResourceExceeded.
     """
-    comp = scc_of(a)[c.state]
-    sub, back = restrict(a, comp)
+    sub, back = restrict(a, scc_of(a)[c.state])
     goal = c.value + a.max_test + a.max_update * len(a.states) + 1
-    high: Config | None = None
-    res = None
-    for k in range(4):
-        budget = default_budget(sub, c.value, goal, scale=4**k)
-        try:
-            res = post_star(sub, [c], budget)
-        except ResourceExceeded:
-            continue
-        above = [e for e in res.configs if e.value > goal]
-        if above:
-            high = min(above, key=lambda e: (e.value, sub.state_index[e.state]))
-            break
-        if not res.cap_hit:
-            raise ValueError(f"{c} is locally bounded; nothing to pump")
-    if high is None or res is None:
-        raise ResourceExceeded(f"no climb above {goal} found from {c}")
+    res = post_star(sub, [c], default_budget(sub, c.value, goal))
+    above = [e for e in res.configs if e.value > goal]
+    if not above:
+        raise ValueError(f"{c} is locally bounded; nothing to pump")
+    high = min(above, key=lambda e: (e.value, sub.state_index[e.state]))
     climb = res.run_to(high)
     cycle = tuple(back[i] for i in climb + _state_path(sub, high.state, c.state))
     end = _replay(a, c, cycle)
@@ -242,9 +232,9 @@ def decide_disequality(
     at the candidate level and lifted.  Otherwise the endpoints are
     normalized and the invariant engine either synthesizes a witness or,
     by failing to, certifies reachability.  ``budget`` caps the
-    exploration fallback that extracts the run; the structural legs
-    manage their own escalation.  Raises :class:`ResourceExceeded` when
-    a budget ran out undecided.
+    exploration fallback that extracts the run; the structural legs run
+    exact searches once, under fixed node caps.  Raises
+    :class:`ResourceExceeded` when a cap ran out undecided.
     """
     if a.has_equality_tests():
         raise ValueError("decide_disequality needs disequality tests only")

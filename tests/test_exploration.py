@@ -4,7 +4,7 @@ import weakref
 
 import pytest
 
-from ocareach import cli
+from ocareach import cli, exploration
 from ocareach.automaton import (
     OCA,
     Config,
@@ -24,10 +24,11 @@ from ocareach.exploration import (
     is_locally_bounded,
     post_star,
     reach_oracle,
+    _candidate_tables,
     _simple_cycles,
     _simple_paths,
 )
-from ocareach.generators import FuzzSpec, instances
+from ocareach.generators import FuzzSpec, gen_subset_sum, instances
 from ocareach.solver import decide_full
 
 from _oracles import naive_post_star, naive_reach, naive_z_reach
@@ -116,6 +117,37 @@ def test_oracle_parity_unreachable():
     a = parse_oca("states: q\ntrans q +2 q\n")
     assert reach_oracle(a, Config("q", 0), Config("q", 5)) is None
     assert reach_oracle(a, Config("q", 0), Config("q", 6)) == (0, 0, 0)
+    # Cut off by the value cap or by the node cap, the oracle still
+    # refuses a target that no run over the integers reaches.
+    for tiny in (ExplorationBudget(3, 100, 100), ExplorationBudget(100, 100, 1)):
+        assert reach_oracle(a, Config("q", 0), Config("q", 5), tiny) is None
+        with pytest.raises(ResourceExceeded):
+            reach_oracle(a, Config("q", 0), Config("q", 6), tiny)
+
+
+def test_oracle_refuses_after_the_first_inconclusive_rung(monkeypatch):
+    """Both closures pump forever, so the first rung is cut off both ways
+    and candidate reachability refuses there, before three more rungs."""
+    a = parse_oca("states: q\ntrans q +2 q\ntrans q -2 q\n")
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return post_star(*args, **kwargs)
+
+    monkeypatch.setattr(exploration, "post_star", counted)
+    assert reach_oracle(a, Config("q", 0), Config("q", 5)) is None
+    assert calls == [[Config("q", 0)], [Config("q", 5)]]
+
+
+def test_oracle_decides_reachable_without_candidate_tables():
+    """Candidate reachability is consulted only when exploration is
+    inconclusive, so deciding a reachable subset-sum instance through
+    the oracle builds no candidate table (2^n simple paths)."""
+    a, src, trg = gen_subset_sum((44, 957, 593, 549, 86, 342, 708, 694), 1980)
+    verdict = decide_full(a, src, trg)
+    assert verdict.kind == "reachable"
+    assert _candidate_tables.__wrapped__ not in a.memo
 
 
 def test_oracle_needs_backward_direction():
@@ -444,17 +476,13 @@ def test_long_chain_decides_without_recursion(tmp_path, capsys):
     n = 1500
     a = parse_oca(_chain_text(n))
     src, trg = Config("c0", 0), Config(f"c{n - 1}", 3)
-    try:
-        verdict = decide_full(a, src, trg)
-    except ResourceExceeded:
-        pass  # the simple-cycle step cap: a budget answer, not a crash
-    else:
-        assert verdict.kind == "reachable"
-        assert apply_path(a, src, verdict.run)[-1] == trg
+    verdict = decide_full(a, src, trg)
+    assert verdict.kind == "reachable"
+    assert apply_path(a, src, verdict.run)[-1] == trg
     path = tmp_path / "chain.oca"
     path.write_text(_chain_text(n))
     code = cli.main(["decide", str(path), "--src", str(src), "--trg", str(trg)])
-    assert code in (0, 2), capsys.readouterr().err
+    assert code == 0, capsys.readouterr().err
 
 
 def test_automata_die_without_the_cycle_collector(monkeypatch):
