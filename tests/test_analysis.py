@@ -158,6 +158,55 @@ def test_chains_cover_window_against_simulation():
         checked += 1
 
 
+def test_chains_at_matches_simulation():
+    """Every chain chains_at lists, and no other, against direct simulation.
+
+    Complete states are compared up to one period past the last listed
+    first value, where every residue has reached its unbounded chain.
+    Degenerate states list a finite prefix per residue, so each residue
+    is compared up to the last chain listed in it.
+    """
+    rng = random.Random(53)
+    degenerate = 0
+    for fraction in (0.0, 0.4):
+        checked = 0
+        while checked < 150:
+            a = random_oca(
+                rng,
+                num_states=rng.randint(1, 4),
+                max_update=3,
+                max_guard=9,
+                equality_fraction=fraction,
+            )
+            cycles = climbing_cycles(a)
+            if not cycles:
+                continue
+            checked += 1
+            for q, cyc in cycles.items():
+                g = cyc.effect
+                listed = chains_at(a, q)
+                residue = lambda first: (first - cyc.drop) % g
+                complete = chain_enumeration_complete(a, q)
+                degenerate += not complete
+                if complete:
+                    window = max(c.first for c in listed) + g
+                    windows = dict.fromkeys(range(g), window)
+                else:
+                    windows = {}
+                    for c in listed:
+                        windows[residue(c.first)] = max(windows.get(residue(c.first), 0), c.last)
+                    window = max(windows.values())
+                naive = naive_chain_partition(a, q, cyc.path, cyc.drop, window)
+                expected = sorted(
+                    (members[0], members[-1] if closed else None, anchor)
+                    for members, anchor, closed in naive
+                    if members[-1] <= windows[residue(members[0])]
+                )
+                got = sorted((c.first, c.last, c.invalid_anchor) for c in listed)
+                assert got == expected, (a, q)
+    assert degenerate >= 20, degenerate
+
+
 def test_degenerate_chains_with_equality_test():
     a = parse_oca("states: a b\nguard b == 3\ntrans a +1 b\ntrans b +1 a\n")
     assert not chain_enumeration_complete(a, "a")
