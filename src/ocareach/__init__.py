@@ -6,152 +6,43 @@ replayable run when reachable, a verifiable invariant-pair witness when
 not.
 """
 
-from ocareach.analysis import (
-    CanonicalCycle,
-    Chain,
-    chain_of,
-    chains_at,
-    climbing_cycles,
-    in_pumpable_region,
-    structure_report,
-)
-from ocareach.automaton import (
-    OCA,
-    Config,
-    Guard,
-    InternalError,
-    Path,
-    ReplayError,
-    Transition,
-    apply_path,
-    format_oca,
-    parse_config,
-    parse_oca,
-    path_effect_drop,
-    reverse,
-    scc_decompose,
-)
-from ocareach.campaign import CampaignReport, format_report, run_campaign, shrink
-from ocareach.evidence import EvidenceReport, evidence_kind, format_run, verify_evidence
-from ocareach.exploration import (
-    ExplorationBudget,
-    ResourceExceeded,
-    candidate_reach,
-    is_bounded,
-    is_locally_bounded,
-    reach_oracle,
-)
-from ocareach.flows import (
-    Flow,
-    FlowError,
-    check_flow,
-    flow_has_positive_cycle,
-    flow_of_path,
-    path_from_flow,
-    rotate_to_zero_drop,
-)
-from ocareach.generators import FuzzSpec, gen_subset_sum, instances, random_instance
-from ocareach.invariants import (
-    APSet,
-    NonReachabilityWitness,
-    Progression,
-    check_strong_invariant,
-    format_witness,
-    parse_witness,
-    perfect_cores,
-    strong_invariant_core,
-    synthesize_witness,
-    verify_witness,
-)
+from ocareach.analysis import chains_at, climbing_cycles, structure_report
+from ocareach.automaton import Config, InternalError, format_oca, parse_config, parse_oca
+from ocareach.evidence import format_run, verify_evidence
+from ocareach.exploration import ResourceExceeded, candidate_reach, reach_oracle
+from ocareach.generators import FuzzSpec, gen_subset_sum, instances
+from ocareach.invariants import format_witness, verify_witness
 from ocareach.pessimistic import (
-    PessimisticCertificate,
     decide_pessimistic_reach,
-    format_certificate,
     make_certificate,
-    parse_certificate,
-    pessimistic_post_star,
     verify_pessimistic_certificate,
 )
-from ocareach.solver import (
-    REACHABLE,
-    RESOURCE_EXCEEDED,
-    UNREACHABLE,
-    Verdict,
-    decide_disequality,
-    decide_full,
-    lift_candidate_run,
-    normalize_endpoints,
-)
+from ocareach.solver import REACHABLE, Verdict, decide_disequality, decide_full, lift_candidate_run
 
 __all__ = [
-    "APSet",
-    "CampaignReport",
-    "CanonicalCycle",
-    "Chain",
     "Config",
-    "EvidenceReport",
-    "ExplorationBudget",
-    "Flow",
-    "FlowError",
     "FuzzSpec",
-    "Guard",
     "InternalError",
-    "NonReachabilityWitness",
-    "OCA",
-    "Path",
-    "PessimisticCertificate",
-    "Progression",
     "REACHABLE",
-    "RESOURCE_EXCEEDED",
-    "ReplayError",
     "ResourceExceeded",
-    "Transition",
-    "UNREACHABLE",
     "Verdict",
-    "apply_path",
     "candidate_reach",
-    "chain_of",
     "chains_at",
-    "check_flow",
-    "check_strong_invariant",
     "climbing_cycles",
     "decide_disequality",
     "decide_full",
     "decide_pessimistic_reach",
-    "evidence_kind",
-    "flow_has_positive_cycle",
-    "flow_of_path",
-    "format_certificate",
     "format_oca",
-    "format_report",
     "format_run",
     "format_witness",
     "gen_subset_sum",
-    "in_pumpable_region",
     "instances",
-    "is_bounded",
-    "is_locally_bounded",
     "lift_candidate_run",
     "make_certificate",
-    "normalize_endpoints",
-    "parse_certificate",
     "parse_config",
     "parse_oca",
-    "parse_witness",
-    "path_effect_drop",
-    "path_from_flow",
-    "perfect_cores",
-    "pessimistic_post_star",
-    "random_instance",
     "reach_oracle",
-    "reverse",
-    "rotate_to_zero_drop",
-    "run_campaign",
-    "scc_decompose",
-    "shrink",
-    "strong_invariant_core",
     "structure_report",
-    "synthesize_witness",
     "verify_evidence",
     "verify_pessimistic_certificate",
     "verify_witness",

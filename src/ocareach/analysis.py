@@ -224,9 +224,11 @@ def chain_enumeration_complete(a: OCA, q: str) -> bool:
 def chains_at(a: OCA, q: str) -> tuple[Chain, ...]:
     """Chains at q, sorted by first value.
 
-    For states whose lap or own test is an equality, only chains up to
-    one period past the last exceptional value are listed (everything
-    beyond repeats the same stuck singleton pattern forever); see
+    Each residue class is walked with :func:`chain_of`, from the drop
+    onwards, each chain starting one period past the last one's end.
+    For states whose lap or own test is an equality, a residue's walk
+    stops one period past its last exceptional value (everything beyond
+    repeats the same stuck singleton pattern forever); see
     :func:`chain_enumeration_complete`.
     """
     ctx = _chain_context(a, q)
@@ -235,27 +237,14 @@ def chains_at(a: OCA, q: str) -> tuple[Chain, ...]:
     chains: list[Chain] = []
     g = ctx.period
     for r in range(g):
-        z0 = ctx.drop + r
-        ceiling = ctx.residue_ceiling(z0)
-        first: int | None = None
-        z = z0
-        while z <= ceiling + (g if ctx.degenerate else 0):
-            if not ctx.member_ok(z):
-                if first is not None:
-                    chains.append(Chain(q, g, first, z - g))
-                    first = None
-                chains.append(Chain(q, g, z, z, invalid_anchor=True))
-            else:
-                if first is None:
-                    first = z
-                if not ctx.step_ok(z):
-                    chains.append(Chain(q, g, first, z))
-                    first = None
-            z += g
-        if not ctx.degenerate:
-            chains.append(Chain(q, g, first if first is not None else z, None))
-        elif first is not None:
-            chains.append(Chain(q, g, first, z - g))
+        z = ctx.drop + r
+        stop = ctx.residue_ceiling(z) + g
+        while not (ctx.degenerate and z > stop):
+            chain = chain_of(a, Config(q, z))
+            chains.append(chain)
+            if chain.last is None:
+                break
+            z = chain.last + g
     chains.sort(key=lambda c: c.first)
     return tuple(chains)
 

@@ -231,6 +231,15 @@ class ReplayError(ValueError):
         self.config = config
 
 
+def content_lines(text: str) -> Iterator[tuple[int, str]]:
+    """Numbered lines of a text file format, each cut at its first ``#``
+    and stripped; lines left blank are skipped, numbers count from 1."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
 def parse_config(text: str) -> Config:
     """Parse a ``state:value`` literal such as ``q:0``."""
     state, sep, value = text.rpartition(":")
@@ -253,10 +262,7 @@ def parse_oca(text: str) -> OCA:
     states: tuple[str, ...] | None = None
     guards: dict[str, Guard] = {}
     transitions: list[Transition] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         tokens = line.split()
         try:
             if tokens[0] == "states:":

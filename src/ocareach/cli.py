@@ -58,7 +58,6 @@ def _budget(args: argparse.Namespace) -> ExplorationBudget | None:
         return None
     return ExplorationBudget(
         value_cap=args.budget_values if args.budget_values is not None else 500_000,
-        length_cap=500_000,
         node_cap=args.budget_nodes if args.budget_nodes is not None else 500_000,
     )
 

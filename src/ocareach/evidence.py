@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .automaton import OCA, Config, Path, ReplayError, apply_path, parse_config
+from .automaton import OCA, Config, Path, ReplayError, apply_path, content_lines, parse_config
 from .invariants import parse_witness, verify_witness
 from .pessimistic import parse_certificate, verify_pessimistic_certificate
 from .solver import normalize_endpoints
@@ -27,8 +27,7 @@ def format_run(src: Config, trg: Config, run: Path) -> str:
 def parse_run(text: str) -> tuple[Config, Config, Path]:
     src = trg = None
     path: list[int] = []
-    lines = [line.split("#", 1)[0].strip() for line in text.splitlines()]
-    lines = [line for line in lines if line]
+    lines = [line for _, line in content_lines(text)]
     if not lines or lines[0] != "RUN":
         raise ValueError("run files start with a RUN line")
     for line in lines[1:]:
@@ -47,13 +46,11 @@ def parse_run(text: str) -> tuple[Config, Config, Path]:
 
 
 def evidence_kind(text: str) -> str:
-    for line in text.splitlines():
-        stripped = line.split("#", 1)[0].strip()
-        if stripped:
-            word = stripped.split()[0]
-            if word in ("RUN", "WITNESS", "CERT"):
-                return word
-            raise ValueError(f"unknown evidence tag {word!r}")
+    for _, line in content_lines(text):
+        word = line.split()[0]
+        if word in ("RUN", "WITNESS", "CERT"):
+            return word
+        raise ValueError(f"unknown evidence tag {word!r}")
     raise ValueError("empty evidence file")
 
 

@@ -40,14 +40,13 @@ class ResourceExceeded(Exception):
 
 @dataclass(frozen=True)
 class ExplorationBudget:
-    """Hard limits for one exploration: counter value, run length, node count."""
+    """Hard limits for one exploration: counter value and node count."""
 
     value_cap: int
-    length_cap: int
     node_cap: int
 
     def __post_init__(self) -> None:
-        if self.value_cap <= 0 or self.length_cap <= 0 or self.node_cap <= 0:
+        if self.value_cap <= 0 or self.node_cap <= 0:
             raise ValueError("budget caps must be positive")
 
 
@@ -55,11 +54,15 @@ def default_budget(a: OCA, *values: int, scale: int = 1) -> ExplorationBudget:
     """Budget that is decisive for desk-sized instances around ``values``."""
     base = a.max_test + sum(v for v in values if v > 0)
     base += (len(a.states) + 2) * (a.max_update + 1)
-    return ExplorationBudget(
-        value_cap=base * scale,
-        length_cap=500_000,
-        node_cap=500_000,
-    )
+    return ExplorationBudget(value_cap=base * scale, node_cap=500_000)
+
+
+def exact_budget(a: OCA, root: Config, node_cap: int) -> ExplorationBudget:
+    """Budget for a search from ``root`` that must run to completion:
+    ``node_cap`` nodes and a value cap that cannot bind, since runs
+    among ``node_cap`` configurations are shorter than that, each step
+    climbing at most ``max_update``."""
+    return ExplorationBudget(root.value + node_cap * a.max_update + 1, node_cap)
 
 
 @dataclass
@@ -91,9 +94,9 @@ def post_star(a, start, budget, restrict=None, stop_at=None) -> PostStarResult:
     """Budgeted forward closure of ``start`` under valid steps.
 
     ``restrict`` filters which configurations may be traversed at all,
-    start configurations included.  ``cap_hit`` is set when the value or
-    length cap cut anything off; only then may the result be a strict
-    subset of the true closure.  Exceeding ``node_cap`` raises
+    start configurations included.  ``cap_hit`` is set when the value
+    cap cut anything off; only then may the result be a strict subset
+    of the true closure.  Exceeding ``node_cap`` raises
     :class:`ResourceExceeded` instead of returning something wrong.
     ``stop_at`` ends the search early once that configuration is found
     (the level in progress is finished first, keeping runs shortest).
@@ -115,12 +118,8 @@ def post_star(a, start, budget, restrict=None, stop_at=None) -> PostStarResult:
             continue
         parents[c] = None
         frontier.append(c)
-    depth = 0
     while frontier:
         if stop_at is not None and stop_at in parents:
-            break
-        if depth >= budget.length_cap:
-            cap_hit = True
             break
         nxt: list[Config] = []
         for c, i, d in valid_steps(a, frontier):
@@ -137,7 +136,6 @@ def post_star(a, start, budget, restrict=None, stop_at=None) -> PostStarResult:
             nxt.append(d)
         nxt.sort(key=lambda c: (order[c.state], c.value))
         frontier = nxt
-        depth += 1
     return PostStarResult(parents, cap_hit)
 
 
@@ -196,62 +194,49 @@ def _labels(a: OCA) -> dict[Config, bool]:
     return {}
 
 
-def _bounded_probe(a: OCA, c: Config, node_cap: int, labels: dict[Config, bool]) -> bool:
-    """True = closure closed, False = unbounded configuration reached.
-
-    No value cap.  Configurations labeled bounded are neither expanded
-    nor counted against ``node_cap``; one labeled unbounded settles the
-    probe.  A closed probe labels everything it saw as bounded.
-    """
-    seen = {c}
-    queue = deque([c])
-    while queue:
-        cur = queue.popleft()
-        if definitely_unbounded(a, cur):
-            return False
-        for _, _, d in valid_steps(a, (cur,)):
-            if d in seen:
-                continue
-            known = labels.get(d)
-            if known is not None:
-                if not known:
-                    return False
-                continue
-            if len(seen) >= node_cap:
-                raise ResourceExceeded(f"boundedness probe exceeded {node_cap} configurations")
-            seen.add(d)
-            queue.append(d)
-    labels.update(dict.fromkeys(seen, True))
-    return True
+class _Unbounded(Exception):
+    """Ends a boundedness probe at its first unbounded configuration."""
 
 
 def is_bounded(a: OCA, c: Config) -> bool:
     """Is the set of configurations reachable from ``c`` finite?
 
-    One breadth-first probe with no value cap.  A closure that completes
-    proves bounded.  An infinite one reaches a configuration that
-    :func:`ocareach.analysis.definitely_unbounded` flags, proving
-    unbounded: above every test plus ``|Q|*max_update`` a climbing cycle
-    of the equality-free restriction runs freely, and a run that climbs
-    that high without coming back down repeats a state on such a cycle.
-    Only the node cap of 2,000,000 stops the probe early, raising
+    One :func:`post_star` probe whose value cap cannot bind.  A closure
+    that completes proves bounded.  An infinite one reaches a
+    configuration that :func:`ocareach.analysis.definitely_unbounded`
+    flags, proving unbounded: above every test plus ``|Q|*max_update`` a
+    climbing cycle of the equality-free restriction runs freely, and a
+    run that climbs that high without coming back down repeats a state
+    on such a cycle.  The probe stops at the first such configuration.
+    Only the node cap of 2,000,000 stops it early, raising
     :class:`ResourceExceeded`.
 
     Verdicts go into one label table per automaton, in its memo.  A
     closed probe labels every configuration it saw bounded: each one's
     closure lies inside the closed one.  Later probes stop at labels:
-    one labeled bounded adds finitely many configurations, one labeled
-    unbounded makes every configuration reaching it unbounded.  Labels
-    are exact, so the order of queries changes only the work.
+    one labeled bounded is neither expanded nor counted against the
+    node cap, as it adds finitely many configurations; reaching one
+    labeled unbounded makes the probe's root unbounded.  Labels are
+    exact, so the order of queries changes only the work.
     """
-    if not a.is_valid(c):
-        raise ValueError(f"configuration {c} is not valid")
     labels = _labels(a)
     known = labels.get(c)
     if known is not None:
         return known
-    labels[c] = _bounded_probe(a, c, 2_000_000, labels)
-    return labels[c]
+
+    def admit(d: Config) -> bool:
+        label = labels.get(d)
+        if label is False or (label is None and definitely_unbounded(a, d)):
+            raise _Unbounded
+        return label is None
+
+    try:
+        res = post_star(a, [c], exact_budget(a, c, 2_000_000), restrict=admit)
+    except _Unbounded:
+        labels[c] = False
+        return False
+    labels.update(dict.fromkeys(res.configs, True))
+    return True
 
 
 @per_automaton

@@ -23,46 +23,21 @@ compresses to one arithmetic progression.
 from __future__ import annotations
 
 from collections.abc import KeysView
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Iterator
 
 from .analysis import Chain, chain_of, climbing_cycles, in_pumpable_region
-from .automaton import (
-    OCA,
-    Config,
-    InternalError,
-    reverse,
-    scc_decompose,
-    valid_steps,
-)
+from .automaton import OCA, Config, InternalError, content_lines, reverse, valid_steps
 from .exploration import (
     ResourceExceeded,
     candidate_reach,
     default_budget,
-    is_bounded,
+    exact_budget,
     is_locally_bounded,
     post_star,
 )
-from .pessimistic import _closure, pessimistic_post_star
-
-__all__ = [
-    "Progression",
-    "APSet",
-    "NonReachabilityWitness",
-    "CheckResult",
-    "WitnessReport",
-    "perfect_cores",
-    "strong_invariant_core",
-    "check_strong_invariant",
-    "check_inductive",
-    "check_separator",
-    "check_ap_domain",
-    "verify_witness",
-    "synthesize_witness",
-    "format_witness",
-    "parse_witness",
-]
+from .pessimistic import pessimistic_post_star
 
 
 @dataclass(frozen=True)
@@ -176,21 +151,18 @@ def _step_order(a: OCA):
     return lambda step: (order[step[0].state], step[0].value, step[1])
 
 
-def _closed_post_star(a: OCA, root: Config, locally_bounded: bool) -> KeysView[Config]:
-    """Full forward closure of ``root`` in one search, through locally
-    bounded configurations only if ``locally_bounded``.
+def _closed_post_star(a: OCA, root: Config) -> KeysView[Config]:
+    """Full forward closure of ``root`` through locally bounded
+    configurations, in one search.
 
-    The closure is finite: a locally bounded one across the DAG of
-    strongly connected components, an unrestricted one because callers
-    check that ``root`` is bounded.  The caps are :func:`default_budget`'s
-    but the value cap, which cannot bind: runs among ``node_cap``
-    configurations are shorter than that, each step climbing at most
-    ``max_update``.  Exceeding ``node_cap`` raises ResourceExceeded.
+    The closure is finite: locally bounded configurations form finite
+    closures inside each strongly connected component, and runs cross
+    the components' DAG.  The search gets :func:`default_budget`'s node
+    cap and a value cap that cannot bind (:func:`exact_budget`);
+    exceeding the node cap raises ResourceExceeded.
     """
-    budget = default_budget(a, root.value)
-    budget = replace(budget, value_cap=root.value + budget.node_cap * a.max_update + 1)
-    pred = partial(is_locally_bounded, a) if locally_bounded else None
-    res = post_star(a, [root], budget, restrict=pred)
+    budget = exact_budget(a, root, default_budget(a, root.value).node_cap)
+    res = post_star(a, [root], budget, restrict=partial(is_locally_bounded, a))
     if res.cap_hit:
         raise InternalError(f"closure from {root} was cut off by a cap")
     return res.configs
@@ -247,64 +219,11 @@ def perfect_cores(a: OCA, src: Config, trg: Config) -> tuple[APSet, APSet]:
         raise ValueError(f"source {src} is not pumpable and locally bounded")
     if not (in_pumpable_region(rev, trg) and is_locally_bounded(rev, trg)):
         raise ValueError(f"target {trg} is not pumpable and locally bounded in reverse")
-    fwd_reach = _closed_post_star(a, src, locally_bounded=True)
-    bwd_reach = _closed_post_star(rev, trg, locally_bounded=True)
+    fwd_reach = _closed_post_star(a, src)
+    bwd_reach = _closed_post_star(rev, trg)
     fwd = _compress_core(a, set(filter(_pumpable(a), fwd_reach)))
     bwd = _compress_core(rev, set(filter(_pumpable(rev), bwd_reach)))
     return fwd, bwd
-
-
-def strong_invariant_core(a: OCA, src: Config) -> APSet:
-    """Reachable pumpable configurations plus the source itself.
-
-    The strongly-connected-instance counterpart of a perfect core; the
-    source must be bounded so the reachable set is finite.
-    """
-    _reject_equality_tests(a, "strong invariants")
-    if not is_bounded(a, src):
-        raise ValueError(f"source {src} is unbounded, no finite core exists")
-    reached = _closed_post_star(a, src, locally_bounded=False)
-    aps = _compress_core(a, set(filter(_pumpable(a), reached)))
-    if not aps.contains(src):
-        extra = Progression(src.state, src.value, 1, src.value, src.value)
-        aps = APSet(aps.progressions + (extra,))
-    return aps
-
-
-def check_strong_invariant(a: OCA, src: Config, trg: Config, core: APSet) -> CheckResult:
-    """Three-condition invariant check for strongly connected automata.
-
-    Holds iff ``core`` proves the target unreachable: the source is in
-    the core, the pessimistic closure of the core misses the target,
-    and one step out of that closure never lands on a pumpable
-    configuration outside the core.
-    """
-    _reject_equality_tests(a, "strong invariants")
-    if len(scc_decompose(a)) != 1:
-        raise ValueError("strong invariants apply to strongly connected automata only")
-    if not is_bounded(a, src):
-        raise ValueError(f"source {src} is unbounded")
-    members = _materialize(core)
-    pumpable = _pumpable(a)
-    for c in members:
-        if not a.is_valid(c):
-            raise ValueError(f"core member {c} is not a valid configuration")
-        if c != src and not pumpable(c):
-            raise ValueError(f"core member {c} is neither pumpable nor the source")
-    inside = set(members)
-    if src not in inside:
-        return CheckResult(False, "Cond1", src)
-    closure = _closure(a, members, locally_bounded=False)
-    if trg in closure.parents:
-        run = closure.run_to(trg)
-        climb = sum(a.transitions[i].update for i in run)
-        root = Config(a.transitions[run[0]].src if run else trg.state, trg.value - climb)
-        return CheckResult(False, "Cond2", (root, run))
-    escapes = (s for s in valid_steps(a, closure.configs) if pumpable(s[2]) and s[2] not in inside)
-    escape = min(escapes, key=_step_order(a), default=None)
-    if escape is not None:
-        return CheckResult(False, "Cond3", escape)
-    return CheckResult(True)
 
 
 def _inductive_escape(a: OCA, aps: APSet) -> tuple[Config, int, Config] | None:
@@ -450,11 +369,7 @@ def format_witness(w: NonReachabilityWitness, normalized: bool = False) -> str:
 
 
 def parse_witness(text: str) -> tuple[NonReachabilityWitness, bool]:
-    lines = [
-        line.split("#", 1)[0].strip()
-        for line in text.splitlines()
-    ]
-    lines = [line for line in lines if line]
+    lines = [line for _, line in content_lines(text)]
     if not lines or lines[0] != "WITNESS":
         raise ValueError("witness files start with a WITNESS line")
     normalized = False

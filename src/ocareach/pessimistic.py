@@ -33,6 +33,7 @@ from .automaton import (
     Path,
     ReplayError,
     apply_path,
+    content_lines,
     parse_config,
 )
 from .exploration import ExplorationBudget, PostStarResult, is_locally_bounded, post_star
@@ -55,7 +56,7 @@ def _closure(a: OCA, roots, locally_bounded: bool) -> PostStarResult:
             return False
         return not locally_bounded or is_locally_bounded(a, c)
 
-    budget = ExplorationBudget(max(ceiling, 1), nodes, nodes)  # caps must be positive
+    budget = ExplorationBudget(max(ceiling, 1), nodes)  # caps must be positive
     res = post_star(a, roots, budget, restrict=admit)
     if res.cap_hit:
         raise InternalError(f"pessimistic closure climbed above {ceiling}")
@@ -326,8 +327,7 @@ def parse_certificate(text: str) -> tuple[Config, Config, PessimisticCertificate
             counts[int(idx)] += int(mult)
         return Flow.make(counts, tokens[0], tokens[1])
 
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    lines = [ln for _, ln in content_lines(text)]
     if not lines or lines[0] != "CERT":
         raise ValueError("not a certificate file")
     for ln in lines[1:]:

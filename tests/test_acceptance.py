@@ -20,12 +20,10 @@ from ocareach.automaton import (
     path_effect_drop,
     path_states,
     reverse,
-    scc_decompose,
 )
 from ocareach.exploration import (
     ResourceExceeded,
     candidate_reach,
-    is_bounded,
     is_locally_bounded,
     reach_oracle,
 )
@@ -41,9 +39,7 @@ from ocareach.invariants import (
     APSet,
     NonReachabilityWitness,
     Progression,
-    check_strong_invariant,
     perfect_cores,
-    strong_invariant_core,
     synthesize_witness,
     verify_witness,
 )
@@ -301,28 +297,6 @@ def test_criterion_08_lifting_equivalence():
         hits += 1
     assert lifted >= 50
     print(f"criterion 8: PASS (200 unbounded pairs, {lifted} lifted runs replay)")
-
-
-def test_criterion_09_strong_specialization():
-    rng = random.Random(9005)
-    done = 0
-    while done < 200:
-        a = random_oca(rng, num_states=rng.randint(1, 4), max_update=3, max_guard=10)
-        if len(scc_decompose(a)) != 1:
-            continue
-        src = Config(rng.choice(a.states), rng.randint(0, 5))
-        trg = Config(rng.choice(a.states), rng.randint(0, 8))
-        if not (a.is_valid(src) and a.is_valid(trg)) or not is_bounded(a, src):
-            continue
-        try:
-            run = reach_oracle(a, src, trg)
-        except ResourceExceeded:
-            continue
-        core = strong_invariant_core(a, src)
-        held = bool(check_strong_invariant(a, src, trg, core))
-        assert held == (run is None), (a.transitions, src, trg)
-        done += 1
-    print("criterion 9: PASS (200 strongly connected instances)")
 
 
 def test_criterion_10_equality_wrapper_matches_oracle():

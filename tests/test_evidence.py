@@ -97,6 +97,25 @@ def test_verify_certificate_evidence():
     assert not report and report.condition
 
 
+def _commented(text: str) -> str:
+    """``text`` with a trailing comment on every line, and a comment line first."""
+    return "# emitted\n" + "".join(f"{line}  # note {n}\n" for n, line in enumerate(text.splitlines()))
+
+
+def test_every_evidence_format_ignores_trailing_comments(loop3):
+    a = parse_oca("states: a b\nguard a != 3\ntrans a -2 a\ntrans a +0 b\n")
+    src, trg = Config("a", 6), Config("b", 0)
+    cert = format_certificate(src, trg, make_certificate(a, src, decide_pessimistic_reach(a, src, trg)))
+    assert verify_evidence(a, src, trg, _commented(cert))
+    src, trg = Config("q", 1), Config("q", 36)
+    run = format_run(src, trg, (0, 1, 2) * 7)
+    assert verify_evidence(loop3, src, trg, _commented(run))
+    src, trg = Config("q", 0), Config("q", 10)
+    verdict = decide_full(loop3, src, trg)
+    witness = format_witness(verdict.witness, normalized=True)
+    assert verify_evidence(loop3, src, trg, _commented(witness))
+
+
 def test_solver_witnesses_verify_as_evidence_corpus():
     import random
 

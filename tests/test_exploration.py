@@ -34,7 +34,7 @@ from ocareach.solver import decide_full
 from _oracles import naive_post_star, naive_reach, naive_z_reach
 from conftest import random_oca
 
-BIG = ExplorationBudget(value_cap=10_000, length_cap=10_000, node_cap=200_000)
+BIG = ExplorationBudget(value_cap=10_000, node_cap=200_000)
 
 
 # --------------------------------------------------------------- post_star
@@ -56,7 +56,7 @@ def test_post_star_empty_start(loop3):
 
 def test_post_star_cap_hit_on_pump():
     a = parse_oca("states: q\ntrans q +1 q\n")
-    res = post_star(a, [Config("q", 0)], ExplorationBudget(10, 1000, 1000))
+    res = post_star(a, [Config("q", 0)], ExplorationBudget(10, 1000))
     assert res.configs == {Config("q", v) for v in range(11)}
     assert res.cap_hit
 
@@ -81,7 +81,7 @@ def test_post_star_restrict_filters_roots_too():
 def test_post_star_node_cap_raises():
     a = parse_oca("states: q\ntrans q +1 q\n")
     with pytest.raises(ResourceExceeded):
-        post_star(a, [Config("q", 0)], ExplorationBudget(10_000, 10_000, 50))
+        post_star(a, [Config("q", 0)], ExplorationBudget(10_000, 50))
 
 
 def test_post_star_runs_replay_everywhere(loop3):
@@ -91,7 +91,7 @@ def test_post_star_runs_replay_everywhere(loop3):
         start = Config(a.states[0], rng.randint(0, 3))
         if not a.is_valid(start):
             continue
-        res = post_star(a, [start], ExplorationBudget(40, 1000, 10_000))
+        res = post_star(a, [start], ExplorationBudget(40, 10_000))
         for c in res.configs:
             assert apply_path(a, start, res.run_to(c))[-1] == c
 
@@ -119,7 +119,7 @@ def test_oracle_parity_unreachable():
     assert reach_oracle(a, Config("q", 0), Config("q", 6)) == (0, 0, 0)
     # Cut off by the value cap or by the node cap, the oracle still
     # refuses a target that no run over the integers reaches.
-    for tiny in (ExplorationBudget(3, 100, 100), ExplorationBudget(100, 100, 1)):
+    for tiny in (ExplorationBudget(3, 100), ExplorationBudget(100, 1)):
         assert reach_oracle(a, Config("q", 0), Config("q", 5), tiny) is None
         with pytest.raises(ResourceExceeded):
             reach_oracle(a, Config("q", 0), Config("q", 6), tiny)
@@ -440,7 +440,7 @@ def test_default_budget_shape(loop3):
     b = default_budget(loop3, 0, 10)
     assert b.value_cap == 55
     with pytest.raises(ValueError):
-        ExplorationBudget(0, 1, 1)
+        ExplorationBudget(0, 1)
 
 
 # ------------------------------------------------------ deep and long walks

@@ -13,7 +13,6 @@ from ocareach.automaton import (
     apply_path,
     parse_oca,
     reverse,
-    scc_decompose,
 )
 from ocareach.exploration import ResourceExceeded, is_bounded, is_locally_bounded, reach_oracle
 from ocareach.invariants import (
@@ -23,11 +22,9 @@ from ocareach.invariants import (
     check_ap_domain,
     check_inductive,
     check_separator,
-    check_strong_invariant,
     format_witness,
     parse_witness,
     perfect_cores,
-    strong_invariant_core,
     synthesize_witness,
     verify_witness,
     _compress_core,
@@ -357,62 +354,6 @@ def test_loop_witness_walks_each_chain_once(monkeypatch):
     assert 0 < chain_walks <= emitted, (chain_walks, emitted)
 
 
-# ------------------------------------------------- strongly connected flavor
-
-
-def test_strong_invariant_goldens(loop3):
-    src = Config("q", 0)
-    core = strong_invariant_core(loop3, src)
-    assert {c for c in core.members()} == {Config("q", 0), Config("r", 2), Config("s", 3)}
-    assert check_strong_invariant(loop3, src, Config("q", 1), core).holds
-    res = check_strong_invariant(loop3, src, Config("s", 3), core)
-    assert res.condition == "Cond2"
-    root, run = res.detail
-    assert apply_path(loop3, root, run)[-1] == Config("s", 3)
-
-    no_src = APSet((Progression("r", 2, 1, 2, 2),))
-    assert check_strong_invariant(loop3, src, Config("q", 1), no_src).condition == "Cond1"
-
-    only_src = APSet((Progression("q", 0, 1, 0, 0),))
-    res = check_strong_invariant(loop3, src, Config("q", 1), only_src)
-    assert res.condition == "Cond3"
-    c, i, d = res.detail
-    assert apply_path(loop3, c, (i,)) == [c, d]
-    assert in_pumpable_region(loop3, d)
-
-
-def test_strong_invariant_preconditions(loop3):
-    dag = parse_oca("states: a b\ntrans a +1 b\n")
-    with pytest.raises(ValueError):
-        check_strong_invariant(dag, Config("a", 0), Config("b", 5), APSet(()))
-    pump = parse_oca("states: a\ntrans a +1 a\n")
-    with pytest.raises(ValueError):
-        strong_invariant_core(pump, Config("a", 0))
-    with pytest.raises(ValueError):
-        check_strong_invariant(pump, Config("a", 0), Config("a", 5), APSet(()))
-
-
-def test_strong_invariant_matches_oracle():
-    rng = random.Random(31)
-    done = 0
-    while done < 150:
-        a = random_oca(rng, num_states=rng.randint(1, 4), max_update=3, max_guard=10)
-        if len(scc_decompose(a)) != 1:
-            continue
-        src = Config(rng.choice(a.states), rng.randint(0, 5))
-        trg = Config(rng.choice(a.states), rng.randint(0, 8))
-        if not (a.is_valid(src) and a.is_valid(trg)) or not is_bounded(a, src):
-            continue
-        try:
-            run = reach_oracle(a, src, trg)
-        except ResourceExceeded:
-            continue
-        core = strong_invariant_core(a, src)
-        res = check_strong_invariant(a, src, trg, core)
-        assert bool(res) == (run is None), (a.transitions, src, trg, res)
-        done += 1
-
-
 # ----------------------------------------------------------- fuzz both gates
 
 
@@ -517,7 +458,7 @@ def test_refutation_details_match_a_sorted_scan():
     """Each scan reports the least offending step by (state index, value,
     transition index), the first one a sorted scan meets."""
     rng = random.Random(23)
-    hits = {"inductive": 0, "Sep1": 0, "Cond3": 0}
+    hits = {"inductive": 0, "Sep1": 0}
     for _ in range(300):
         a = random_oca(rng, num_states=rng.randint(2, 4), max_update=3, max_guard=10)
         src = Config(rng.choice(a.states), rng.randint(0, 5))
@@ -564,23 +505,4 @@ def test_refutation_details_match_a_sorted_scan():
         else:
             assert res.condition != "Sep1"
 
-    for _ in range(3000):
-        a = random_oca(rng, num_states=rng.randint(1, 4), max_update=3, max_guard=10)
-        if len(scc_decompose(a)) != 1:
-            continue
-        src = Config(rng.choice(a.states), rng.randint(0, 5))
-        trg = Config(rng.choice(a.states), rng.randint(0, 8))
-        if not (a.is_valid(src) and a.is_valid(trg)) or not is_bounded(a, src):
-            continue
-        core = _thinned(rng, a, strong_invariant_core(a, src), src, 0)
-        res = check_strong_invariant(a, src, trg, core)
-        if res.condition not in (None, "Cond3"):
-            continue
-        members = set(core.members())
-        closure = pessimistic_post_star(a, members)
-        escape = naive_first_step(
-            a, closure, lambda d: in_pumpable_region(a, d) and d not in members
-        )
-        assert res.detail == escape
-        hits["Cond3"] += escape is not None
     assert min(hits.values()) >= 20, hits
