@@ -195,6 +195,7 @@ def test_chains_at_matches_simulation():
                     windows = {}
                     for c in listed:
                         windows[residue(c.first)] = max(windows.get(residue(c.first), 0), c.last)
+                    assert sorted(windows) == list(range(g)), (a, q)
                     window = max(windows.values())
                 naive = naive_chain_partition(a, q, cyc.path, cyc.drop, window)
                 expected = sorted(
