@@ -184,6 +184,29 @@ def test_scc_random_matches_reachability():
             for q in a.states:
                 together = q in reach[p] and p in reach[q]
                 assert (table[p] is table[q]) == together
+        # Topological: no transition leads back to an earlier component.
+        position = {comp: k for k, comp in enumerate(scc_decompose(a))}
+        for t in a.transitions:
+            assert position[table[t.src]] <= position[table[t.dst]]
+
+
+def test_scc_order_golden():
+    # {f}, {b, c} and {d, e} are pairwise incomparable; their relative
+    # order is part of the output (it orders the analyze report).
+    a = parse_oca(
+        "states: a b c d e f g h\n"
+        "trans a +1 d\ntrans a +1 b\ntrans a +1 f\n"
+        "trans b +1 c\ntrans c -1 b\ntrans d +0 e\ntrans e +0 d\ntrans f +2 f\n"
+        "trans c +0 g\ntrans e +0 g\ntrans h +1 a\n"
+    )
+    assert scc_decompose(a) == (
+        frozenset({"h"}),
+        frozenset({"a"}),
+        frozenset({"f"}),
+        frozenset({"b", "c"}),
+        frozenset({"d", "e"}),
+        frozenset({"g"}),
+    )
 
 
 def test_restrict_maps_indices(loop3):
