@@ -22,8 +22,8 @@ from ocareach.automaton import (
     Config,
     InternalError,
     Path,
+    apply_path,
     path_effect_drop,
-    path_states,
     per_automaton,
     restrict,
     scc_decompose,
@@ -65,31 +65,23 @@ class Chain:
 
 def _max_value_layers(a: OCA, source: str, value: int, layers: int):
     """Best value per state for walks of exact length 1..layers, lazily."""
+    out = a.step_table[0]
     vals = {source: value}
     for _ in range(layers):
         nxt: dict[str, int] = {}
         for state, v in vals.items():
-            for i in a.out_edges[state]:
-                t = a.transitions[i]
-                v2 = v + t.update
-                if v2 >= 0 and v2 > nxt.get(t.dst, -1):
-                    nxt[t.dst] = v2
+            for _, dst, update in out[state]:
+                v2 = v + update
+                if v2 >= 0 and v2 > nxt.get(dst, -1):
+                    nxt[dst] = v2
         yield nxt
         vals = nxt
         if not vals:
             return
 
 
-def _short_positive_cycle_from(a: OCA, q: str, d: int) -> bool:
-    """Is there a cycle at q, length <= |Q|, staying nonnegative from d,
-    returning with a strictly higher value?"""
-    for layer in _max_value_layers(a, q, d, len(a.states)):
-        if layer.get(q, -1) > d:
-            return True
-    return False
-
-
 def _completable(a: OCA, q: str, d: int, state: str, value: int, budget: int) -> bool:
+    """Does a nonnegative walk of at most ``budget`` steps reach q above d?"""
     if state == q and value > d:
         return True
     for layer in _max_value_layers(a, state, value, budget):
@@ -105,21 +97,19 @@ def _lex_least_cycle(a: OCA, q: str, d: int) -> Path:
     stop the moment the walk is back at q with a gain (a proper prefix
     beats every extension in tuple order).
     """
-    n = len(a.states)
     prefix: list[int] = []
     state, value = q, d
     while True:
         if prefix and state == q and value > d:
             return tuple(prefix)
-        budget = n - len(prefix) - 1
-        for i in a.out_edges[state]:
-            t = a.transitions[i]
-            v2 = value + t.update
+        budget = len(a.states) - len(prefix) - 1
+        for i, dst, update in a.step_table[0][state]:
+            v2 = value + update
             if v2 < 0:
                 continue
-            if _completable(a, q, d, t.dst, v2, budget):
+            if _completable(a, q, d, dst, v2, budget):
                 prefix.append(i)
-                state, value = t.dst, v2
+                state, value = dst, v2
                 break
         else:
             raise InternalError("feasible climbing cycle vanished during reconstruction")
@@ -129,14 +119,15 @@ def _lex_least_cycle(a: OCA, q: str, d: int) -> Path:
 def climbing_cycles(a: OCA) -> dict[str, CanonicalCycle]:
     """Canonical climbing cycle per pumpable state."""
     result: dict[str, CanonicalCycle] = {}
-    cap = len(a.states) * a.max_update
+    n = len(a.states)
+    cap = n * a.max_update
     for q in a.states:
-        if not _short_positive_cycle_from(a, q, cap):
+        if not _completable(a, q, cap, q, cap, n):
             continue
         lo, hi = 0, cap
         while lo < hi:
             mid = (lo + hi) // 2
-            if _short_positive_cycle_from(a, q, mid):
+            if _completable(a, q, mid, q, mid, n):
                 hi = mid
             else:
                 lo = mid + 1
@@ -162,12 +153,8 @@ class _ChainContext:
         self.q = cyc.state
         self.period = cyc.effect
         self.drop = cyc.drop
-        states = path_states(a, cyc.state, cyc.path)
-        prefix = 0
-        self.lap: list[tuple[str, int]] = []
-        for i, st in zip(cyc.path, states[1:]):
-            prefix += a.transitions[i].update
-            self.lap.append((st, prefix))
+        # Each step of one lap from q:0: its state and the prefix effect.
+        self.lap = apply_path(a, Config(cyc.state, 0), cyc.path, mode="candidate")[1:]
         # Values where behavior differs from the high-value regime:
         # pulled-back test positions along the lap, plus the state's own
         # test value.

@@ -114,17 +114,8 @@ class OCA:
 
     @cached_property
     def out_edges(self) -> dict[str, tuple[int, ...]]:
-        out: dict[str, list[int]] = {q: [] for q in self.states}
-        for i, t in enumerate(self.transitions):
-            out[t.src].append(i)
-        return {q: tuple(v) for q, v in out.items()}
-
-    @cached_property
-    def in_edges(self) -> dict[str, tuple[int, ...]]:
-        inc: dict[str, list[int]] = {q: [] for q in self.states}
-        for i, t in enumerate(self.transitions):
-            inc[t.dst].append(i)
-        return {q: tuple(v) for q, v in inc.items()}
+        """Indices of the transitions leaving each state, a view of ``step_table``."""
+        return {q: tuple(i for i, _, _ in steps) for q, steps in self.step_table[0].items()}
 
     @cached_property
     def step_table(self):
@@ -156,9 +147,10 @@ class OCA:
         return self.guards[state]
 
     def is_valid(self, c: Config) -> bool:
+        """An undeclared state is invalid too: ``blocked.get`` yields ``value``."""
         state, value = c
         _, blocked, pinned = self.step_table
-        return value >= 0 and value != blocked[state] and pinned.get(state, value) == value
+        return 0 <= value != blocked.get(state, value) and pinned.get(state, value) == value
 
     def has_equality_tests(self) -> bool:
         return any(g.kind == "eq" for g in self.guards.values())
@@ -336,58 +328,43 @@ def restrict(a: OCA, states: frozenset[str]) -> tuple[OCA, tuple[int, ...]]:
 def scc_decompose(a: OCA) -> tuple[frozenset[str], ...]:
     """Strongly connected components, topologically ordered, sources first.
 
-    Iterative Tarjan; single states without a self-loop still form their
-    own (trivial) component.
+    Iterative Kosaraju: a depth-first pass records the finish order, then
+    a sweep over predecessors collects components in decreasing finish
+    time of their first state.  Single states without a self-loop still
+    form their own (trivial) component.
     """
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    components: list[frozenset[str]] = []
-    counter = 0
-
-    adjacency = {q: tuple(a.transitions[i].dst for i in a.out_edges[q]) for q in a.states}
-
+    out = a.step_table[0]
+    seen: set[str] = set()
+    finished: list[str] = []
     for root in a.states:
-        if root in index:
+        if root in seen:
             continue
-        work: list[tuple[str, int]] = [(root, 0)]
+        seen.add(root)
+        work = [(root, iter(out[root]))]
         while work:
-            node, child = work[-1]
-            if child == 0:
-                index[node] = low[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack.add(node)
-            advanced = False
-            neighbors = adjacency[node]
-            while child < len(neighbors):
-                succ = neighbors[child]
-                child += 1
-                if succ not in index:
-                    work[-1] = (node, child)
-                    work.append((succ, 0))
-                    advanced = True
+            node, steps = work[-1]
+            for _, dst, _ in steps:
+                if dst not in seen:
+                    seen.add(dst)
+                    work.append((dst, iter(out[dst])))
                     break
-                if succ in on_stack:
-                    low[node] = min(low[node], index[succ])
-            if advanced:
-                continue
-            work.pop()
-            if low[node] == index[node]:
-                component = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == node:
-                        break
-                components.append(frozenset(component))
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-    # Tarjan finishes sinks first; flip to put sources first.
-    components.reverse()
+            else:
+                work.pop()
+                finished.append(node)
+    preds = reverse(a).step_table[0]
+    placed: set[str] = set()
+    components: list[frozenset[str]] = []
+    for root in reversed(finished):
+        if root in placed:
+            continue
+        placed.add(root)
+        component = [root]
+        for q in component:  # grows while it is read
+            for _, p, _ in preds[q]:
+                if p not in placed:
+                    placed.add(p)
+                    component.append(p)
+        components.append(frozenset(component))
     return tuple(components)
 
 
@@ -401,17 +378,76 @@ def scc_of(a: OCA) -> dict[str, frozenset[str]]:
     return table
 
 
+@per_automaton
+def state_search(a: OCA, q: str) -> dict[str, tuple[str, int] | None]:
+    """Breadth-first search over states from ``q``: every state reached,
+    in discovery order, mapped to the step ``(state, index)`` that first
+    reached it (None at ``q``)."""
+    out = a.step_table[0]
+    parents: dict[str, tuple[str, int] | None] = {q: None}
+    order = [q]
+    for state in order:  # grows while it is read
+        for i, dst, _ in out[state]:
+            if dst not in parents:
+                parents[dst] = (state, i)
+                order.append(dst)
+    return parents
+
+
+def path_to(parents: dict, target) -> Path:
+    """Transition indices from a search root to ``target``, read back
+    through ``parents`` (node -> ``(previous node, index)``, None at a root)."""
+    rev: list[int] = []
+    link = parents[target]
+    while link is not None:
+        target, i = link
+        rev.append(i)
+        link = parents[target]
+    return tuple(reversed(rev))
+
+
+def apply_path(a: OCA, start: Config, path: Path, mode: str = "valid") -> list[Config]:
+    """Replay ``path`` from ``start`` and return every configuration.
+
+    The one loop over a transition sequence: every other walk is a view
+    of it.  ``valid`` mode raises :class:`ReplayError` at the first
+    configuration that is negative or fails its state's test (the start
+    counts, at index 0).  ``candidate`` mode only checks that transitions
+    chain.  Both reject an index that names no transition.
+    """
+    if mode not in ("valid", "candidate"):
+        raise ValueError(f"unknown replay mode {mode!r}")
+    if start.state not in a.state_index:
+        raise ValueError(f"unknown state {start.state!r}")
+    check = mode == "valid"
+    if check and not a.is_valid(start):
+        raise ReplayError("invalid configuration", 0, start)
+    configs = [start]
+    for pos, i in enumerate(path):
+        if not 0 <= i < len(a.transitions):
+            raise ReplayError(f"no transition {i}", pos, configs[-1])
+        t = a.transitions[i]
+        if t.src != configs[-1].state:
+            raise ReplayError("step source mismatch", pos, configs[-1])
+        nxt = Config(t.dst, configs[-1].value + t.update)
+        if check and not a.is_valid(nxt):
+            raise ReplayError("invalid configuration", pos + 1, nxt)
+        configs.append(nxt)
+    return configs
+
+
+def source_replay(a: OCA, path: Path) -> list[Config]:
+    """Candidate replay of a nonempty ``path`` from value 0 at the source
+    of its first transition."""
+    first = path[0]
+    # An index naming no transition starts anywhere; apply_path rejects it.
+    state = a.transitions[first].src if 0 <= first < len(a.transitions) else a.states[0]
+    return apply_path(a, Config(state, 0), path, mode="candidate")
+
+
 def path_states(a: OCA, start_state: str, path: Path) -> list[str]:
     """States visited by ``path`` from ``start_state`` (length + 1 entries)."""
-    if start_state not in a.state_index:
-        raise ValueError(f"unknown state {start_state!r}")
-    states = [start_state]
-    for pos, i in enumerate(path):
-        t = a.transitions[i]
-        if t.src != states[-1]:
-            raise ReplayError("step source mismatch", pos)
-        states.append(t.dst)
-    return states
+    return [c.state for c in apply_path(a, Config(start_state, 0), path, mode="candidate")]
 
 
 def path_effect_drop(a: OCA, path: Path) -> tuple[int, int]:
@@ -421,36 +457,7 @@ def path_effect_drop(a: OCA, path: Path) -> tuple[int, int]:
     nonnegative; it composes as
     ``drop(p + q) = max(drop(p), drop(q) - effect(p))``.
     """
-    effect = 0
-    drop = 0
-    for i in path:
-        effect += a.transitions[i].update
-        if -effect > drop:
-            drop = -effect
-    return effect, drop
-
-
-def apply_path(a: OCA, start: Config, path: Path, mode: str = "valid") -> list[Config]:
-    """Replay ``path`` from ``start`` and return every configuration.
-
-    ``valid`` mode raises :class:`ReplayError` at the first configuration
-    that is negative or fails its state's test (the start counts, at
-    index 0).  ``candidate`` mode only checks that transitions chain.
-    """
-    if mode not in ("valid", "candidate"):
-        raise ValueError(f"unknown replay mode {mode!r}")
-    if start.state not in a.state_index:
-        raise ValueError(f"unknown state {start.state!r}")
-    check = mode == "valid"
-    configs = [start]
-    if check and not a.is_valid(start):
-        raise ReplayError("invalid configuration", 0, start)
-    for pos, i in enumerate(path):
-        t = a.transitions[i]
-        if t.src != configs[-1].state:
-            raise ReplayError("step source mismatch", pos, configs[-1])
-        nxt = Config(t.dst, configs[-1].value + t.update)
-        if check and not a.is_valid(nxt):
-            raise ReplayError("invalid configuration", pos + 1, nxt)
-        configs.append(nxt)
-    return configs
+    if not path:
+        return 0, 0
+    values = [c.value for c in source_replay(a, path)]
+    return values[-1], -min(values)

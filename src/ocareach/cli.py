@@ -2,9 +2,10 @@
 
 Exit codes follow one contract everywhere: 0 when the answer is
 reachable or the evidence verified, 1 when unreachable or refuted, 2 on
-malformed input or an exhausted budget, 3 on an internal error (a
-failed soundness check, exhausted recursion or memory), so that a crash
-never reads as an answer.
+malformed input (an endpoint at an undeclared state included) or an
+exhausted budget, 3 on an internal error (a failed soundness check,
+exhausted recursion or memory, any other unexpected exception), so that
+a crash never reads as an answer.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import sys
 from pathlib import Path as FsPath
 
 from .analysis import structure_report
-from .automaton import OCA, Config, InternalError, parse_config, parse_oca, format_oca
+from .automaton import OCA, Config, parse_config, parse_oca, format_oca
 from .campaign import format_report, run_campaign
 from .evidence import format_run, verify_evidence
 from .exploration import ExplorationBudget, ResourceExceeded
@@ -37,11 +38,16 @@ def _load_oca(path: str) -> OCA:
         raise CliError(f"{path}: {exc}") from None
 
 
-def _endpoint(text: str) -> Config:
+def _endpoints(a: OCA, args: argparse.Namespace) -> tuple[Config, Config]:
+    """``--src`` and ``--trg``, each at a state ``a`` declares."""
     try:
-        return parse_config(text)
+        src, trg = parse_config(args.src), parse_config(args.trg)
     except ValueError as exc:
         raise CliError(str(exc)) from None
+    for c in (src, trg):
+        if c.state not in a.state_index:
+            raise CliError(f"endpoint {c} is at an undeclared state")
+    return src, trg
 
 
 def _emit(path: str | None, text: str) -> None:
@@ -64,7 +70,7 @@ def _budget(args: argparse.Namespace) -> ExplorationBudget | None:
 
 def cmd_decide(args: argparse.Namespace) -> int:
     a = _load_oca(args.file)
-    src, trg = _endpoint(args.src), _endpoint(args.trg)
+    src, trg = _endpoints(a, args)
     try:
         verdict = decide_full(a, src, trg, budget=_budget(args))
     except ValueError as exc:
@@ -85,7 +91,7 @@ def cmd_decide(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     a = _load_oca(args.file)
-    src, trg = _endpoint(args.src), _endpoint(args.trg)
+    src, trg = _endpoints(a, args)
     try:
         text = FsPath(args.evidence).read_text()
     except OSError as exc:
@@ -108,7 +114,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_pessimistic(args: argparse.Namespace) -> int:
     a = _load_oca(args.file)
-    src, trg = _endpoint(args.src), _endpoint(args.trg)
+    src, trg = _endpoints(a, args)
     try:
         run = decide_pessimistic_reach(a, src, trg)
     except ValueError as exc:
@@ -227,7 +233,7 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceExceeded as exc:
         print(f"resource exceeded: {exc}", file=sys.stderr)
         return 2
-    except (InternalError, RecursionError, MemoryError) as exc:
+    except Exception as exc:  # InternalError, RecursionError, MemoryError, bugs
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 

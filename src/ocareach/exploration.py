@@ -25,10 +25,12 @@ from .automaton import (
     InternalError,
     Path,
     apply_path,
+    path_to,
     per_automaton,
     restrict,
     reverse,
     scc_of,
+    state_search,
     valid_steps,
 )
 from .flows import Flow, path_from_flow
@@ -81,13 +83,7 @@ class PostStarResult:
         """Transition indices of a shortest discovered run ending at ``c``."""
         if c not in self.parents:
             raise KeyError(f"{c} was not discovered")
-        rev: list[int] = []
-        link = self.parents[c]
-        while link is not None:
-            prev, i = link
-            rev.append(i)
-            link = self.parents[prev]
-        return tuple(reversed(rev))
+        return path_to(self.parents, c)
 
 
 def post_star(a, start, budget, restrict=None, stop_at=None) -> PostStarResult:
@@ -264,23 +260,8 @@ def is_locally_bounded(a: OCA, c: Config) -> bool:
 
 
 def _walk_states(a: OCA, u: str, v: str) -> frozenset[str]:
-    fwd = {u}
-    stack = [u]
-    while stack:
-        for i in a.out_edges[stack.pop()]:
-            d = a.transitions[i].dst
-            if d not in fwd:
-                fwd.add(d)
-                stack.append(d)
-    bwd = {v}
-    stack = [v]
-    while stack:
-        for i in a.in_edges[stack.pop()]:
-            s = a.transitions[i].src
-            if s not in bwd:
-                bwd.add(s)
-                stack.append(s)
-    return frozenset(fwd & bwd)
+    """States on some walk from u to v: found from u, and from v backwards."""
+    return frozenset(state_search(a, u).keys() & state_search(reverse(a), v).keys())
 
 
 _ENUM_CAP = 500_000
@@ -458,28 +439,10 @@ def _mixed_coeffs(effs: list[int], r: int) -> dict[int, int]:
 def _positive_coeffs(pos: list[int], r: int, g: int) -> dict[int, int] | None:
     coins = sorted(e // g for e in pos)
     goal = r // g
-    a0, top = coins[0], coins[-1]
-    if goal < a0 * top:
-        parent: list[int | None] = [None] * (goal + 1)
-        reach = [False] * (goal + 1)
-        reach[0] = True
-        for s in range(1, goal + 1):
-            for coin in coins:
-                if coin <= s and reach[s - coin]:
-                    reach[s] = True
-                    parent[s] = coin
-                    break
-        if not reach[goal]:
-            return None
-        out: Counter[int] = Counter()
-        s = goal
-        while s:
-            coin = parent[s]
-            out[coin * g] += 1
-            s -= coin
-        return dict(out)
-    # Large goals: walk residues mod the smallest coin for the cheapest
-    # representative of each class, then pad with that coin.
+    a0 = coins[0]
+    # Walk residues mod the smallest coin for the cheapest representative
+    # of each class (its Apery set).  The goal is representable exactly
+    # when its class's representative is at most the goal; pad with a0.
     dist = {0: 0}
     parent_coin: dict[int, int] = {}
     heap = [(0, 0)]
@@ -496,7 +459,7 @@ def _positive_coeffs(pos: list[int], r: int, g: int) -> dict[int, int] | None:
     res = goal % a0
     if res not in dist or dist[res] > goal:
         return None
-    out = Counter()
+    out: Counter[int] = Counter()
     while res:
         coin = parent_coin[res]
         out[coin * g] += 1

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass
 
-from ocareach.automaton import OCA, InternalError, Path, path_effect_drop, path_states
+from .automaton import OCA, InternalError, Path, path_effect_drop, path_states, source_replay
 
 
 class FlowError(ValueError):
@@ -180,26 +180,19 @@ def flow_has_positive_cycle(a: OCA, flow: Flow) -> bool:
 def rotate_to_zero_drop(a: OCA, cycle: Path) -> Path:
     """Rotate a positive-effect cycle so its drop becomes zero.
 
-    Rotating to start right after the lowest prefix point lifts every
-    other prefix above the start.  Rejects paths that are not cycles or
-    whose effect is not positive.
+    Rotating to start at the first lowest prefix point lifts every other
+    prefix above the start.  Rejects paths that are not cycles or whose
+    effect is not positive.
     """
     if not cycle:
         raise ValueError("empty path is not a rotatable cycle")
-    states = path_states(a, a.transitions[cycle[0]].src, cycle)
-    if states[0] != states[-1]:
-        raise ValueError(f"path is not a cycle ({states[0]} to {states[-1]})")
-    effect, _ = path_effect_drop(a, cycle)
-    if effect <= 0:
-        raise ValueError(f"cycle effect {effect} is not positive")
-    prefix = 0
-    lowest = 0
-    cut = 0
-    for pos, i in enumerate(cycle):
-        prefix += a.transitions[i].update
-        if prefix < lowest:
-            lowest = prefix
-            cut = pos + 1
+    configs = source_replay(a, cycle)
+    if configs[0].state != configs[-1].state:
+        raise ValueError(f"path is not a cycle ({configs[0].state} to {configs[-1].state})")
+    values = [c.value for c in configs]
+    if values[-1] <= 0:
+        raise ValueError(f"cycle effect {values[-1]} is not positive")
+    cut = values.index(min(values))
     rotated = cycle[cut:] + cycle[:cut]
     _, drop = path_effect_drop(a, rotated)
     if drop != 0:

@@ -22,9 +22,11 @@ from .automaton import (
     Transition,
     apply_path,
     path_effect_drop,
+    path_to,
     restrict,
     reverse,
     scc_of,
+    state_search,
     valid_steps,
 )
 from .exploration import (
@@ -40,7 +42,6 @@ from .invariants import NonReachabilityWitness, synthesize_witness
 
 REACHABLE = "reachable"
 UNREACHABLE = "unreachable"
-RESOURCE_EXCEEDED = "resource-exceeded"
 
 
 @dataclass(frozen=True)
@@ -111,29 +112,10 @@ def normalize_endpoints(a: OCA, src: Config, trg: Config) -> tuple[OCA, Config, 
 
 def _state_path(a: OCA, u: str, v: str) -> Path:
     """Shortest transition sequence from state ``u`` to state ``v``."""
-    if u == v:
-        return ()
-    parents: dict[str, tuple[str, int]] = {}
-    frontier = [u]
-    seen = {u}
-    while frontier:
-        nxt: list[str] = []
-        for q in frontier:
-            for i in a.out_edges[q]:
-                d = a.transitions[i].dst
-                if d in seen:
-                    continue
-                seen.add(d)
-                parents[d] = (q, i)
-                if d == v:
-                    rev: list[int] = []
-                    while d != u:
-                        d, j = parents[d]
-                        rev.append(j)
-                    return tuple(reversed(rev))
-                nxt.append(d)
-        frontier = nxt
-    raise ValueError(f"no path from {u} to {v}")
+    parents = state_search(a, u)
+    if v not in parents:
+        raise ValueError(f"no path from {u} to {v}")
+    return path_to(parents, v)
 
 
 def _pumping_cycle(a: OCA, c: Config) -> tuple[Path, int]:

@@ -19,12 +19,14 @@ from ocareach.automaton import (
     parse_config,
     parse_oca,
     path_effect_drop,
+    path_states,
     restrict,
     reverse,
     scc_decompose,
     valid_steps,
 )
 from ocareach.evidence import verify_evidence
+from ocareach.flows import rotate_to_zero_drop
 from ocareach.invariants import format_witness
 from ocareach.solver import decide_full
 
@@ -293,6 +295,26 @@ def test_apply_path_step_mismatch(loop3):
         apply_path(loop3, Config("q", 1), (1,), mode="candidate")
     assert err.value.reason == "step source mismatch"
     assert err.value.index == 0
+
+
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_every_walk_rejects_an_index_naming_no_transition(loop3, bad):
+    # Python would wrap -1 around to the last transition.
+    with pytest.raises(ReplayError) as err:
+        apply_path(loop3, Config("q", 1), (0, bad), mode="candidate")
+    assert err.value.index == 1
+    with pytest.raises(ReplayError):
+        path_states(loop3, "q", (bad,))
+    with pytest.raises(ReplayError):
+        path_effect_drop(loop3, (bad, 1, 2))
+    with pytest.raises(ReplayError):
+        rotate_to_zero_drop(loop3, (bad, 1, 2))
+
+
+def test_undeclared_state_is_invalid(loop3):
+    assert not loop3.is_valid(Config("zz", 0))
+    with pytest.raises(ValueError, match="not valid"):
+        decide_full(loop3, Config("zz", 0), Config("q", 3))
 
 
 # ------------------------------------------------------------- ownership

@@ -46,15 +46,18 @@ def test_decide_unreachable_then_verify_witness(loop_file, tmp_path, capsys):
     assert "verified: WITNESS" in capsys.readouterr().out
 
 
-def test_verify_refutes_a_tampered_run(loop_file, tmp_path, capsys):
+# A wrong step, an index past the last transition, and a negative index
+# (which Python would wrap around to a real transition).
+@pytest.mark.parametrize("tampered", ["path 0 1 1", "path 0 1 3", "path -3 1 2"])
+def test_verify_refutes_a_tampered_run(loop_file, tmp_path, capsys, tampered):
     ev = tmp_path / "run.ev"
     main(["decide", loop_file, "--src", "q:1", "--trg", "q:36", "--emit", str(ev)])
     capsys.readouterr()
     text = ev.read_text()
     assert "path 0 1 2" in text
-    ev.write_text(text.replace("path 0 1 2", "path 0 1 1", 1))
+    ev.write_text(text.replace("path 0 1 2", tampered, 1))
     assert main(["verify", loop_file, "--src", "q:1", "--trg", "q:36", str(ev)]) == 1
-    assert "refuted: RUN" in capsys.readouterr().out
+    assert "refuted: RUN (replay:" in capsys.readouterr().out
 
 
 def test_verify_refutes_a_tampered_witness(loop_file, tmp_path, capsys):
@@ -85,8 +88,16 @@ def test_malformed_automaton_file(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
-def test_bad_endpoint_literal(loop_file, capsys):
-    assert main(["decide", loop_file, "--src", "q", "--trg", "q:3"]) == 2
+@pytest.mark.parametrize("command", ["decide", "verify", "pessimistic"])
+@pytest.mark.parametrize("src, trg", [("q", "q:3"), ("zz:0", "q:3"), ("q:0", "zz:0")])
+def test_bad_endpoint_literal(loop_file, tmp_path, capsys, command, src, trg):
+    # A malformed literal, or a state the automaton does not declare.
+    argv = [command, loop_file, "--src", src, "--trg", trg]
+    if command == "verify":
+        ev = tmp_path / "run.ev"
+        ev.write_text("RUN\nsrc q:1\ntrg q:6\npath 0 1 2\n")
+        argv.append(str(ev))
+    assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error:")
 
 
@@ -104,7 +115,14 @@ def test_truncated_evidence_is_an_error(loop_file, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "exc", [InternalError("run does not replay"), RecursionError(), MemoryError()]
+    "exc",
+    [
+        InternalError("run does not replay"),
+        RecursionError(),
+        MemoryError(),
+        KeyError("zz"),
+        IndexError(),
+    ],
 )
 def test_internal_errors_never_read_as_verdicts(loop_file, monkeypatch, capsys, exc):
     def crash(*args, **kwargs):

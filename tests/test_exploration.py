@@ -400,14 +400,22 @@ def test_candidate_mixed_sign_cycles():
         assert end == Config("a", target)
 
 
-def test_candidate_coin_gap_golden():
-    a = parse_oca("states: a\ntrans a +4 a\ntrans a +6 a\ntrans a +9 a\n")
-    assert candidate_reach(a, Config("a", 0), Config("a", 11)) is None
-    for target in (12, 13, 17, 9_997):
-        p = candidate_reach(a, Config("a", 0), Config("a", target))
-        assert p is not None
-        end = apply_path(a, Config("a", 0), p, mode="candidate")[-1]
-        assert end == Config("a", target)
+@pytest.mark.parametrize("coins", [(4, 6, 9), (3, 5), (7, 11, 13)])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_candidate_coin_gap_golden(coins, sign):
+    # One state with a self-loop per coin: a target is candidate-reachable
+    # from a:0 exactly when some sum of coins (repeats allowed) makes it.
+    a = parse_oca("states: a\n" + "".join(f"trans a {sign * c:+d} a\n" for c in coins))
+    sums = {0}
+    for total in range(1, 151):
+        if any(total - c in sums for c in coins):
+            sums.add(total)
+    for total in list(range(151)) + [9_997]:
+        target = Config("a", sign * total)
+        p = candidate_reach(a, Config("a", 0), target)
+        assert (p is None) == (total <= 150 and total not in sums), total
+        if p is not None:
+            assert apply_path(a, Config("a", 0), p, mode="candidate")[-1] == target
 
 
 def test_candidate_matches_windowed_bfs():

@@ -240,6 +240,89 @@ def test_certificate_decomposition_sum_checked():
     assert res.condition == "decomposition-sum"
 
 
+# Hand-built certificates, one per refutation site that certificates
+# made by make_certificate never reach.  Each row: the condition, the
+# automaton (transitions listed as "src update dst"), the waypoints, and
+# each segment as a list of transition indices (its endpoints are the
+# waypoints around it).  The whole flow is the segments' sum unless the
+# row overrides it; "crossings" defaults to none.
+_DOWN = "x -1 y, y -1 x, x -2 x"  # t0 leaves x, t1 returns, t2 loops
+REFUTATIONS = [
+    # More segments than 4 * |Q| + 1.
+    ("waypoint-count", "a -1 a", "a:6 a:5 a:4 a:3 a:2 a:1 a:0", [[0]] * 6, {}),
+    # The flow itself breaks a flow condition (unbalanced at a).
+    ("flow", "a -1 b", "a:1 b:0", [[0]], {"flow": ({0: 2}, "a", "b")}),
+    # A valid flow between the wrong states.
+    ("endpoint", "a -1 b", "a:0", [], {"flow": ({}, "b", "b")}),
+    ("segment-endpoints", "a -1 b", "a:1 b:0", [[0]], {"starts": ["b"]}),
+    # A zero segment between two different states is unbalanced.
+    ("segment-flow", "a -1 b", "a:1 b:0", [[]], {"flow": ({0: 1}, "a", "b")}),
+    ("waypoint-negative", "a -2 b, b +2 c", "a:1 b:-1 c:1", [[0], [1]], {}),
+    # b is visited but never a waypoint.
+    ("support-covered", "a -1 b, b -1 c", "a:2 c:0", [[0, 1]], {}),
+    # The segment after a's last waypoint comes back to a ...
+    ("last-occurrence", "a -1 a, a -1 b", "a:3 b:1", [[0, 1]], {}),
+    # ... or a later segment passes through a.
+    ("last-occurrence", "a -1 b, b -1 a, a -1 c", "a:5 b:4 c:2", [[0], [1, 2]], {}),
+    # The segment before b's first waypoint was in b already ...
+    ("first-occurrence", "a -1 b, b -1 b", "a:5 b:3", [[0, 1]], {}),
+    # ... or an earlier segment passes through c.
+    ("first-occurrence", "a -1 c, c -1 b, b -1 c", "a:5 b:3 c:2", [[0, 1], [2]], {}),
+    # Two records for one state.
+    ("crossing-malformed", "x -2 x", "x:7 x:3", [[0, 0]], {"crossings": [(0, 1), (0, 1)]}),
+    # A record for a state without a disequality test.
+    ("crossing-malformed", "x -2 x", "x:7 x:3", [[0, 0]], {"guard": "", "crossings": [(0, 1)]}),
+    # Occurrences 0 and 2 of x are not consecutive.
+    ("crossing-malformed", "x -2 x", "x:9 x:7 x:3", [[0], [0, 0]], {"crossings": [(0, 2)]}),
+    # 9 and 7 do not straddle the test value 5.
+    ("crossing-malformed", "x -2 x", "x:9 x:7", [[0]], {"crossings": [(0, 1)]}),
+    # Adjacent occurrences, but the segment loops at x twice (through x:5).
+    ("crossing-confinement", "x -2 x", "x:7 x:3", [[0, 0]], {"crossings": [(0, 1)]}),
+    # The segment leaving x's upper occurrence comes back to x first ...
+    ("crossing-confinement", _DOWN, "x:8 y:5 x:4", [[2, 0], [1]], {"crossings": [(0, 2)]}),
+    # ... the one entering its lower occurrence leaves x again ...
+    ("crossing-confinement", _DOWN, "x:8 y:7 x:4", [[0], [1, 2]], {"crossings": [(0, 2)]}),
+    # ... or a segment in between passes through x.
+    (
+        "crossing-confinement",
+        "x -1 y, y -1 x, x -1 z, z -2 x",
+        "x:9 y:8 z:6 x:4",
+        [[0], [1, 2], [3]],
+        {"crossings": [(0, 3)]},
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "condition, transitions, waypoints, segments, extra",
+    REFUTATIONS,
+    ids=[f"{row[0]}-{k}" for k, row in enumerate(REFUTATIONS)],
+)
+def test_hand_built_certificate_refutations(condition, transitions, waypoints, segments, extra):
+    steps = [t.split() for t in transitions.split(", ")]
+    names = sorted({w for src, _, dst in steps for w in (src, dst)})
+    guard = extra.get("guard", "guard x != 5\n" if "x" in names else "")
+    a = parse_oca(
+        f"states: {' '.join(names)}\n{guard}"
+        + "".join(f"trans {src} {upd} {dst}\n" for src, upd, dst in steps)
+    )
+    wp = tuple(Config(w.split(":")[0], int(w.split(":")[1])) for w in waypoints.split())
+    starts = extra.get("starts", [c.state for c in wp])
+    decomposition = tuple(
+        Flow.make(Counter(seg), starts[k], wp[k + 1].state) for k, seg in enumerate(segments)
+    )
+    if "flow" in extra:
+        counts, start, end = extra["flow"]
+        flow = Flow.make(counts, start, end)
+    else:
+        flow = Flow.make(Counter(i for seg in segments for i in seg), wp[0].state, wp[-1].state)
+    crossings = tuple(("x", i, j) for i, j in extra.get("crossings", ()))
+    cert = PessimisticCertificate(flow, decomposition, wp, crossings)
+    res = verify_pessimistic_certificate(a, wp[0], wp[-1], cert)
+    assert not res.verified
+    assert res.condition == condition
+
+
 def test_make_certificate_rejects_climbing_run():
     a = parse_oca("states: a\ntrans a +1 a\ntrans a -1 a\n")
     with pytest.raises(ValueError):
