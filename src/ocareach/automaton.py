@@ -113,11 +113,6 @@ class OCA:
         return {q: i for i, q in enumerate(self.states)}
 
     @cached_property
-    def out_edges(self) -> dict[str, tuple[int, ...]]:
-        """Indices of the transitions leaving each state, a view of ``step_table``."""
-        return {q: tuple(i for i, _, _ in steps) for q, steps in self.step_table[0].items()}
-
-    @cached_property
     def step_table(self):
         """``(out, blocked, pinned)``: ``out[q]`` lists ``(index, dst,
         update)`` per transition leaving ``q`` in index order,

@@ -2,10 +2,10 @@
 
 Exit codes follow one contract everywhere: 0 when the answer is
 reachable or the evidence verified, 1 when unreachable or refuted, 2 on
-malformed input (an endpoint at an undeclared state included) or an
-exhausted budget, 3 on an internal error (a failed soundness check,
-exhausted recursion or memory, any other unexpected exception), so that
-a crash never reads as an answer.
+malformed input (an endpoint at an undeclared state included) or a
+search that exceeded its node cap, 3 on an internal error (a failed
+soundness check, exhausted recursion or memory, any other unexpected
+exception), so that a crash never reads as an answer.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from .analysis import structure_report
 from .automaton import OCA, Config, parse_config, parse_oca, format_oca
 from .campaign import format_report, run_campaign
 from .evidence import format_run, verify_evidence
-from .exploration import ExplorationBudget, ResourceExceeded
+from .exploration import ResourceExceeded
 from .generators import FuzzSpec, gen_subset_sum
 from .invariants import format_witness
 from .pessimistic import decide_pessimistic_reach, format_certificate, make_certificate
@@ -59,20 +59,11 @@ def _emit(path: str | None, text: str) -> None:
         raise CliError(f"cannot write {path}: {exc}") from None
 
 
-def _budget(args: argparse.Namespace) -> ExplorationBudget | None:
-    if args.budget_values is None and args.budget_nodes is None:
-        return None
-    return ExplorationBudget(
-        value_cap=args.budget_values if args.budget_values is not None else 500_000,
-        node_cap=args.budget_nodes if args.budget_nodes is not None else 500_000,
-    )
-
-
 def cmd_decide(args: argparse.Namespace) -> int:
     a = _load_oca(args.file)
     src, trg = _endpoints(a, args)
     try:
-        verdict = decide_full(a, src, trg, budget=_budget(args))
+        verdict = decide_full(a, src, trg)
     except ValueError as exc:
         raise CliError(str(exc)) from None
     if verdict.kind == REACHABLE:
@@ -183,8 +174,6 @@ def _parser() -> argparse.ArgumentParser:
     decide.add_argument("file")
     endpoints(decide)
     decide.add_argument("--emit", help="write the run or witness here")
-    decide.add_argument("--budget-values", type=int)
-    decide.add_argument("--budget-nodes", type=int)
     decide.set_defaults(fn=cmd_decide)
 
     verify = sub.add_parser("verify", help="check an evidence file")

@@ -1,8 +1,8 @@
 """Brute-force semantics: bounded exploration and exact candidate reachability.
 
-Everything here is explicit-state.  :func:`post_star` runs a budgeted
+Everything here is explicit-state.  :func:`post_star` runs a capped
 breadth-first closure and keeps a parent map so witnesses can be read
-back; :func:`reach_oracle` layers escalating budgets (forward, then
+back; :func:`reach_oracle` layers escalating value caps (forward, then
 backward on the reversed automaton) on top of it and never answers
 unless the answer is certain; it is the only search that escalates.
 :func:`candidate_reach` decides reachability under integer semantics
@@ -37,34 +37,17 @@ from .flows import Flow, path_from_flow
 
 
 class ResourceExceeded(Exception):
-    """A query needed more nodes or value range than its budget allows."""
+    """A search ran past its cap undecided."""
 
 
-@dataclass(frozen=True)
-class ExplorationBudget:
-    """Hard limits for one exploration: counter value and node count."""
-
-    value_cap: int
-    node_cap: int
-
-    def __post_init__(self) -> None:
-        if self.value_cap <= 0 or self.node_cap <= 0:
-            raise ValueError("budget caps must be positive")
+NODE_CAP = 500_000  # the oracle's rungs, the perfect-core closure, the pumping search
 
 
-def default_budget(a: OCA, *values: int, scale: int = 1) -> ExplorationBudget:
-    """Budget that is decisive for desk-sized instances around ``values``."""
+def _value_cap(a: OCA, *values: int, scale: int = 1) -> int:
+    """Value cap that is decisive for desk-sized instances around ``values``."""
     base = a.max_test + sum(v for v in values if v > 0)
     base += (len(a.states) + 2) * (a.max_update + 1)
-    return ExplorationBudget(value_cap=base * scale, node_cap=500_000)
-
-
-def exact_budget(a: OCA, root: Config, node_cap: int) -> ExplorationBudget:
-    """Budget for a search from ``root`` that must run to completion:
-    ``node_cap`` nodes and a value cap that cannot bind, since runs
-    among ``node_cap`` configurations are shorter than that, each step
-    climbing at most ``max_update``."""
-    return ExplorationBudget(root.value + node_cap * a.max_update + 1, node_cap)
+    return base * scale
 
 
 @dataclass
@@ -86,23 +69,26 @@ class PostStarResult:
         return path_to(self.parents, c)
 
 
-def post_star(a, start, budget, restrict=None, stop_at=None) -> PostStarResult:
-    """Budgeted forward closure of ``start`` under valid steps.
+def post_star(a, start, node_cap, value_cap=None, restrict=None, stop_at=None) -> PostStarResult:
+    """Forward closure of ``start`` under valid steps, capped.
 
     ``restrict`` filters which configurations may be traversed at all,
-    start configurations included.  ``cap_hit`` is set when the value
-    cap cut anything off; only then may the result be a strict subset
-    of the true closure.  Exceeding ``node_cap`` raises
-    :class:`ResourceExceeded` instead of returning something wrong.
+    start configurations included.  ``cap_hit`` is set when ``value_cap``
+    cut anything off; only then may the result be a strict subset of the
+    true closure.  By default ``value_cap`` cannot bind: it sits
+    ``node_cap * max_update`` above the highest start.  Exceeding
+    ``node_cap`` raises :class:`ResourceExceeded` instead of returning
+    something wrong.
     ``stop_at`` ends the search early once that configuration is found
     (the level in progress is finished first, keeping runs shortest).
     """
     order, is_valid = a.state_index, a.is_valid
-    value_cap, node_cap = budget.value_cap, budget.node_cap
     roots = sorted(set(start), key=lambda c: (order[c.state], c.value))
     for c in roots:
         if not is_valid(c):
             raise ValueError(f"start configuration {c} is not valid")
+    if value_cap is None:
+        value_cap = max((c.value for c in roots), default=0) + node_cap * a.max_update + 1
     parents: dict[Config, tuple[Config, int] | None] = {}
     frontier: list[Config] = []
     cap_hit = False
@@ -135,27 +121,25 @@ def post_star(a, start, budget, restrict=None, stop_at=None) -> PostStarResult:
     return PostStarResult(parents, cap_hit)
 
 
-def reach_oracle(a: OCA, src: Config, trg: Config, budget=None) -> Path | None:
+def reach_oracle(a: OCA, src: Config, trg: Config) -> Path | None:
     """Decide src ->* trg by exploration; never guesses.
 
     Returns a replayable run, or None when unreachability is certain: a
     closure completed without hitting its cap, or candidate reachability
     fails, asked once when both closures of a rung were cut off or a
     node cap ended the ladder.  Raises :class:`ResourceExceeded` when
-    every budget rung was cut off undecided.
+    every rung was cut off undecided.  The rungs share :data:`NODE_CAP`
+    and grow the value cap fourfold each.
     """
     for c in (src, trg):
         if not a.is_valid(c):
             raise ValueError(f"configuration {c} is not valid")
-    if budget is not None:
-        rungs = [budget]
-    else:
-        rungs = [default_budget(a, src.value, trg.value, scale=4**k) for k in range(4)]
     rev = reverse(a)
     checked = False
-    for rung in rungs:
+    for k in range(4):
+        cap = _value_cap(a, src.value, trg.value, scale=4**k)
         try:
-            res = post_star(a, [src], rung, stop_at=trg)
+            res = post_star(a, [src], NODE_CAP, cap, stop_at=trg)
         except ResourceExceeded:
             break
         if trg in res.configs:
@@ -163,7 +147,7 @@ def reach_oracle(a: OCA, src: Config, trg: Config, budget=None) -> Path | None:
         if not res.cap_hit:
             return None
         try:
-            back = post_star(rev, [trg], rung, stop_at=src)
+            back = post_star(rev, [trg], NODE_CAP, cap, stop_at=src)
         except ResourceExceeded:
             break
         if src in back.configs:
@@ -227,7 +211,7 @@ def is_bounded(a: OCA, c: Config) -> bool:
         return label is None
 
     try:
-        res = post_star(a, [c], exact_budget(a, c, 2_000_000), restrict=admit)
+        res = post_star(a, [c], 2_000_000, restrict=admit)
     except _Unbounded:
         labels[c] = False
         return False

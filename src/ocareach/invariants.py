@@ -30,10 +30,9 @@ from typing import Iterator
 from .analysis import Chain, chain_of, climbing_cycles, in_pumpable_region
 from .automaton import OCA, Config, InternalError, content_lines, reverse, valid_steps
 from .exploration import (
+    NODE_CAP,
     ResourceExceeded,
     candidate_reach,
-    default_budget,
-    exact_budget,
     is_locally_bounded,
     post_star,
 )
@@ -157,15 +156,10 @@ def _closed_post_star(a: OCA, root: Config) -> KeysView[Config]:
 
     The closure is finite: locally bounded configurations form finite
     closures inside each strongly connected component, and runs cross
-    the components' DAG.  The search gets :func:`default_budget`'s node
-    cap and a value cap that cannot bind (:func:`exact_budget`);
-    exceeding the node cap raises ResourceExceeded.
+    the components' DAG.  Exceeding :data:`NODE_CAP` raises
+    ResourceExceeded.
     """
-    budget = exact_budget(a, root, default_budget(a, root.value).node_cap)
-    res = post_star(a, [root], budget, restrict=partial(is_locally_bounded, a))
-    if res.cap_hit:
-        raise InternalError(f"closure from {root} was cut off by a cap")
-    return res.configs
+    return post_star(a, [root], NODE_CAP, restrict=partial(is_locally_bounded, a)).configs
 
 
 def _compress_core(a: OCA, core: set[Config]) -> APSet:

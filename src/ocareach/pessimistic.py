@@ -5,8 +5,8 @@ pumpable region.  Such runs cannot climb more than (|Q|-1) times the
 largest update above where they start, which makes the search space
 finite and the whole engine exact.  Closures run on
 :func:`ocareach.exploration.post_star` with caps derived from that
-ceiling.  The caps are not a budget: a closure that hits one has found
-a bug and raises :class:`InternalError`.
+ceiling.  The caps are proof obligations: a closure that crosses the
+ceiling has found a bug and raises :class:`InternalError`.
 
 A :class:`PessimisticCertificate` packages a run's flow, a short
 decomposition of it with waypoint configurations, and per-guard
@@ -36,7 +36,7 @@ from .automaton import (
     content_lines,
     parse_config,
 )
-from .exploration import ExplorationBudget, PostStarResult, is_locally_bounded, post_star
+from .exploration import PostStarResult, is_locally_bounded, post_star
 from .flows import Flow, FlowError, check_flow, flow_has_positive_cycle, flow_of_path, path_from_flow
 
 
@@ -56,8 +56,7 @@ def _closure(a: OCA, roots, locally_bounded: bool) -> PostStarResult:
             return False
         return not locally_bounded or is_locally_bounded(a, c)
 
-    budget = ExplorationBudget(max(ceiling, 1), nodes)  # caps must be positive
-    res = post_star(a, roots, budget, restrict=admit)
+    res = post_star(a, roots, nodes, ceiling, restrict=admit)
     if res.cap_hit:
         raise InternalError(f"pessimistic closure climbed above {ceiling}")
     return res
@@ -76,10 +75,11 @@ def decide_pessimistic_reach(a: OCA, src: Config, trg: Config) -> Path | None:
     """Shortest pessimistic run from src to trg, or None.
 
     Exact: pessimistic runs live in a finite slice of the configuration
-    space, so no budget is involved.
+    space, so no cap cuts it short.  An invalid endpoint raises ValueError.
     """
-    if not a.is_valid(trg):
-        return None
+    for c in (src, trg):
+        if not a.is_valid(c):
+            raise ValueError(f"configuration {c} is not valid")
     res = _closure(a, [src], locally_bounded=False)
     return res.run_to(trg) if trg in res.parents else None
 

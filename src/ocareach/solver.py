@@ -30,10 +30,10 @@ from .automaton import (
     valid_steps,
 )
 from .exploration import (
-    ExplorationBudget,
+    NODE_CAP,
     ResourceExceeded,
+    _value_cap,
     candidate_reach,
-    default_budget,
     is_locally_bounded,
     post_star,
     reach_oracle,
@@ -127,11 +127,11 @@ def _pumping_cycle(a: OCA, c: Config) -> tuple[Path, int]:
     runs above the tests, so the cycle pumps freely.  Returns the cycle
     and its (positive) effect.  The value cap exceeds ``goal`` plus any
     update of the component, so it holds the first crossing of ``goal``;
-    the node cap raises ResourceExceeded.
+    exceeding :data:`NODE_CAP` raises ResourceExceeded.
     """
     sub, back = restrict(a, scc_of(a)[c.state])
     goal = c.value + a.max_test + a.max_update * len(a.states) + 1
-    res = post_star(sub, [c], default_budget(sub, c.value, goal))
+    res = post_star(sub, [c], NODE_CAP, _value_cap(sub, c.value, goal))
     above = [e for e in res.configs if e.value > goal]
     if not above:
         raise ValueError(f"{c} is locally bounded; nothing to pump")
@@ -205,18 +205,15 @@ def _certify_run(a: OCA, src: Config, trg: Config, run: Path) -> Verdict:
     return Verdict(REACHABLE, run=run)
 
 
-def decide_disequality(
-    a: OCA, src: Config, trg: Config, budget: ExplorationBudget | None = None
-) -> Verdict:
+def decide_disequality(a: OCA, src: Config, trg: Config) -> Verdict:
     """Decide src ->* trg in an automaton without equality tests.
 
     Both endpoints locally unbounded (forwards resp. backwards): decided
     at the candidate level and lifted.  Otherwise the endpoints are
     normalized and the invariant engine either synthesizes a witness or,
-    by failing to, certifies reachability.  ``budget`` caps the
-    exploration fallback that extracts the run; the structural legs run
-    exact searches once, under fixed node caps.  Raises
-    :class:`ResourceExceeded` when a cap ran out undecided.
+    by failing to, certifies reachability; the exploration oracle then
+    extracts the run.  Each leg is a finite search under its own node
+    cap.  Raises :class:`ResourceExceeded` when a cap ran out undecided.
     """
     if a.has_equality_tests():
         raise ValueError("decide_disequality needs disequality tests only")
@@ -245,7 +242,7 @@ def decide_disequality(
         return Verdict(UNREACHABLE, witness=w, certified=(n, s2, t2))
     # No witness means the perfect cores failed verification, which only
     # happens on reachable instances; the oracle digs up the run.
-    run = reach_oracle(a, src, trg, budget)
+    run = reach_oracle(a, src, trg)
     if run is None:
         raise InternalError("witness synthesis and exploration disagree")
     return _certify_run(a, src, trg, run)
@@ -261,9 +258,7 @@ def _pinned_configs(a: OCA) -> list[Config]:
     return pins
 
 
-def decide_full(
-    a: OCA, src: Config, trg: Config, budget: ExplorationBudget | None = None
-) -> Verdict:
+def decide_full(a: OCA, src: Config, trg: Config) -> Verdict:
     """Decide src ->* trg with equality and disequality tests mixed.
 
     Every run decomposes at its visits to equality-test states, each of
@@ -280,7 +275,7 @@ def decide_full(
         return Verdict(REACHABLE, run=())
     eq_states = {q for q, g in a.guards.items() if g.kind == "eq"}
     if not eq_states:
-        return decide_disequality(a, src, trg, budget)
+        return decide_disequality(a, src, trg)
     keep = frozenset(a.states) - eq_states
     sub, back = restrict(a, keep)
 
@@ -314,7 +309,7 @@ def decide_full(
         for pre, e in entries(u):
             for x, post in exits(v):
                 try:
-                    got = decide_disequality(sub, e, x, budget)
+                    got = decide_disequality(sub, e, x)
                 except ResourceExceeded:
                     undecided = True
                     continue

@@ -98,9 +98,11 @@ def naive_cycles_through(a: OCA, q: str, max_len: int) -> list[Path]:
             found.append(tuple(prefix))
         if len(prefix) >= max_len:
             return
-        for i in a.out_edges[state]:
+        for i, t in enumerate(a.transitions):
+            if t.src != state:
+                continue
             prefix.append(i)
-            extend(a.transitions[i].dst, prefix)
+            extend(t.dst, prefix)
             prefix.pop()
 
     extend(q, [])

@@ -65,7 +65,7 @@ def random_walk(a: OCA, rng: random.Random, length: int, start: str | None = Non
     origin = state
     path = []
     for _ in range(length):
-        options = a.out_edges[state]
+        options = [i for i, t in enumerate(a.transitions) if t.src == state]
         if not options:
             break
         i = rng.choice(options)

@@ -177,11 +177,10 @@ def test_scc_random_matches_reachability():
             frontier = [q]
             while frontier:
                 cur = frontier.pop()
-                for i in a.out_edges[cur]:
-                    dst = a.transitions[i].dst
-                    if dst not in reach[q]:
-                        reach[q].add(dst)
-                        frontier.append(dst)
+                for t in a.transitions:
+                    if t.src == cur and t.dst not in reach[q]:
+                        reach[q].add(t.dst)
+                        frontier.append(t.dst)
         for p in a.states:
             for q in a.states:
                 together = q in reach[p] and p in reach[q]

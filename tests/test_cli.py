@@ -1,10 +1,14 @@
 """Exercise every subcommand through main() and pin the exit contract."""
 
+import shlex
+from pathlib import Path
+
 import pytest
 
 import ocareach.cli as cli
 from ocareach.automaton import InternalError
 from ocareach.cli import main
+from ocareach.exploration import ResourceExceeded
 
 LOOP = (
     "states: q r s\n"
@@ -101,6 +105,35 @@ def test_bad_endpoint_literal(loop_file, tmp_path, capsys, command, src, trg):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("command", ["decide", "pessimistic"])
+@pytest.mark.parametrize("src, trg", [("q:0", "q:5"), ("q:5", "q:0")])
+def test_endpoint_failing_its_test_is_an_error(loop_file, capsys, command, src, trg):
+    # q != 5 forbids q:5, so no answer exists to print.
+    assert main([command, loop_file, "--src", src, "--trg", trg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+def test_readme_command_examples(tmp_path, monkeypatch, capsys):
+    """Each decide/verify line of the README's command-line block prints
+    the comment under it, on the loop automaton the block describes."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "loop.oca").write_text(LOOP)
+    ran = 0
+    for line, comment in zip(lines, lines[1:]):
+        argv = shlex.split(line)
+        if argv[:1] != ["ocareach"] or argv[1] not in ("decide", "verify"):
+            continue
+        main(argv[1:])
+        assert capsys.readouterr().out.splitlines()[0] == comment.removeprefix("# ")
+        ran += 1
+    assert ran == 3
+
+
 def test_missing_evidence_file(loop_file, tmp_path, capsys):
     gone = tmp_path / "nope.ev"
     assert main(["verify", loop_file, "--src", "q:0", "--trg", "q:1", str(gone)]) == 2
@@ -115,22 +148,27 @@ def test_truncated_evidence_is_an_error(loop_file, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "exc",
+    "exc, code, prefix",
     [
-        InternalError("run does not replay"),
-        RecursionError(),
-        MemoryError(),
-        KeyError("zz"),
-        IndexError(),
+        (InternalError("run does not replay"), 3, "internal error:"),
+        (RecursionError(), 3, "internal error:"),
+        (MemoryError(), 3, "internal error:"),
+        (KeyError("zz"), 3, "internal error:"),
+        (IndexError(), 3, "internal error:"),
+        # A cap that ran out is no verdict either, but no crash: exit 2.
+        (ResourceExceeded("post_star exceeded 1 configurations"), 2, "resource exceeded:"),
     ],
+    ids=[f"exc{k}" for k in range(6)],
 )
-def test_internal_errors_never_read_as_verdicts(loop_file, monkeypatch, capsys, exc):
+def test_internal_errors_never_read_as_verdicts(
+    loop_file, monkeypatch, capsys, exc, code, prefix
+):
     def crash(*args, **kwargs):
         raise exc
 
     monkeypatch.setattr(cli, "decide_full", crash)
-    assert main(["decide", loop_file, "--src", "q:1", "--trg", "q:36"]) == 3
-    assert capsys.readouterr().err.startswith("internal error:")
+    assert main(["decide", loop_file, "--src", "q:1", "--trg", "q:36"]) == code
+    assert capsys.readouterr().err.startswith(prefix)
 
 
 def test_analyze_is_deterministic(loop_file, capsys):
@@ -187,20 +225,3 @@ def test_fuzz_emit_is_deterministic(tmp_path, capsys):
     capsys.readouterr()
     assert one.read_text() == two.read_text()
     assert one.read_text().splitlines()[0] == "CAMPAIGN"
-
-
-def test_tiny_budget_exhausts_honestly(loop_file, capsys):
-    code = main(
-        [
-            "decide",
-            loop_file,
-            "--src",
-            "q:1",
-            "--trg",
-            "q:36",
-            "--budget-values",
-            "5",
-        ]
-    )
-    assert code == 2
-    assert capsys.readouterr().err.startswith("resource exceeded:")

@@ -16,10 +16,8 @@ from ocareach.automaton import (
     scc_of,
 )
 from ocareach.exploration import (
-    ExplorationBudget,
     ResourceExceeded,
     candidate_reach,
-    default_budget,
     is_bounded,
     is_locally_bounded,
     post_star,
@@ -27,6 +25,7 @@ from ocareach.exploration import (
     _candidate_tables,
     _simple_cycles,
     _simple_paths,
+    _value_cap,
 )
 from ocareach.generators import FuzzSpec, gen_subset_sum, instances
 from ocareach.solver import decide_full
@@ -34,14 +33,14 @@ from ocareach.solver import decide_full
 from _oracles import naive_post_star, naive_reach, naive_z_reach
 from conftest import random_oca
 
-BIG = ExplorationBudget(value_cap=10_000, node_cap=200_000)
+BIG = {"node_cap": 200_000, "value_cap": 10_000}
 
 
 # --------------------------------------------------------------- post_star
 
 
 def test_post_star_loop3_golden(loop3):
-    res = post_star(loop3, [Config("q", 0)], BIG)
+    res = post_star(loop3, [Config("q", 0)], **BIG)
     assert res.configs == {Config("q", 0), Config("r", 2), Config("s", 3)}
     assert not res.cap_hit
     assert res.run_to(Config("s", 3)) == (0, 1)
@@ -49,31 +48,31 @@ def test_post_star_loop3_golden(loop3):
 
 
 def test_post_star_empty_start(loop3):
-    res = post_star(loop3, [], BIG)
+    res = post_star(loop3, [], **BIG)
     assert res.configs == set()
     assert not res.cap_hit
 
 
 def test_post_star_cap_hit_on_pump():
     a = parse_oca("states: q\ntrans q +1 q\n")
-    res = post_star(a, [Config("q", 0)], ExplorationBudget(10, 1000))
+    res = post_star(a, [Config("q", 0)], 1000, 10)
     assert res.configs == {Config("q", v) for v in range(11)}
     assert res.cap_hit
 
 
 def test_post_star_rejects_invalid_start(loop3):
     with pytest.raises(ValueError):
-        post_star(loop3, [Config("q", 5)], BIG)
+        post_star(loop3, [Config("q", 5)], **BIG)
     with pytest.raises(ValueError):
-        post_star(loop3, [Config("q", -1)], BIG)
+        post_star(loop3, [Config("q", -1)], **BIG)
 
 
 def test_post_star_restrict_filters_roots_too():
     a = parse_oca("states: q\ntrans q +1 q\n")
     allowed = lambda c: c.value in (1, 2, 3)
-    res = post_star(a, [Config("q", 0)], BIG, restrict=allowed)
+    res = post_star(a, [Config("q", 0)], **BIG, restrict=allowed)
     assert res.configs == set()
-    res = post_star(a, [Config("q", 1)], BIG, restrict=allowed)
+    res = post_star(a, [Config("q", 1)], **BIG, restrict=allowed)
     assert res.configs == {Config("q", 1), Config("q", 2), Config("q", 3)}
     assert not res.cap_hit  # the predicate, not the cap, stopped growth
 
@@ -81,7 +80,7 @@ def test_post_star_restrict_filters_roots_too():
 def test_post_star_node_cap_raises():
     a = parse_oca("states: q\ntrans q +1 q\n")
     with pytest.raises(ResourceExceeded):
-        post_star(a, [Config("q", 0)], ExplorationBudget(10_000, 50))
+        post_star(a, [Config("q", 0)], 50)
 
 
 def test_post_star_runs_replay_everywhere(loop3):
@@ -91,14 +90,14 @@ def test_post_star_runs_replay_everywhere(loop3):
         start = Config(a.states[0], rng.randint(0, 3))
         if not a.is_valid(start):
             continue
-        res = post_star(a, [start], ExplorationBudget(40, 10_000))
+        res = post_star(a, [start], 10_000, 40)
         for c in res.configs:
             assert apply_path(a, start, res.run_to(c))[-1] == c
 
 
 def test_post_star_stop_at_short_circuits():
     a = parse_oca("states: q\ntrans q +1 q\n")
-    res = post_star(a, [Config("q", 0)], BIG, stop_at=Config("q", 5))
+    res = post_star(a, [Config("q", 0)], **BIG, stop_at=Config("q", 5))
     assert Config("q", 5) in res.configs
     assert res.run_to(Config("q", 5)) == (0,) * 5
     assert Config("q", 7) not in res.configs
@@ -117,12 +116,16 @@ def test_oracle_parity_unreachable():
     a = parse_oca("states: q\ntrans q +2 q\n")
     assert reach_oracle(a, Config("q", 0), Config("q", 5)) is None
     assert reach_oracle(a, Config("q", 0), Config("q", 6)) == (0, 0, 0)
-    # Cut off by the value cap or by the node cap, the oracle still
-    # refuses a target that no run over the integers reaches.
-    for tiny in (ExplorationBudget(3, 100), ExplorationBudget(100, 1)):
-        assert reach_oracle(a, Config("q", 0), Config("q", 5), tiny) is None
-        with pytest.raises(ResourceExceeded):
-            reach_oracle(a, Config("q", 0), Config("q", 6), tiny)
+
+
+def test_oracle_refuses_when_the_node_cap_ends_the_ladder(monkeypatch):
+    """The first rung's forward search raises at once; the oracle still
+    refuses a target that no run over the integers reaches."""
+    a = parse_oca("states: q\ntrans q +2 q\n")
+    monkeypatch.setattr(exploration, "NODE_CAP", 1)
+    assert reach_oracle(a, Config("q", 0), Config("q", 5)) is None
+    with pytest.raises(ResourceExceeded):
+        reach_oracle(a, Config("q", 0), Config("q", 6))
 
 
 def test_oracle_refuses_after_the_first_inconclusive_rung(monkeypatch):
@@ -443,12 +446,10 @@ def test_candidate_deterministic():
     assert one == two
 
 
-def test_default_budget_shape(loop3):
+def test_value_cap_formula(loop3):
     # max test 30, positive values 10, (|Q|+2) * (max update + 1) = 15
-    b = default_budget(loop3, 0, 10)
-    assert b.value_cap == 55
-    with pytest.raises(ValueError):
-        ExplorationBudget(0, 1)
+    assert _value_cap(loop3, 0, 10) == 55
+    assert _value_cap(loop3, 0, 10, scale=4) == 220
 
 
 # ------------------------------------------------------ deep and long walks

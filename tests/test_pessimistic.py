@@ -115,6 +115,10 @@ def test_decide_goldens(loop3):
     assert decide_pessimistic_reach(loop3, Config("q", 0), Config("r", 2)) is None
     a = parse_oca("states: p q\ntrans p -1 q\n")
     assert decide_pessimistic_reach(a, Config("p", 3), Config("q", 2)) == (0,)
+    # q != 5: either endpoint failing its test is an error, not an answer.
+    for src, trg in [(Config("q", 0), Config("q", 5)), (Config("q", 5), Config("q", 0))]:
+        with pytest.raises(ValueError):
+            decide_pessimistic_reach(loop3, src, trg)
 
 
 def test_decide_runs_are_pessimistic_and_replay():

@@ -42,8 +42,8 @@ def _cross_checked(monkeypatch):
     """
     decide = solver.decide_disequality
 
-    def checked(a, src, trg, budget=None):
-        verdict = decide(a, src, trg, budget)
+    def checked(a, src, trg):
+        verdict = decide(a, src, trg)
         try:
             run = reach_oracle(a, src, trg)
         except ResourceExceeded:
