@@ -139,10 +139,16 @@ def climbing_cycles(a: OCA) -> dict[str, CanonicalCycle]:
     return result
 
 
+@per_automaton
+def pumpable(a: OCA):
+    """The pumpable region on valid configurations, as a predicate."""
+    drops = {q: cyc.drop for q, cyc in climbing_cycles(a).items()}
+    return lambda c: c.state in drops and c.value >= drops[c.state]
+
+
 def in_pumpable_region(a: OCA, c: Config) -> bool:
-    """Valid configuration at a pumpable state, at or above the cycle's drop."""
-    cyc = climbing_cycles(a).get(c.state)
-    return cyc is not None and c.value >= cyc.drop and a.is_valid(c)
+    """:func:`pumpable` for any configuration: it must also be valid."""
+    return pumpable(a)(c) and a.is_valid(c)
 
 
 class _ChainContext:

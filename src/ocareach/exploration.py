@@ -2,9 +2,9 @@
 
 Everything here is explicit-state.  :func:`post_star` runs a capped
 breadth-first closure and keeps a parent map so witnesses can be read
-back; :func:`reach_oracle` layers escalating value caps (forward, then
-backward on the reversed automaton) on top of it and never answers
-unless the answer is certain; it is the only search that escalates.
+back; :func:`reach_oracle` layers escalating value caps on top of it
+and never answers unless the answer is certain; it is the only search
+that escalates.
 :func:`candidate_reach` decides reachability under integer semantics
 (counter may go negative, tests are ignored) exactly, by decomposing
 walks into a simple path plus attached simple cycles.
@@ -127,14 +127,15 @@ def reach_oracle(a: OCA, src: Config, trg: Config) -> Path | None:
     Returns a replayable run, or None when unreachability is certain: a
     closure completed without hitting its cap, or candidate reachability
     fails, asked once when both closures of a rung were cut off or a
-    node cap ended the ladder.  Raises :class:`ResourceExceeded` when
-    every rung was cut off undecided.  The rungs share :data:`NODE_CAP`
-    and grow the value cap fourfold each.
+    node cap ended the ladder.  Runs come from the forward closure; the
+    backward one holds the same runs reversed, so it only proves
+    unreachability.  Raises :class:`ResourceExceeded` when every rung
+    was cut off undecided.  The rungs share :data:`NODE_CAP` and grow
+    the value cap fourfold each.
     """
     for c in (src, trg):
         if not a.is_valid(c):
             raise ValueError(f"configuration {c} is not valid")
-    rev = reverse(a)
     checked = False
     for k in range(4):
         cap = _value_cap(a, src.value, trg.value, scale=4**k)
@@ -147,14 +148,9 @@ def reach_oracle(a: OCA, src: Config, trg: Config) -> Path | None:
         if not res.cap_hit:
             return None
         try:
-            back = post_star(rev, [trg], NODE_CAP, cap, stop_at=src)
+            back = post_star(reverse(a), [trg], NODE_CAP, cap)
         except ResourceExceeded:
             break
-        if src in back.configs:
-            run = tuple(reversed(back.run_to(src)))
-            if apply_path(a, src, run)[-1] != trg:
-                raise InternalError(f"backward oracle run does not reach {trg}")
-            return run
         if not back.cap_hit:
             return None
         if not checked and candidate_reach(a, src, trg) is None:
@@ -197,7 +193,9 @@ def is_bounded(a: OCA, c: Config) -> bool:
     one labeled bounded is neither expanded nor counted against the
     node cap, as it adds finitely many configurations; reaching one
     labeled unbounded makes the probe's root unbounded.  Labels are
-    exact, so the order of queries changes only the work.
+    exact, so the order of queries changes only the work.  Without
+    equality tests, strongly connected and climbing, a probe above every
+    test plus ``(2|Q|+2)*(max_update+1)`` stops within |Q| levels.
     """
     labels = _labels(a)
     known = labels.get(c)
@@ -220,24 +218,20 @@ def is_bounded(a: OCA, c: Config) -> bool:
 
 
 @per_automaton
-def _component(a: OCA, q: str) -> tuple[OCA, int | None]:
-    """q's strongly connected component as a sub-automaton, and the value
-    from which, high above every disequality test, it is a free counter
-    machine: bounded exactly when it has no climbing cycle.  The value is
-    None when the component has equality tests."""
+def _component(a: OCA, q: str) -> OCA | None:
+    """q's strongly connected component as a sub-automaton, or None when
+    it has no climbing cycle, hence no positive cycle: no run in it then
+    climbs over ``(|Q|-1)*max_update`` above its start, so closures end."""
     sub, _ = restrict(a, scc_of(a)[q])
-    if sub.has_equality_tests():
-        return sub, None
-    return sub, sub.max_test + (2 * len(sub.states) + 2) * (sub.max_update + 1)
+    return sub if climbing_cycles(sub) else None
 
 
-@per_automaton
 def is_locally_bounded(a: OCA, c: Config) -> bool:
-    """is_bounded inside the sub-automaton of c's strongly connected component."""
-    sub, threshold = _component(a, c.state)
-    if threshold is not None and c.value >= threshold:
-        return not climbing_cycles(sub)
-    return is_bounded(sub, c)
+    """is_bounded inside c's strongly connected component, for a valid
+    ``c``: True, unprobed, without a climbing cycle there; else the
+    component's label table, this function's only cache, holds it."""
+    sub = _component(a, c.state)
+    return sub is None or is_bounded(sub, c)
 
 
 # ------------------------------------------------------ candidate semantics

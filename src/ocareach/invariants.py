@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Iterator
 
-from .analysis import Chain, chain_of, climbing_cycles, in_pumpable_region
+from .analysis import Chain, chain_of, in_pumpable_region, pumpable
 from .automaton import OCA, Config, InternalError, content_lines, reverse, valid_steps
 from .exploration import (
     NODE_CAP,
@@ -131,17 +131,17 @@ def _reject_equality_tests(a: OCA, what: str) -> None:
         raise ValueError(f"{what} supports disequality tests only")
 
 
-def _materialize(aps: APSet, cap: int = 200_000) -> list[Config]:
-    if sum(len(p.values()) for p in aps.progressions) > cap:
-        raise ResourceExceeded(f"progression set describes more than {cap} configurations")
+MEMBER_CAP = 200_000  # configurations one side of a witness may describe
+
+
+def _check_size(aps: APSet) -> None:
+    if sum(len(p.values()) for p in aps.progressions) > MEMBER_CAP:
+        raise ResourceExceeded(f"progression set describes more than {MEMBER_CAP} configurations")
+
+
+def _materialize(aps: APSet) -> list[Config]:
+    _check_size(aps)
     return list(aps.members())
-
-
-def _pumpable(a: OCA):
-    """:func:`in_pumpable_region` for valid configurations, with the
-    climbing cycles looked up once instead of once per configuration."""
-    drops = {q: cyc.drop for q, cyc in climbing_cycles(a).items()}
-    return lambda c: c.state in drops and c.value >= drops[c.state]
 
 
 def _step_order(a: OCA):
@@ -213,10 +213,8 @@ def perfect_cores(a: OCA, src: Config, trg: Config) -> tuple[APSet, APSet]:
         raise ValueError(f"source {src} is not pumpable and locally bounded")
     if not (in_pumpable_region(rev, trg) and is_locally_bounded(rev, trg)):
         raise ValueError(f"target {trg} is not pumpable and locally bounded in reverse")
-    fwd_reach = _closed_post_star(a, src)
-    bwd_reach = _closed_post_star(rev, trg)
-    fwd = _compress_core(a, set(filter(_pumpable(a), fwd_reach)))
-    bwd = _compress_core(rev, set(filter(_pumpable(rev), bwd_reach)))
+    fwd = _compress_core(a, set(filter(pumpable(a), _closed_post_star(a, src))))
+    bwd = _compress_core(rev, set(filter(pumpable(rev), _closed_post_star(rev, trg))))
     return fwd, bwd
 
 
@@ -226,8 +224,8 @@ def _inductive_escape(a: OCA, aps: APSet) -> tuple[Config, int, Config] | None:
         if not a.is_valid(c):
             raise ValueError(f"core member {c} is not a valid configuration")
     closure = pessimistic_post_star(a, members, locally_bounded=True)
-    pumpable, inside = _pumpable(a), set(members)
-    escapes = (s for s in valid_steps(a, closure) if s[2] not in inside and pumpable(s[2]))
+    in_region, inside = pumpable(a), set(members)
+    escapes = (s for s in valid_steps(a, closure) if s[2] not in inside and in_region(s[2]))
     for escape in sorted(escapes, key=_step_order(a)):
         if is_locally_bounded(a, escape[2]):
             return escape
@@ -286,8 +284,7 @@ def check_ap_domain(a: OCA, p: Progression) -> CheckResult:
     for c in members:
         if not a.is_valid(c):
             return CheckResult(False, "invalid-member", c)
-    cyc = climbing_cycles(a).get(p.state)
-    if cyc is None or members[0].value < cyc.drop:
+    if not pumpable(a)(members[0]):
         return CheckResult(False, "outside-pumpable", members[0])
     loose = next((c for c in members if not is_locally_bounded(a, c)), None)
     if loose is not None:
@@ -305,6 +302,7 @@ def verify_witness(a: OCA, src: Config, trg: Config, w: NonReachabilityWitness) 
     Refutation reasons, in checking order: trivial (equal endpoints),
     domain (endpoint or progression outside its required region), size,
     value-bound, src-membership / trg-membership, inductive, separator.
+    After value-bound, a side of over :data:`MEMBER_CAP` members raises ResourceExceeded.
     """
     _reject_equality_tests(a, "witnesses")
     if src == trg:
@@ -323,6 +321,8 @@ def verify_witness(a: OCA, src: Config, trg: Config, w: NonReachabilityWitness) 
                 return WitnessReport(False, "malformed", (side, p))
             if top > bound and not (p.min_value() == top == pivot.value and p.state == pivot.state):
                 return WitnessReport(False, "value-bound", (side, p))
+    _check_size(w.fwd)
+    _check_size(w.bwd)
     rev = reverse(a)
     for side, aps, machine in (("I", w.fwd, a), ("J", w.bwd, rev)):
         for p in aps.progressions:

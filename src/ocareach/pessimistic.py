@@ -25,7 +25,7 @@ from collections import Counter
 from collections.abc import KeysView
 from dataclasses import dataclass
 
-from .analysis import climbing_cycles
+from .analysis import pumpable
 from .automaton import (
     OCA,
     Config,
@@ -48,11 +48,10 @@ def _closure(a: OCA, roots, locally_bounded: bool) -> PostStarResult:
     ceiling = max((c.value for c in roots), default=0)
     ceiling += (len(a.states) - 1) * a.max_update
     nodes = len(a.states) * (ceiling + 1)
-    cycles = climbing_cycles(a)
+    in_region = pumpable(a)
 
     def admit(c: Config) -> bool:
-        cyc = cycles.get(c.state)
-        if cyc is not None and c.value >= cyc.drop and c not in roots:
+        if in_region(c) and c not in roots:
             return False
         return not locally_bounded or is_locally_bounded(a, c)
 

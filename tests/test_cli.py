@@ -171,6 +171,21 @@ def test_internal_errors_never_read_as_verdicts(
     assert capsys.readouterr().err.startswith(prefix)
 
 
+def test_verify_oversized_witness_exceeds_resources(tmp_path, capsys):
+    # The loop with tests scaled by a million: a witness naming a million
+    # members is refused by its size cap at once, not checked member by
+    # member.
+    scaled = LOOP.replace("!= 5\n", "!= 5000000\n").replace("!= 30\n", "!= 30000000\n")
+    scaled = scaled.replace("!= 15\n", "!= 15000000\n")
+    big = tmp_path / "big.oca"
+    big.write_text(scaled)
+    ev = tmp_path / "wit.ev"
+    ev.write_text("WITNESS\nI q 5 0 0 4999995\nJ q 5 0 5000005 5000005\n")
+    code = main(["verify", str(big), "--src", "q:0", "--trg", "q:5000005", str(ev)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("resource exceeded:")
+
+
 def test_analyze_is_deterministic(loop_file, capsys):
     assert main(["analyze", loop_file]) == 0
     first = capsys.readouterr().out

@@ -209,6 +209,33 @@ def test_oracle_matches_naive_and_reverse():
         checked += 1
 
 
+def test_backward_closure_holds_src_exactly_when_forward_holds_trg():
+    # reach_oracle takes runs from its forward closure only: at one value
+    # cap the backward closure on the reversed automaton holds the same
+    # runs reversed, so it never finds src when the forward one missed trg.
+    rng = random.Random(58)
+    checked = cut_off = 0
+    while checked < 400:
+        a = random_oca(
+            rng,
+            num_states=rng.randint(1, 5),
+            max_update=2,
+            max_guard=6,
+            equality_fraction=0.3,
+        )
+        src = Config(rng.choice(a.states), rng.randint(0, 6))
+        trg = Config(rng.choice(a.states), rng.randint(0, 6))
+        if not (a.is_valid(src) and a.is_valid(trg)):
+            continue
+        cap = _value_cap(a, src.value, trg.value, scale=rng.choice((1, 4)))
+        fwd = post_star(a, [src], 100_000, cap)
+        back = post_star(reverse(a), [trg], 100_000, cap)
+        assert (trg in fwd.configs) == (src in back.configs), (format_oca(a), src, trg, cap)
+        checked += 1
+        cut_off += fwd.cap_hit and trg not in fwd.configs
+    assert cut_off >= 60
+
+
 # --------------------------------------------------------------- bounded
 
 
@@ -273,12 +300,16 @@ def test_bounded_labels_do_not_depend_on_query_order():
             # Bounded closures here stay below 25; unbounded ones pass 100.
             _, hit = naive_post_star(a, c, value_bound=100)
             assert expected[c] == (not hit), f"{text}{c}: naive closure disagrees"
+        expected_local = {c: is_locally_bounded(parse_oca(text), c) for c in configs}
         shuffled = list(configs)
         rng.shuffle(shuffled)
         for order in (configs, configs[::-1], shuffled):
             shared = parse_oca(text)
             got = {c: is_bounded(shared, c) for c in order}
             assert got == expected, text
+            # The component's label table is is_locally_bounded's only cache.
+            got = {c: is_locally_bounded(shared, c) for c in order}
+            assert got == expected_local, text
         automata += 1
         eq_tests += a.has_equality_tests()
     assert eq_tests >= 20
@@ -305,6 +336,47 @@ def test_is_locally_bounded_ignores_other_components():
     assert is_locally_bounded(a, Config("b", 0))
     assert not is_bounded(a, Config("b", 0))
     assert not is_locally_bounded(a, Config("p", 0))
+
+
+def test_is_locally_bounded_matches_naive_closure_of_the_component():
+    # Low values, and values around T: above T a probe on a component
+    # without equality tests meets a pumping configuration within |Q| levels.
+    rng = random.Random(404)
+    compared = high = 0
+    for _ in range(300):
+        a = random_oca(
+            rng,
+            num_states=rng.randint(1, 4),
+            max_update=2,
+            max_guard=6,
+            equality_fraction=0.3,
+        )
+        for q in a.states:
+            sub, _ = restrict(a, scc_of(a)[q])
+            t = sub.max_test + (2 * len(sub.states) + 2) * (sub.max_update + 1)
+            for v in [*range(13), t - 1, t, t + 1, 2 * t]:
+                c = Config(q, v)
+                if not a.is_valid(c):
+                    continue
+                _, hit = naive_post_star(sub, c, value_bound=v + 60)
+                assert is_locally_bounded(a, c) == (not hit), (format_oca(a), c)
+                compared += 1
+                high += v >= t
+    assert compared >= 10_000 and high >= 4000, (compared, high)
+
+
+def test_component_without_climbing_cycle_answers_without_a_probe(monkeypatch, loop3):
+    # Reversed, the loop's one component only descends: no probe is needed
+    # at any value, low ones included.
+    def no_probe(*args, **kwargs):
+        raise AssertionError("boundedness probe on a component without a climbing cycle")
+
+    monkeypatch.setattr(exploration, "post_star", no_probe)
+    rev = reverse(loop3)
+    for v in range(9):
+        c = Config("q", v)
+        if rev.is_valid(c):
+            assert is_locally_bounded(rev, c)
 
 
 def _reaches(a, x, y):

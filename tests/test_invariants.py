@@ -214,6 +214,32 @@ def test_verify_size_and_value_bounds():
     assert got.reason != "value-bound"
 
 
+# The README loop with its tests scaled by a million: a progression of
+# 200,001 members from q:0 passes the size and value-bound checks.
+BIG_LOOP = """states: q r s
+guard q != 5000000
+guard r != 30000000
+guard s != 15000000
+trans q +2 r
+trans r +1 s
+trans s +2 q
+"""
+
+
+def test_oversized_witness_is_refused_before_any_member_work(monkeypatch):
+    def no_member_work(*args):
+        raise AssertionError("member checked before the size cap")
+
+    monkeypatch.setattr(invariants, "is_locally_bounded", no_member_work)
+    a = parse_oca(BIG_LOOP)
+    src, trg = Config("q", 0), Config("q", 5_000_005)
+    fwd = APSet((Progression("q", 0, 5, 0, 1_000_000),))
+    bwd = APSet((Progression("q", 0, 5, 5_000_005, 5_000_005),))
+    assert sum(a.is_valid(c) for c in fwd.members()) == 200_001
+    with pytest.raises(ResourceExceeded):
+        verify_witness(a, src, trg, NonReachabilityWitness(fwd, bwd))
+
+
 def test_verify_malformed_progression():
     a, src, trg = blocked_pair()
     w = synthesize_witness(a, src, trg)
