@@ -151,6 +151,14 @@ class OCA:
         return any(g.kind == "eq" for g in self.guards.values())
 
 
+def require_valid(a: OCA, *configs: Config) -> None:
+    """The one validity gate on caller-supplied configurations: raises
+    ValueError naming the first of ``configs`` that ``a`` rejects."""
+    for c in configs:
+        if not a.is_valid(c):
+            raise ValueError(f"configuration {c} is not valid")
+
+
 def valid_steps(a: OCA, configs: Iterable[Config]) -> Iterator[tuple[Config, int, Config]]:
     """Every valid step ``(c, i, d)`` out of ``configs``: ``c`` in the
     order given, its transitions ``i`` in index order, ``d`` valid."""

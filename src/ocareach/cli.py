@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path as FsPath
 
 from .analysis import structure_report
@@ -138,15 +139,7 @@ def cmd_gen_subset_sum(args: argparse.Namespace) -> int:
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
     try:
-        spec = FuzzSpec(
-            num_states=args.num_states,
-            max_update=args.max_update,
-            max_guard=args.max_guard,
-            guard_density=args.guard_density,
-            equality_fraction=args.equality_fraction,
-            count=args.count,
-            seed=args.seed,
-        )
+        spec = FuzzSpec(**{f.name: getattr(args, f.name) for f in fields(FuzzSpec)})
     except ValueError as exc:
         raise CliError(str(exc)) from None
     report = run_campaign(spec)
@@ -199,13 +192,8 @@ def _parser() -> argparse.ArgumentParser:
     gen.set_defaults(fn=cmd_gen_subset_sum)
 
     fuzz = sub.add_parser("fuzz", help="differential campaign against the oracle")
-    fuzz.add_argument("--seed", type=int, default=0)
-    fuzz.add_argument("--count", type=int, default=100)
-    fuzz.add_argument("--num-states", type=int, default=4)
-    fuzz.add_argument("--max-update", type=int, default=3)
-    fuzz.add_argument("--max-guard", type=int, default=8)
-    fuzz.add_argument("--guard-density", type=float, default=0.5)
-    fuzz.add_argument("--equality-fraction", type=float, default=0.0)
+    for f in fields(FuzzSpec):  # one flag per field, typed by its default
+        fuzz.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=f.default)
     fuzz.add_argument("--emit", help="write the report here")
     fuzz.set_defaults(fn=cmd_fuzz)
 

@@ -3,6 +3,8 @@
 One file holds one piece of evidence and opens with a tag naming its
 kind: RUN, WITNESS, or CERT.  Verification never trusts the tag beyond
 picking the checker; each checker re-derives everything it accepts.
+Nothing here imports the decision procedures; ``decide`` certifies its
+runs through :func:`check_run`, the same RUN check ``verify`` applies.
 """
 
 from __future__ import annotations
@@ -10,9 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .automaton import OCA, Config, Path, ReplayError, apply_path, content_lines, parse_config
-from .invariants import parse_witness, verify_witness
+from .invariants import normalize_endpoints, parse_witness, verify_witness
 from .pessimistic import parse_certificate, verify_pessimistic_certificate
-from .solver import normalize_endpoints
 
 _CHUNK = 40  # path indices per line; keeps long runs diffable
 
@@ -45,6 +46,17 @@ def parse_run(text: str) -> tuple[Config, Config, Path]:
     return src, trg, tuple(path)
 
 
+def check_run(a: OCA, src: Config, trg: Config, run: Path) -> str:
+    """The RUN check: ``""`` when ``run`` replays from ``src`` under valid
+    semantics and ends at ``trg``, else the failing condition,
+    ``replay: ...`` or ``endpoint``."""
+    try:
+        configs = apply_path(a, src, run)
+    except ReplayError as exc:
+        return f"replay: {exc}"
+    return "" if configs[-1] == trg else "endpoint"
+
+
 def evidence_kind(text: str) -> str:
     for _, line in content_lines(text):
         word = line.split()[0]
@@ -75,13 +87,8 @@ def verify_evidence(a: OCA, src: Config, trg: Config, text: str) -> EvidenceRepo
         fsrc, ftrg, run = parse_run(text)
         if (fsrc, ftrg) != (src, trg):
             return EvidenceReport(False, kind, "endpoints")
-        try:
-            configs = apply_path(a, src, run)
-        except ReplayError as exc:
-            return EvidenceReport(False, kind, f"replay: {exc}")
-        if configs[-1] != trg:
-            return EvidenceReport(False, kind, "endpoint")
-        return EvidenceReport(True, kind)
+        failed = check_run(a, src, trg, run)
+        return EvidenceReport(not failed, kind, failed)
     if kind == "WITNESS":
         w, normalized = parse_witness(text)
         if normalized:

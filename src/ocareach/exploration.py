@@ -27,6 +27,7 @@ from .automaton import (
     apply_path,
     path_to,
     per_automaton,
+    require_valid,
     restrict,
     reverse,
     scc_of,
@@ -133,9 +134,7 @@ def reach_oracle(a: OCA, src: Config, trg: Config) -> Path | None:
     was cut off undecided.  The rungs share :data:`NODE_CAP` and grow
     the value cap fourfold each.
     """
-    for c in (src, trg):
-        if not a.is_valid(c):
-            raise ValueError(f"configuration {c} is not valid")
+    require_valid(a, src, trg)
     checked = False
     for k in range(4):
         cap = _value_cap(a, src.value, trg.value, scale=4**k)

@@ -18,6 +18,9 @@ The canonical witness is the pair of perfect cores: configurations
 reachable by locally bounded runs, intersected with the pumpable
 region.  Within each bounded chain those form a suffix, so each chain
 compresses to one arithmetic progression.
+
+The module owns the WITNESS format, and with it the normalization
+gadget its ``normalized yes`` line names (:func:`normalize_endpoints`).
 """
 
 from __future__ import annotations
@@ -28,7 +31,17 @@ from functools import partial
 from typing import Iterator
 
 from .analysis import Chain, chain_of, in_pumpable_region, pumpable
-from .automaton import OCA, Config, InternalError, content_lines, reverse, valid_steps
+from .automaton import (
+    OCA,
+    Config,
+    Guard,
+    InternalError,
+    Transition,
+    content_lines,
+    require_valid,
+    reverse,
+    valid_steps,
+)
 from .exploration import (
     NODE_CAP,
     ResourceExceeded,
@@ -352,6 +365,52 @@ def synthesize_witness(a: OCA, src: Config, trg: Config) -> NonReachabilityWitne
     if verify_witness(a, src, trg, w):
         return w
     return None
+
+
+def _fresh_state(taken: set[str], base: str) -> str:
+    name = base + "'"
+    while name in taken:
+        name += "'"
+    return name
+
+
+def normalize_endpoints(a: OCA, src: Config, trg: Config) -> tuple[OCA, Config, Config]:
+    """Extend ``a`` with fenced endpoint states; reachability is unchanged.
+
+    This is the gadget a WITNESS file's ``normalized yes`` line names:
+    such a witness is stated over this automaton and these endpoints.
+    The new source gets a +1 self-loop and the new target a -1
+    self-loop, each fenced by a disequality test one above the endpoint
+    value.  The fences block the loops at the endpoints themselves, so
+    both new configurations are locally bounded while still owning a
+    climbing cycle, which is exactly what the invariant engine needs.
+    The only way out of the new source is a zero-effect step onto the
+    old one, and the only way into the new target at its own value is a
+    zero-effect step off the old one, so runs correspond one to one.
+    """
+    require_valid(a, src, trg)
+    taken = set(a.states)
+    sp = _fresh_state(taken, src.state)
+    taken.add(sp)
+    tp = _fresh_state(taken, trg.state)
+    transitions = a.transitions + (
+        Transition(sp, 0, src.state),
+        Transition(sp, 1, sp),
+        Transition(trg.state, 0, tp),
+        Transition(tp, -1, tp),
+    )
+    guards = dict(a.guards)
+    guards[sp] = Guard("ne", src.value + 1)
+    guards[tp] = Guard("ne", trg.value + 1)
+    n = OCA(a.states + (sp, tp), transitions, guards)
+    src2 = Config(sp, src.value)
+    trg2 = Config(tp, trg.value)
+    if not (in_pumpable_region(n, src2) and is_locally_bounded(n, src2)):
+        raise InternalError(f"normalized source {src2} is not a fenced pump")
+    rev = reverse(n)
+    if not (in_pumpable_region(rev, trg2) and is_locally_bounded(rev, trg2)):
+        raise InternalError(f"normalized target {trg2} is not a fenced pump")
+    return n, src2, trg2
 
 
 def format_witness(w: NonReachabilityWitness, normalized: bool = False) -> str:

@@ -35,6 +35,7 @@ from .automaton import (
     apply_path,
     content_lines,
     parse_config,
+    require_valid,
 )
 from .exploration import PostStarResult, is_locally_bounded, post_star
 from .flows import Flow, FlowError, check_flow, flow_has_positive_cycle, flow_of_path, path_from_flow
@@ -76,9 +77,7 @@ def decide_pessimistic_reach(a: OCA, src: Config, trg: Config) -> Path | None:
     Exact: pessimistic runs live in a finite slice of the configuration
     space, so no cap cuts it short.  An invalid endpoint raises ValueError.
     """
-    for c in (src, trg):
-        if not a.is_valid(c):
-            raise ValueError(f"configuration {c} is not valid")
+    require_valid(a, src, trg)
     res = _closure(a, [src], locally_bounded=False)
     return res.run_to(trg) if trg in res.parents else None
 

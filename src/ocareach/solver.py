@@ -1,9 +1,10 @@
 """Top-level reachability decisions with self-certifying verdicts.
 
-Glue layer over the structural machinery: endpoint normalization so the
-invariant engine's preconditions always hold, a pumping shortcut when
-both endpoints sit in locally unbounded components, and a finite graph
-wrapper that reduces equality tests to disequality-only queries.
+Glue layer over the structural machinery: a pumping shortcut when both
+endpoints sit in locally unbounded components, the invariant engine on
+normalized endpoints, and a finite graph wrapper that reduces equality
+tests to disequality-only queries.  Every run and witness returned has
+passed the check ``verify`` applies to it.
 """
 
 from __future__ import annotations
@@ -11,24 +12,23 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .analysis import in_pumpable_region
 from .automaton import (
     OCA,
     Config,
-    Guard,
     InternalError,
     Path,
     ReplayError,
-    Transition,
     apply_path,
     path_effect_drop,
     path_to,
+    require_valid,
     restrict,
     reverse,
     scc_of,
     state_search,
     valid_steps,
 )
+from .evidence import check_run
 from .exploration import (
     NODE_CAP,
     ResourceExceeded,
@@ -38,7 +38,7 @@ from .exploration import (
     post_star,
     reach_oracle,
 )
-from .invariants import NonReachabilityWitness, synthesize_witness
+from .invariants import NonReachabilityWitness, normalize_endpoints, synthesize_witness
 
 REACHABLE = "reachable"
 UNREACHABLE = "unreachable"
@@ -64,60 +64,6 @@ class Verdict:
     note: str = ""
 
 
-def _fresh_state(taken: set[str], base: str) -> str:
-    name = base + "'"
-    while name in taken:
-        name += "'"
-    return name
-
-
-def normalize_endpoints(a: OCA, src: Config, trg: Config) -> tuple[OCA, Config, Config]:
-    """Extend ``a`` with fenced endpoint states; reachability is unchanged.
-
-    The new source gets a +1 self-loop and the new target a -1
-    self-loop, each fenced by a disequality test one above the endpoint
-    value.  The fences block the loops at the endpoints themselves, so
-    both new configurations are locally bounded while still owning a
-    climbing cycle, which is exactly what the invariant engine needs.
-    The only way out of the new source is a zero-effect step onto the
-    old one, and the only way into the new target at its own value is a
-    zero-effect step off the old one, so runs correspond one to one.
-    """
-    for c in (src, trg):
-        if not a.is_valid(c):
-            raise ValueError(f"configuration {c} is not valid")
-    taken = set(a.states)
-    sp = _fresh_state(taken, src.state)
-    taken.add(sp)
-    tp = _fresh_state(taken, trg.state)
-    transitions = a.transitions + (
-        Transition(sp, 0, src.state),
-        Transition(sp, 1, sp),
-        Transition(trg.state, 0, tp),
-        Transition(tp, -1, tp),
-    )
-    guards = dict(a.guards)
-    guards[sp] = Guard("ne", src.value + 1)
-    guards[tp] = Guard("ne", trg.value + 1)
-    n = OCA(a.states + (sp, tp), transitions, guards)
-    src2 = Config(sp, src.value)
-    trg2 = Config(tp, trg.value)
-    if not (in_pumpable_region(n, src2) and is_locally_bounded(n, src2)):
-        raise InternalError(f"normalized source {src2} is not a fenced pump")
-    rev = reverse(n)
-    if not (in_pumpable_region(rev, trg2) and is_locally_bounded(rev, trg2)):
-        raise InternalError(f"normalized target {trg2} is not a fenced pump")
-    return n, src2, trg2
-
-
-def _state_path(a: OCA, u: str, v: str) -> Path:
-    """Shortest transition sequence from state ``u`` to state ``v``."""
-    parents = state_search(a, u)
-    if v not in parents:
-        raise ValueError(f"no path from {u} to {v}")
-    return path_to(parents, v)
-
-
 def _pumping_cycle(a: OCA, c: Config) -> tuple[Path, int]:
     """Cycle on ``c.state`` that climbs from ``c`` and from anywhere above.
 
@@ -137,7 +83,7 @@ def _pumping_cycle(a: OCA, c: Config) -> tuple[Path, int]:
         raise ValueError(f"{c} is locally bounded; nothing to pump")
     high = min(above, key=lambda e: (e.value, sub.state_index[e.state]))
     climb = res.run_to(high)
-    cycle = tuple(back[i] for i in climb + _state_path(sub, high.state, c.state))
+    cycle = tuple(back[i] for i in climb + path_to(state_search(sub, high.state), c.state))
     end = _replay(a, c, cycle)
     effect = end.value - c.value
     if end.state != c.state or effect <= a.max_test:
@@ -169,9 +115,7 @@ def lift_candidate_run(a: OCA, c: Config, d: Config, p: Path) -> Path:
     """
     if a.has_equality_tests():
         raise ValueError("lifting needs an automaton with disequality tests only")
-    for e in (c, d):
-        if not a.is_valid(e):
-            raise ValueError(f"configuration {e} is not valid")
+    require_valid(a, c, d)
     if is_locally_bounded(a, c):
         raise ValueError(f"{c} is locally bounded; lifting does not apply")
     rev = reverse(a)
@@ -198,10 +142,10 @@ def _replay(a: OCA, start: Config, path: Path) -> Config:
 
 
 def _certify_run(a: OCA, src: Config, trg: Config, run: Path) -> Verdict:
-    """The one replay every reachable verdict passes before it is returned."""
-    end = _replay(a, src, run)
-    if end != trg:
-        raise InternalError(f"run from {src} ends at {end}, not {trg}")
+    """The RUN check ``verify`` applies, passed by every reachable verdict."""
+    failed = check_run(a, src, trg, run)
+    if failed:
+        raise InternalError(f"run from {src} to {trg} fails its check: {failed}")
     return Verdict(REACHABLE, run=run)
 
 
@@ -217,9 +161,7 @@ def decide_disequality(a: OCA, src: Config, trg: Config) -> Verdict:
     """
     if a.has_equality_tests():
         raise ValueError("decide_disequality needs disequality tests only")
-    for c in (src, trg):
-        if not a.is_valid(c):
-            raise ValueError(f"configuration {c} is not valid")
+    require_valid(a, src, trg)
     if src == trg:
         return Verdict(REACHABLE, run=())
     if not is_locally_bounded(a, src) and not is_locally_bounded(reverse(a), trg):
@@ -268,9 +210,7 @@ def decide_full(a: OCA, src: Config, trg: Config) -> Verdict:
     single steps that bridge into and out of the deleted states.  Depth
     first search then settles the instance.
     """
-    for c in (src, trg):
-        if not a.is_valid(c):
-            raise ValueError(f"configuration {c} is not valid")
+    require_valid(a, src, trg)
     if src == trg:
         return Verdict(REACHABLE, run=())
     eq_states = {q for q, g in a.guards.items() if g.kind == "eq"}
@@ -318,9 +258,7 @@ def decide_full(a: OCA, src: Config, trg: Config) -> Verdict:
                         raise InternalError(f"reachable verdict for {e} -> {x} has no run")
                     return pre + tuple(back[i] for i in got.run) + post
                 refusals.append((e, x, got))
-        if undecided:
-            blocked += 1
-            return None
+        blocked += undecided
         return None
 
     # Depth first search over the pinned-configuration graph, edges

@@ -1,14 +1,17 @@
 """Exercise every subcommand through main() and pin the exit contract."""
 
 import shlex
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import ocareach.cli as cli
+import ocareach.solver as solver
 from ocareach.automaton import InternalError
 from ocareach.cli import main
 from ocareach.exploration import ResourceExceeded
+from ocareach.generators import FuzzSpec
 
 LOOP = (
     "states: q r s\n"
@@ -240,3 +243,33 @@ def test_fuzz_emit_is_deterministic(tmp_path, capsys):
     capsys.readouterr()
     assert one.read_text() == two.read_text()
     assert one.read_text().splitlines()[0] == "CAMPAIGN"
+
+
+def test_fuzz_flags_are_the_spec_fields():
+    parser = cli._parser()
+    defaults = parser.parse_args(["fuzz"])
+    for f in fields(FuzzSpec):
+        assert getattr(defaults, f.name) == f.default, f.name
+    flags = ["--num-states", "--max-update", "--max-guard", "--guard-density"]
+    flags += ["--equality-fraction", "--count", "--seed"]
+    for flag, f in zip(flags, fields(FuzzSpec), strict=True):
+        assert getattr(parser.parse_args(["fuzz", flag, "1"]), f.name) == 1
+
+
+@pytest.mark.parametrize("flag, value", [("--count", "-1"), ("--guard-density", "2")])
+def test_fuzz_rejects_an_invalid_spec(capsys, flag, value):
+    assert main(["fuzz", flag, value]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_decide_reports_the_lift_leg_refusal(tmp_path, monkeypatch, capsys):
+    # Both endpoints locally unbounded, no odd path, and no witness.
+    p = tmp_path / "even.oca"
+    p.write_text("states: q r\ntrans q +2 q\ntrans q +0 r\ntrans r -2 r\n")
+
+    def exhausted(*args):
+        raise ResourceExceeded("forced")
+
+    monkeypatch.setattr(solver, "synthesize_witness", exhausted)
+    assert main(["decide", str(p), "--src", "q:0", "--trg", "r:1"]) == 1
+    assert capsys.readouterr().out == "unreachable: no candidate run over the integers\n"

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import hashlib
+import sys
+from dataclasses import replace
 
 import pytest
 
@@ -179,3 +181,52 @@ def test_evidence_is_stable():
     assert _evidence_digest(fuzz) == (
         "272ef5a9ed73260d4c67ddd73e0bc6214ca9fab69a4c48e73adf836e5d4c806f"
     )
+
+
+# ------------------------------------------------------------ trusted base
+
+_SYNTHESIS = {"perfect_cores", "_closed_post_star", "_compress_core", "synthesize_witness"}
+
+
+def _evidence_corpus(loop3):
+    """``(automaton, src, trg, evidence)`` for the README loop's witness and
+    a run, the n = 8 subset-sum pair, the first 30 mixed fuzz instances
+    with a run or witness, and one descent certificate."""
+    queries = [(loop3, Config("q", 0), Config("q", 10)), (loop3, Config("q", 1), Config("q", 36))]
+    values, targets = _SUBSET_SUM[8]
+    queries += [gen_subset_sum(values, x) for x in targets]
+    queries += [instance for _, instance in instances(replace(_FUZZ_MIXED, count=30))]
+    corpus = []
+    for a, src, trg in queries:
+        verdict = decide_full(a, src, trg)
+        if verdict.run is not None:
+            corpus.append((a, src, trg, format_run(src, trg, verdict.run)))
+        elif verdict.witness is not None:
+            corpus.append((a, src, trg, format_witness(verdict.witness, normalized=True)))
+    a = parse_oca("states: a b\nguard a != 3\ntrans a -2 a\ntrans a +0 b\n")
+    src, trg = Config("a", 6), Config("b", 0)
+    cert = make_certificate(a, src, decide_pessimistic_reach(a, src, trg))
+    corpus.append((a, src, trg, format_certificate(src, trg, cert)))
+    return corpus
+
+
+def test_verify_runs_no_solver_code(loop3):
+    """The checker's trusted base: verifying runs, witnesses and
+    certificates calls nothing in the solver and no witness synthesis."""
+    corpus = _evidence_corpus(loop3)
+    called: set[tuple[str, str]] = set()
+
+    def on_call(frame, event, arg):
+        called.add((frame.f_globals.get("__name__", ""), frame.f_code.co_name))
+
+    previous = sys.gettrace()
+    sys.settrace(on_call)
+    try:
+        reports = [verify_evidence(*item) for item in corpus]
+    finally:
+        sys.settrace(previous)
+    assert all(reports)
+    assert {r.kind for r in reports} == {"RUN", "WITNESS", "CERT"}
+    assert ("ocareach.evidence", "verify_evidence") in called
+    assert not {name for module, name in called if module == "ocareach.solver"}
+    assert not {name for module, name in called if module == "ocareach.invariants"} & _SYNTHESIS

@@ -20,6 +20,7 @@ from ocareach.exploration import (
     reach_oracle,
 )
 from ocareach.invariants import verify_witness
+import ocareach.exploration as exploration
 import ocareach.solver as solver
 from ocareach.solver import (
     REACHABLE,
@@ -375,3 +376,71 @@ def test_decide_full_mixed_fuzz_versus_oracle():
         check_verdict(a, src, trg, v)
         decided += 1
     assert decided > 140
+
+
+# ------------------------------------------- verdict paths no corpus reaches
+
+# An undecided segment query must block a refusal, never become one.  The
+# direct query s:0 -> t:2 is forced undecided; the detour over the pin p:2
+# still decides reachability, and without the pin's exit nothing does.
+PINNED_DETOUR = "states: s m p t\nguard p == 2\ntrans s +1 m\ntrans m +1 t\ntrans s +2 p\n"
+
+
+def _undecided_direct_query(monkeypatch):
+    decide = solver.decide_disequality
+
+    def flaky(a, src, trg):
+        if (src, trg) == (Config("s", 0), Config("t", 2)):
+            raise ResourceExceeded("forced undecided")
+        return decide(a, src, trg)
+
+    monkeypatch.setattr(solver, "decide_disequality", flaky)
+
+
+def test_undecided_segment_goes_through_the_pin(monkeypatch):
+    _undecided_direct_query(monkeypatch)
+    v = decide_full(parse_oca(PINNED_DETOUR + "trans p +0 t\n"), Config("s", 0), Config("t", 2))
+    assert v.kind == REACHABLE and v.run == (2, 3)
+
+
+def test_undecided_segment_is_never_a_refusal(monkeypatch):
+    _undecided_direct_query(monkeypatch)
+    with pytest.raises(ResourceExceeded, match="1 segment queries undecided"):
+        decide_full(parse_oca(PINNED_DETOUR), Config("s", 0), Config("t", 2))
+
+
+# Both endpoints locally unbounded, and every path has an even effect.
+EVEN_STEPS = "states: q r\ntrans q +2 q\ntrans q +0 r\ntrans r -2 r\n"
+
+
+def test_lift_leg_refuses_without_a_witness(monkeypatch):
+    a, src, trg = parse_oca(EVEN_STEPS), Config("q", 0), Config("r", 1)
+    assert decide_full(a, src, trg).witness is not None
+
+    def exhausted(*args):
+        raise ResourceExceeded("forced")
+
+    monkeypatch.setattr(solver, "synthesize_witness", exhausted)
+    v = decide_full(a, src, trg)
+    assert v.kind == UNREACHABLE and v.witness is None
+    assert v.note == "no candidate run over the integers"
+
+
+def test_oracle_needs_its_higher_rungs(monkeypatch):
+    # The shortest run climbs 78 laps of +97 to 7,566 and descends 85 laps
+    # of -89: past the first two rungs' value caps, inside the third's.
+    post_star = exploration.post_star
+    caps = set()
+
+    def spy(a, start, node_cap, value_cap=None, restrict=None, stop_at=None):
+        if stop_at is not None:
+            caps.add(value_cap)
+        return post_star(a, start, node_cap, value_cap, restrict, stop_at)
+
+    monkeypatch.setattr(exploration, "post_star", spy)
+    a = parse_oca("states: s p r\ntrans s +0 p\ntrans p +97 p\ntrans p +0 r\ntrans r -89 r\n")
+    src, trg = Config("s", 0), Config("r", 1)
+    v = decide_full(a, src, trg)
+    assert v.kind == REACHABLE and len(v.run) == 165
+    assert apply_path(a, src, v.run)[-1] == trg
+    assert len(caps) > 1
