@@ -17,7 +17,15 @@ counterexample on every failure.
 The canonical witness is the pair of perfect cores: configurations
 reachable by locally bounded runs, intersected with the pumpable
 region.  Within each bounded chain those form a suffix, so each chain
-compresses to one arithmetic progression.
+compresses to one arithmetic progression.  Synthesis builds each core's
+closure once.  The forward closure follows valid steps only, so a target
+inside it is reachable, and synthesis then stops before the backward
+core: no witness could verify.
+
+Verification builds each side's pessimistic closure once, through
+locally bounded configurations, for the inductive check.  The separator
+needs the unrestricted closure; it is that closure continued from what
+local boundedness alone kept out, which is almost always nothing.
 
 The module owns the WITNESS format, and with it the normalization
 gadget its ``normalized yes`` line names (:func:`normalize_endpoints`).
@@ -25,7 +33,7 @@ gadget its ``normalized yes`` line names (:func:`normalize_endpoints`).
 
 from __future__ import annotations
 
-from collections.abc import KeysView
+from collections.abc import Collection, KeysView
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Iterator
@@ -49,7 +57,7 @@ from .exploration import (
     is_locally_bounded,
     post_star,
 )
-from .pessimistic import pessimistic_post_star
+from .pessimistic import pessimistic_extension, pessimistic_post_star
 
 
 @dataclass(frozen=True)
@@ -214,65 +222,107 @@ def _compress_core(a: OCA, core: set[Config]) -> APSet:
     return APSet(tuple(progressions))
 
 
-def perfect_cores(a: OCA, src: Config, trg: Config) -> tuple[APSet, APSet]:
-    """Smallest possible witness cores, one forward and one backward.
-
-    Requires normalized endpoints: the source pumpable and locally
-    bounded, the target likewise in the reversed automaton.
-    """
+def _endpoints(a: OCA, src: Config, trg: Config) -> OCA:
+    """The reversed automaton, once both endpoints are checked normalized:
+    the source pumpable and locally bounded, the target likewise in the
+    reversed automaton."""
     _reject_equality_tests(a, "perfect cores")
     rev = reverse(a)
     if not (in_pumpable_region(a, src) and is_locally_bounded(a, src)):
         raise ValueError(f"source {src} is not pumpable and locally bounded")
     if not (in_pumpable_region(rev, trg) and is_locally_bounded(rev, trg)):
         raise ValueError(f"target {trg} is not pumpable and locally bounded in reverse")
-    fwd = _compress_core(a, set(filter(pumpable(a), _closed_post_star(a, src))))
-    bwd = _compress_core(rev, set(filter(pumpable(rev), _closed_post_star(rev, trg))))
-    return fwd, bwd
+    return rev
 
 
-def _inductive_escape(a: OCA, aps: APSet) -> tuple[Config, int, Config] | None:
+def _core(a: OCA, root: Config, avoid: Config | None = None) -> APSet | None:
+    """``root``'s perfect core, or None when its closure holds ``avoid``."""
+    closure = _closed_post_star(a, root)
+    if avoid in closure:
+        return None
+    return _compress_core(a, set(filter(pumpable(a), closure)))
+
+
+def perfect_cores(a: OCA, src: Config, trg: Config) -> tuple[APSet, APSet]:
+    """Smallest possible witness cores, one forward and one backward.
+
+    Requires normalized endpoints: the source pumpable and locally
+    bounded, the target likewise in the reversed automaton.
+    """
+    rev = _endpoints(a, src, trg)
+    return _core(a, src), _core(rev, trg)
+
+
+_Step = tuple[Config, int, Config]
+
+
+def _closures(
+    a: OCA, roots: list[Config]
+) -> tuple[KeysView[Config], Collection[Config], list[_Step], set[Config]]:
+    """The pessimistic closures of ``roots``, each built once.
+
+    Returns the closure through locally bounded configurations, what the
+    unrestricted closure adds to it, the inductive escape candidates
+    (steps out of the first into the pumpable region, outside ``roots``)
+    and the induced set (the unrestricted closure plus its one-step
+    boundary).  One pass over the first closure's steps finds the
+    candidates, the boundary and the leaks: what only local boundedness
+    kept out, that is, the locally unbounded roots and the locally
+    unbounded successors outside the region.  The unrestricted closure
+    is the first one plus the leaks' closure; leaks are rare.
+    """
+    bounded = pessimistic_post_star(a, roots, locally_bounded=True)
+    in_region, inside = pumpable(a), set(roots)
+    escapes: list[_Step] = []
+    leaks = [c for c in roots if c not in bounded]
+    induced = set(bounded)
+    for step in valid_steps(a, bounded):
+        d = step[2]
+        if d not in inside and in_region(d):
+            escapes.append(step)
+        elif d not in bounded:
+            leaks.append(d)
+        induced.add(d)
+    more: Collection[Config] = ()
+    if leaks:
+        more = pessimistic_extension(a, roots, leaks, bounded)
+        induced.update(more)
+        induced.update(d for _, _, d in valid_steps(a, more))
+    return bounded, more, escapes, induced
+
+
+def _side(a: OCA, aps: APSet) -> tuple[list[_Step], set[Config]]:
+    """A witness side's inductive escape candidates and induced set."""
     members = _materialize(aps)
     for c in members:
         if not a.is_valid(c):
             raise ValueError(f"core member {c} is not a valid configuration")
-    closure = pessimistic_post_star(a, members, locally_bounded=True)
-    in_region, inside = pumpable(a), set(members)
-    escapes = (s for s in valid_steps(a, closure) if s[2] not in inside and in_region(s[2]))
-    for escape in sorted(escapes, key=_step_order(a)):
-        if is_locally_bounded(a, escape[2]):
-            return escape
-    return None
+    _, _, escapes, induced = _closures(a, members)
+    return escapes, induced
+
+
+def _inductive(a: OCA, w: NonReachabilityWitness) -> tuple[CheckResult, list[set[Config]]]:
+    """:func:`check_inductive`'s result, and the induced sets of the sides
+    it built: forward first, and backward only if forward holds."""
+    induced = []
+    for condition, machine, aps in (("forward", a, w.fwd), ("backward", reverse(a), w.bwd)):
+        escapes, side = _side(machine, aps)
+        for escape in sorted(escapes, key=_step_order(machine)):
+            if is_locally_bounded(machine, escape[2]):
+                return CheckResult(False, condition, escape), induced
+        induced.append(side)
+    return CheckResult(True), induced
 
 
 def check_inductive(a: OCA, w: NonReachabilityWitness) -> CheckResult:
     """Closure property of the cores under locally bounded pessimistic
     exploration plus one step, forward for ``fwd``, reversed for ``bwd``."""
-    escape = _inductive_escape(a, w.fwd)
-    if escape is not None:
-        return CheckResult(False, "forward", escape)
-    escape = _inductive_escape(reverse(a), w.bwd)
-    if escape is not None:
-        return CheckResult(False, "backward", escape)
-    return CheckResult(True)
+    return _inductive(a, w)[0]
 
 
-def _induced_set(a: OCA, aps: APSet) -> set[Config]:
-    """Pessimistic closure of the core plus its one-step boundary."""
-    closure = pessimistic_post_star(a, _materialize(aps))
-    return closure | {d for _, _, d in valid_steps(a, closure)}
-
-
-def check_separator(a: OCA, w: NonReachabilityWitness) -> CheckResult:
-    """No crossing between the induced sets.
-
-    Sep1: no single transition from the forward side to the backward
-    side.  Sep2: no candidate path between a locally unbounded forward
-    member and a backward member locally unbounded in reverse.
-    """
+def _separated(a: OCA, fwd_side: set[Config], bwd_side: set[Config]) -> CheckResult:
+    """:func:`check_separator` on the two induced sets."""
     rev = reverse(a)
-    fwd_side = _induced_set(a, w.fwd)
-    bwd_side = _induced_set(rev, w.bwd)
     crossings = (s for s in valid_steps(a, fwd_side) if s[2] in bwd_side)
     crossing = min(crossings, key=_step_order(a), default=None)
     if crossing is not None:
@@ -286,6 +336,19 @@ def check_separator(a: OCA, w: NonReachabilityWitness) -> CheckResult:
             if path is not None:
                 return CheckResult(False, "Sep2", (c, d, path))
     return CheckResult(True)
+
+
+def check_separator(a: OCA, w: NonReachabilityWitness) -> CheckResult:
+    """No crossing between the induced sets: the pessimistic closures of
+    the cores plus their one-step boundaries.
+
+    Sep1: no single transition from the forward side to the backward
+    side.  Sep2: no candidate path between a locally unbounded forward
+    member and a backward member locally unbounded in reverse.
+    """
+    _, fwd_side = _side(a, w.fwd)
+    _, bwd_side = _side(reverse(a), w.bwd)
+    return _separated(a, fwd_side, bwd_side)
 
 
 def check_ap_domain(a: OCA, p: Progression) -> CheckResult:
@@ -346,10 +409,10 @@ def verify_witness(a: OCA, src: Config, trg: Config, w: NonReachabilityWitness) 
         return WitnessReport(False, "src-membership", src)
     if not w.bwd.contains(trg):
         return WitnessReport(False, "trg-membership", trg)
-    res = check_inductive(a, w)
+    res, induced = _inductive(a, w)
     if not res:
         return WitnessReport(False, "inductive", (res.condition, res.detail))
-    res = check_separator(a, w)
+    res = _separated(a, *induced)
     if not res:
         return WitnessReport(False, "separator", (res.condition, res.detail))
     return WitnessReport(True)
@@ -359,9 +422,16 @@ def synthesize_witness(a: OCA, src: Config, trg: Config) -> NonReachabilityWitne
     """Perfect cores if they verify, else nothing.
 
     With normalized endpoints the outcome is decisive: a witness comes
-    back exactly when the target is unreachable.
+    back exactly when the target is unreachable.  The forward core's
+    closure follows valid steps only, so when it holds the target the
+    target is reachable and no witness can verify: the answer is None at
+    once, before the backward core, compression or verification.
     """
-    w = NonReachabilityWitness(*perfect_cores(a, src, trg))
+    rev = _endpoints(a, src, trg)
+    fwd = _core(a, src, avoid=trg)
+    if fwd is None:
+        return None
+    w = NonReachabilityWitness(fwd, _core(rev, trg))
     if verify_witness(a, src, trg, w):
         return w
     return None

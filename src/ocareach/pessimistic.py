@@ -41,10 +41,12 @@ from .exploration import PostStarResult, is_locally_bounded, post_star
 from .flows import Flow, FlowError, check_flow, flow_has_positive_cycle, flow_of_path, path_from_flow
 
 
-def _closure(a: OCA, roots, locally_bounded: bool) -> PostStarResult:
+def _closure(a: OCA, roots, locally_bounded: bool, start=None, known=None) -> PostStarResult:
     """Pessimistic closure on :func:`post_star`; roots are exempt from the
     pumpable-region restriction but not from local boundedness.  Values
-    stay at or below ``ceiling``, so at most ``|Q|`` configurations each."""
+    stay at or below ``ceiling``, so at most ``|Q|`` configurations each.
+    The search starts from ``start`` (default: the roots) and enters no
+    configuration of ``known``; ceiling and exemption come from the roots."""
     roots = frozenset(roots)
     ceiling = max((c.value for c in roots), default=0)
     ceiling += (len(a.states) - 1) * a.max_update
@@ -56,7 +58,10 @@ def _closure(a: OCA, roots, locally_bounded: bool) -> PostStarResult:
             return False
         return not locally_bounded or is_locally_bounded(a, c)
 
-    res = post_star(a, roots, nodes, ceiling, restrict=admit)
+    if known is not None:
+        pessimistic = admit
+        admit = lambda c: c not in known and pessimistic(c)
+    res = post_star(a, roots if start is None else start, nodes, ceiling, restrict=admit)
     if res.cap_hit:
         raise InternalError(f"pessimistic closure climbed above {ceiling}")
     return res
@@ -69,6 +74,17 @@ def pessimistic_post_star(a: OCA, configs, locally_bounded: bool = False) -> Key
     locally bounded configurations throughout, start included.
     """
     return _closure(a, configs, locally_bounded).configs
+
+
+def pessimistic_extension(a: OCA, configs, start, known) -> KeysView[Config]:
+    """What :func:`pessimistic_post_star` of ``configs`` adds to ``known``.
+
+    ``known`` is a part of that closure holding every root and every
+    configuration one pessimistic step from it, save those in ``start``;
+    the search goes on from ``start`` alone, without entering ``known``,
+    under the ceiling of ``configs``.
+    """
+    return _closure(a, configs, False, start, known).configs
 
 
 def decide_pessimistic_reach(a: OCA, src: Config, trg: Config) -> Path | None:

@@ -154,10 +154,12 @@ def decide_disequality(a: OCA, src: Config, trg: Config) -> Verdict:
 
     Both endpoints locally unbounded (forwards resp. backwards): decided
     at the candidate level and lifted.  Otherwise the endpoints are
-    normalized and the invariant engine either synthesizes a witness or,
-    by failing to, certifies reachability; the exploration oracle then
-    extracts the run.  Each leg is a finite search under its own node
-    cap.  Raises :class:`ResourceExceeded` when a cap ran out undecided.
+    normalized and the invariant engine either synthesizes a witness or
+    certifies reachability: the target lies in the forward core's
+    closure, or the perfect cores fail verification.  The exploration
+    oracle then extracts the run.  Each leg is a finite search under its
+    own node cap.  Raises :class:`ResourceExceeded` when a cap ran out
+    undecided.
     """
     if a.has_equality_tests():
         raise ValueError("decide_disequality needs disequality tests only")
@@ -182,8 +184,9 @@ def decide_disequality(a: OCA, src: Config, trg: Config) -> Verdict:
     w = synthesize_witness(n, s2, t2)
     if w is not None:
         return Verdict(UNREACHABLE, witness=w, certified=(n, s2, t2))
-    # No witness means the perfect cores failed verification, which only
-    # happens on reachable instances; the oracle digs up the run.
+    # No witness means the target is reachable: it lies in the forward
+    # core's closure, or the perfect cores failed verification, which
+    # only happens on reachable instances.  The oracle digs up the run.
     run = reach_oracle(a, src, trg)
     if run is None:
         raise InternalError("witness synthesis and exploration disagree")

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from ocareach import exploration, invariants
-from ocareach.analysis import in_pumpable_region
+from ocareach.analysis import climbing_cycles, in_pumpable_region
 from ocareach.automaton import (
     OCA,
     Config,
@@ -13,6 +13,7 @@ from ocareach.automaton import (
     apply_path,
     parse_oca,
     reverse,
+    valid_steps,
 )
 from ocareach.exploration import ResourceExceeded, is_bounded, is_locally_bounded, reach_oracle
 from ocareach.invariants import (
@@ -33,7 +34,7 @@ from ocareach.solver import decide_full
 
 from ocareach.pessimistic import pessimistic_post_star
 
-from _oracles import naive_first_step, naive_successors, probe_automaton
+from _oracles import naive_first_step, naive_reach, naive_successors, probe_automaton
 from conftest import random_oca
 
 
@@ -404,6 +405,39 @@ def test_witness_pipeline_matches_oracle():
         done += 1
 
 
+def test_synthesis_fails_exactly_on_reachable_targets(monkeypatch):
+    """On normalized endpoints synthesis returns None exactly when a
+    naive closure reaches the target, whether the forward core's closure
+    already holds it or the cores fail verification."""
+    refuted = []
+    verify = invariants.verify_witness
+
+    def counted(*args):
+        report = verify(*args)
+        refuted.append(not report)
+        return report
+
+    monkeypatch.setattr(invariants, "verify_witness", counted)
+    rng = random.Random(71)
+    done = reachable = 0
+    while done < 150:
+        a = random_oca(rng, num_states=rng.randint(1, 4), max_update=3, max_guard=10)
+        src = Config(rng.choice(a.states), rng.randint(0, 5))
+        trg = Config(rng.choice(a.states), rng.randint(0, 8))
+        if not (a.is_valid(src) and a.is_valid(trg)) or src == trg:
+            continue
+        b, s2, t2 = normalize(a, src, trg)
+        expected = naive_reach(b, s2, t2, 80)
+        if expected is None:
+            continue
+        assert (synthesize_witness(b, s2, t2) is None) == expected, (a.transitions, src, trg)
+        reachable += expected
+        done += 1
+    # Reachable targets outside the forward core's closure still go
+    # through the failing check; the others skip it.
+    assert sum(refuted) >= 20 and reachable - sum(refuted) >= 10, (reachable, sum(refuted))
+
+
 def test_no_witness_ever_verifies_reachable():
     rng = random.Random(13)
     done = 0
@@ -532,3 +566,56 @@ def test_refutation_details_match_a_sorted_scan():
             assert res.condition != "Sep1"
 
     assert min(hits.values()) >= 20, hits
+
+
+# ------------------------------------------------------- shared closures
+
+
+def _assert_shared_closures(a, roots):
+    """One side's closures, built once, against the independent ones;
+    True when the unrestricted closure is strictly larger."""
+    bounded, more, escapes, induced = invariants._closures(a, roots)
+    assert bounded == pessimistic_post_star(a, roots, locally_bounded=True)
+    full = pessimistic_post_star(a, roots)
+    assert bounded | set(more) == full
+    assert induced == full | {d for _, _, d in valid_steps(a, full)}
+    region = set(roots)
+    assert escapes == [
+        s for s in valid_steps(a, bounded) if s[2] not in region and in_pumpable_region(a, s[2])
+    ]
+    return len(full) > len(bounded)
+
+
+def test_shared_closures_match_pessimistic_post_star():
+    """Roots drawn mostly at states with a climbing cycle, where local
+    boundedness keeps configurations out of the closure."""
+    rng = random.Random(61)
+    draws = larger = 0
+    while draws < 200:
+        a = random_oca(rng, num_states=rng.randint(2, 5), max_update=3, max_guard=10)
+        for machine in (a, reverse(a)):
+            climbing = sorted(climbing_cycles(machine))
+            if not climbing:
+                continue
+            roots = set()
+            for _ in range(rng.randint(1, 3)):
+                q = rng.choice(climbing if rng.random() < 0.7 else machine.states)
+                c = Config(q, rng.randint(0, 14))
+                if machine.is_valid(c):
+                    roots.add(c)
+            larger += _assert_shared_closures(machine, sorted(roots, key=str))
+            draws += 1
+    assert larger >= 20, larger
+
+
+def test_shared_closures_continue_from_a_successor():
+    """x:10 is locally bounded, and its successor r:10 is not (r's
+    component climbs through q) but sits outside the pumpable region:
+    only the unrestricted closure holds it."""
+    a = parse_oca("states: x r q\ntrans x +0 r\ntrans r -3 q\ntrans q +1 q\ntrans q -3 r\n")
+    root = Config("x", 10)
+    assert is_locally_bounded(a, root)
+    assert not is_locally_bounded(a, Config("r", 10))
+    assert not in_pumpable_region(a, Config("r", 10))
+    assert _assert_shared_closures(a, [root])
+    assert set(invariants._closures(a, [root])[1]) == {Config("r", 10)}

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -19,8 +20,10 @@ from ocareach.exploration import (
     is_locally_bounded,
     reach_oracle,
 )
+from ocareach.generators import gen_subset_sum
 from ocareach.invariants import verify_witness
 import ocareach.exploration as exploration
+import ocareach.invariants as invariants
 import ocareach.solver as solver
 from ocareach.solver import (
     REACHABLE,
@@ -444,3 +447,23 @@ def test_oracle_needs_its_higher_rungs(monkeypatch):
     assert v.kind == REACHABLE and len(v.run) == 165
     assert apply_path(a, src, v.run)[-1] == trg
     assert len(caps) > 1
+
+
+def test_reachable_core_closure_skips_the_witness_check(monkeypatch):
+    """The n = 8 reachable subset-sum target lies in the forward core's
+    closure, so synthesis stops there: no witness is verified, and the
+    oracle, asked once, finds the run."""
+    calls = Counter()
+    for module, name in ((solver, "reach_oracle"), (invariants, "verify_witness")):
+        fn = getattr(module, name)
+
+        def counted(*args, fn=fn, name=name):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    a, src, trg = gen_subset_sum((44, 957, 593, 549, 86, 342, 708, 694), 1980)
+    v = decide_disequality(a, src, trg)
+    assert v.kind == REACHABLE
+    assert apply_path(a, src, v.run)[-1] == trg
+    assert calls == {"reach_oracle": 1}
