@@ -159,18 +159,41 @@ def require_valid(a: OCA, *configs: Config) -> None:
             raise ValueError(f"configuration {c} is not valid")
 
 
+def batch_steps(a: OCA, state: str, values) -> Iterator[tuple[int, str, int, list[int]]]:
+    """Every valid step out of ``state`` at each of ``values`` (distinct
+    valid values, a list or any collection), one batch per transition:
+    ``(i, dst, update, targets)`` with transitions ``i`` in index order
+    and ``targets`` the values reached at ``dst`` that pass its test,
+    in the order of ``values``.  Each transition reads the test at
+    ``dst`` from :attr:`OCA.step_table` once, whatever the batch size.
+    Scans over a whole configuration set group it by state and step
+    through here; :func:`ocareach.exploration.post_star` inlines the
+    same rule per level."""
+    out, blocked, pinned = a.step_table
+    for i, dst, update in out[state]:
+        pin = pinned.get(dst)
+        if pin is not None:
+            targets = [pin] if pin - update in values else []
+        else:
+            if update >= 0:
+                targets = [v + update for v in values]
+            else:
+                targets = [w for v in values if (w := v + update) >= 0]
+            avoid = blocked[dst]
+            if avoid >= 0 and avoid in targets:
+                targets.remove(avoid)
+        yield i, dst, update, targets
+
+
 def valid_steps(a: OCA, configs: Iterable[Config]) -> Iterator[tuple[Config, int, Config]]:
     """Every valid step ``(c, i, d)`` out of ``configs``: ``c`` in the
-    order given, its transitions ``i`` in index order, ``d`` valid."""
-    out, blocked, pinned = a.step_table
-    new = tuple.__new__  # skips the named tuple's Python-level __new__
+    order given, its transitions ``i`` in index order, ``d`` valid.  One
+    configuration at a time, for short scans; it is a view of
+    :func:`batch_steps`, which whole-set scans call directly."""
     for c in configs:
-        state, value = c
-        for i, dst, update in out[state]:
-            v = value + update
-            if v < 0 or v == blocked[dst] or (pinned and pinned.get(dst, v) != v):
-                continue
-            yield c, i, new(Config, (dst, v))
+        for i, dst, _, targets in batch_steps(a, c.state, (c.value,)):
+            for w in targets:
+                yield c, i, Config(dst, w)
 
 
 def per_automaton(fn):

@@ -1,8 +1,9 @@
 """Brute-force semantics: bounded exploration and exact candidate reachability.
 
 Everything here is explicit-state.  :func:`post_star` runs a capped
-breadth-first closure and keeps a parent map so witnesses can be read
-back; :func:`reach_oracle` layers escalating value caps on top of it
+breadth-first closure, batched by state, and keeps only each
+configuration's level; runs are read back from the levels on demand.
+:func:`reach_oracle` layers escalating value caps on top of it
 and never answers unless the answer is certain; it is the only search
 that escalates.
 :func:`candidate_reach` decides reachability under integer semantics
@@ -13,9 +14,10 @@ walks into a simple path plus attached simple cycles.
 from __future__ import annotations
 
 import heapq
+import weakref
 from collections import Counter, deque
 from collections.abc import KeysView
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd
 
 from .analysis import climbing_cycles, definitely_unbounded
@@ -25,14 +27,13 @@ from .automaton import (
     InternalError,
     Path,
     apply_path,
-    path_to,
+    batch_steps,
     per_automaton,
     require_valid,
     restrict,
     reverse,
     scc_of,
     state_search,
-    valid_steps,
 )
 from .flows import Flow, path_from_flow
 
@@ -53,45 +54,77 @@ def _value_cap(a: OCA, *values: int, scale: int = 1) -> int:
 
 @dataclass
 class PostStarResult:
-    """``parents`` maps each configuration found to the step first reaching
-    it (None at a start); ``configs`` is a view of its keys, not a copy."""
+    """A closure: ``depth`` maps each configuration found to its
+    breadth-first level, 0 at a start; ``configs`` is a view of its keys,
+    not a copy.  No run is stored: :meth:`run_to` reads one back on
+    demand through the automaton."""
 
-    parents: dict[Config, tuple[Config, int] | None]
+    automaton: OCA = field(repr=False)
+    depth: dict[Config, int]
     cap_hit: bool
 
     @property
     def configs(self) -> KeysView[Config]:
-        return self.parents.keys()
+        return self.depth.keys()
 
     def run_to(self, c: Config) -> Path:
-        """Transition indices of a shortest discovered run ending at ``c``."""
-        if c not in self.parents:
+        """Transition indices of a shortest discovered run ending at ``c``.
+
+        Read back one level at a time through the reversed automaton's
+        step table: the step into the current configuration is the least,
+        by (source state index, source value, transition index), of those
+        from a configuration one level up.  That is the step a search
+        scanning each level in that order meets first, so runs do not
+        depend on the order the closure was built in.
+        """
+        depth = self.depth
+        if c not in depth:
             raise KeyError(f"{c} was not discovered")
-        return path_to(self.parents, c)
+        a = self.automaton
+        into, order = reverse(a).step_table[0], a.state_index
+        rev: list[int] = []
+        for level in range(depth[c] - 1, -1, -1):
+            best = min(
+                (order[src], c.value + back, i)
+                for i, src, back in into[c.state]
+                if depth.get((src, c.value + back)) == level
+            )
+            c = Config(a.states[best[0]], best[1])
+            rev.append(best[2])
+        return tuple(reversed(rev))
 
 
 def post_star(a, start, node_cap, value_cap=None, restrict=None, stop_at=None) -> PostStarResult:
     """Forward closure of ``start`` under valid steps, capped.
 
     ``restrict`` filters which configurations may be traversed at all,
-    start configurations included.  ``cap_hit`` is set when ``value_cap``
-    cut anything off; only then may the result be a strict subset of the
-    true closure.  By default ``value_cap`` cannot bind: it sits
-    ``node_cap * max_update`` above the highest start.  Exceeding
+    start configurations included; it is asked before the value cap.
+    ``cap_hit`` is set when ``value_cap`` cut anything off; only then may
+    the result be a strict subset of the true closure.  By default
+    ``value_cap`` cannot bind: it sits ``node_cap * max_update`` above
+    the highest start.  Finding a configuration beyond the first
     ``node_cap`` raises :class:`ResourceExceeded` instead of returning
-    something wrong.
-    ``stop_at`` ends the search early once that configuration is found
-    (the level in progress is finished first, keeping runs shortest).
+    something wrong.  ``stop_at`` ends the search early once that
+    configuration is found (the level in progress is finished first,
+    keeping runs shortest).
+
+    Breadth first, one level at a time, with the frontier batched by
+    state: each transition out of a state steps that state's whole batch
+    of values, reading the test at its destination from
+    :attr:`ocareach.automaton.OCA.step_table` once.  An ``==`` test lets
+    through one value, so its batch is the one source value that can
+    reach it, if that is in the frontier.  Nothing is sorted and no
+    parent is stored: each configuration keeps only its level, and
+    :meth:`PostStarResult.run_to` reads runs back from the levels.
     """
-    order, is_valid = a.state_index, a.is_valid
-    roots = sorted(set(start), key=lambda c: (order[c.state], c.value))
+    roots = dict.fromkeys(start)
     for c in roots:
-        if not is_valid(c):
+        if not a.is_valid(c):
             raise ValueError(f"start configuration {c} is not valid")
     if value_cap is None:
         value_cap = max((c.value for c in roots), default=0) + node_cap * a.max_update + 1
-    parents: dict[Config, tuple[Config, int] | None] = {}
-    frontier: list[Config] = []
+    depth: dict[Config, int] = {}
+    frontier: dict[str, list[int]] = {}
     cap_hit = False
     for c in roots:
         if restrict is not None and not restrict(c):
@@ -99,27 +132,46 @@ def post_star(a, start, node_cap, value_cap=None, restrict=None, stop_at=None) -
         if c.value > value_cap:
             cap_hit = True
             continue
-        parents[c] = None
-        frontier.append(c)
+        depth[c] = 0
+        frontier.setdefault(c.state, []).append(c.value)
+    out, blocked, pinned = a.step_table
+    new = tuple.__new__  # skips the named tuple's Python-level __new__
+    level = 0
     while frontier:
-        if stop_at is not None and stop_at in parents:
+        if stop_at is not None and stop_at in depth:
             break
-        nxt: list[Config] = []
-        for c, i, d in valid_steps(a, frontier):
-            if d in parents:
-                continue
-            if restrict is not None and not restrict(d):
-                continue
-            if d.value > value_cap:
-                cap_hit = True
-                continue
-            if len(parents) >= node_cap:
-                raise ResourceExceeded(f"post_star exceeded {node_cap} configurations")
-            parents[d] = (c, i)
-            nxt.append(d)
-        nxt.sort(key=lambda c: (order[c.state], c.value))
+        nxt: dict[str, list[int]] = {}
+        for state, values in frontier.items():
+            for _, dst, update in out[state]:
+                pin = pinned.get(dst)
+                if pin is None:
+                    batch = values
+                elif depth.get((state, pin - update)) == level:
+                    batch = (pin - update,)
+                else:
+                    continue
+                avoid = blocked[dst]
+                found = nxt.get(dst)
+                for v in batch:
+                    w = v + update
+                    if w < 0 or w == avoid or (dst, w) in depth:
+                        continue
+                    d = new(Config, (dst, w))
+                    if restrict is not None and not restrict(d):
+                        continue
+                    if w > value_cap:
+                        cap_hit = True
+                        continue
+                    if len(depth) >= node_cap:
+                        raise ResourceExceeded(f"post_star exceeded {node_cap} configurations")
+                    depth[d] = level + 1
+                    if found is None:
+                        found = nxt[dst] = [w]
+                    else:
+                        found.append(w)
         frontier = nxt
-    return PostStarResult(parents, cap_hit)
+        level += 1
+    return PostStarResult(a, depth, cap_hit)
 
 
 def reach_oracle(a: OCA, src: Config, trg: Config) -> Path | None:
@@ -216,7 +268,6 @@ def is_bounded(a: OCA, c: Config) -> bool:
     return True
 
 
-@per_automaton
 def _component(a: OCA, q: str) -> OCA | None:
     """q's strongly connected component as a sub-automaton, or None when
     it has no climbing cycle, hence no positive cycle: no run in it then
@@ -225,12 +276,40 @@ def _component(a: OCA, q: str) -> OCA | None:
     return sub if climbing_cycles(sub) else None
 
 
+@per_automaton
+def locally_bounded(a: OCA):
+    """:func:`is_bounded` inside each configuration's strongly connected
+    component, as a predicate on valid configurations of ``a``.
+
+    True, unprobed, on a component without a climbing cycle; else the
+    component's label table answers, and a probe of the component fills
+    it on a miss.  Its per-state table of components fills on first use
+    of each state.  The predicate sits in ``a``'s memo, so it reaches
+    ``a`` only through a weak reference, to fill that table.
+    """
+    owner = weakref.ref(a)
+    table: dict[str, tuple[OCA, dict[Config, bool]] | None] = {}
+
+    def bounded(c: Config) -> bool:
+        try:
+            entry = table[c.state]
+        except KeyError:
+            sub = _component(owner(), c.state)
+            entry = table[c.state] = None if sub is None else (sub, _labels(sub))
+        if entry is None:
+            return True
+        sub, labels = entry
+        known = labels.get(c)
+        return is_bounded(sub, c) if known is None else known
+
+    return bounded
+
+
 def is_locally_bounded(a: OCA, c: Config) -> bool:
     """is_bounded inside c's strongly connected component, for a valid
-    ``c``: True, unprobed, without a climbing cycle there; else the
-    component's label table, this function's only cache, holds it."""
-    sub = _component(a, c.state)
-    return sub is None or is_bounded(sub, c)
+    ``c``: :func:`locally_bounded` of ``a`` asked once.  The component's
+    label table is the only cache of the answer."""
+    return locally_bounded(a)(c)
 
 
 # ------------------------------------------------------ candidate semantics

@@ -35,8 +35,7 @@ from __future__ import annotations
 
 from collections.abc import Collection, KeysView
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .analysis import Chain, chain_of, in_pumpable_region, pumpable
 from .automaton import (
@@ -45,6 +44,7 @@ from .automaton import (
     Guard,
     InternalError,
     Transition,
+    batch_steps,
     content_lines,
     require_valid,
     reverse,
@@ -55,6 +55,7 @@ from .exploration import (
     ResourceExceeded,
     candidate_reach,
     is_locally_bounded,
+    locally_bounded,
     post_star,
 )
 from .pessimistic import pessimistic_extension, pessimistic_post_star
@@ -180,7 +181,7 @@ def _closed_post_star(a: OCA, root: Config) -> KeysView[Config]:
     the components' DAG.  Exceeding :data:`NODE_CAP` raises
     ResourceExceeded.
     """
-    return post_star(a, [root], NODE_CAP, restrict=partial(is_locally_bounded, a)).configs
+    return post_star(a, [root], NODE_CAP, restrict=locally_bounded(a)).configs
 
 
 def _compress_core(a: OCA, core: set[Config]) -> APSet:
@@ -256,6 +257,17 @@ def perfect_cores(a: OCA, src: Config, trg: Config) -> tuple[APSet, APSet]:
 _Step = tuple[Config, int, Config]
 
 
+def _by_state(configs: Iterable[Config]) -> dict[str, list[int]]:
+    """The values of ``configs`` grouped by state, for :func:`batch_steps`."""
+    groups: dict[str, list[int]] = {}
+    for state, value in configs:
+        try:
+            groups[state].append(value)
+        except KeyError:
+            groups[state] = [value]
+    return groups
+
+
 def _closures(
     a: OCA, roots: list[Config]
 ) -> tuple[KeysView[Config], Collection[Config], list[_Step], set[Config]]:
@@ -265,24 +277,28 @@ def _closures(
     unrestricted closure adds to it, the inductive escape candidates
     (steps out of the first into the pumpable region, outside ``roots``)
     and the induced set (the unrestricted closure plus its one-step
-    boundary).  One pass over the first closure's steps finds the
-    candidates, the boundary and the leaks: what only local boundedness
-    kept out, that is, the locally unbounded roots and the locally
-    unbounded successors outside the region.  The unrestricted closure
-    is the first one plus the leaks' closure; leaks are rare.
+    boundary).  One pass over the first closure's steps, batched by
+    state, finds the candidates, the boundary and the leaks: what only
+    local boundedness kept out, that is, the locally unbounded roots and
+    the locally unbounded successors outside the region.  The
+    unrestricted closure is the first one plus the leaks' closure; leaks
+    are rare.
     """
     bounded = pessimistic_post_star(a, roots, locally_bounded=True)
     in_region, inside = pumpable(a), set(roots)
     escapes: list[_Step] = []
     leaks = [c for c in roots if c not in bounded]
     induced = set(bounded)
-    for step in valid_steps(a, bounded):
-        d = step[2]
-        if d not in inside and in_region(d):
-            escapes.append(step)
-        elif d not in bounded:
-            leaks.append(d)
-        induced.add(d)
+    new = tuple.__new__
+    for state, values in _by_state(bounded).items():
+        for i, dst, update, targets in batch_steps(a, state, values):
+            for w in targets:
+                d = new(Config, (dst, w))
+                if d not in inside and in_region(d):
+                    escapes.append((Config(state, w - update), i, d))
+                elif d not in bounded:
+                    leaks.append(d)
+                induced.add(d)
     more: Collection[Config] = ()
     if leaks:
         more = pessimistic_extension(a, roots, leaks, bounded)
@@ -323,13 +339,24 @@ def check_inductive(a: OCA, w: NonReachabilityWitness) -> CheckResult:
 def _separated(a: OCA, fwd_side: set[Config], bwd_side: set[Config]) -> CheckResult:
     """:func:`check_separator` on the two induced sets."""
     rev = reverse(a)
-    crossings = (s for s in valid_steps(a, fwd_side) if s[2] in bwd_side)
-    crossing = min(crossings, key=_step_order(a), default=None)
+    order = a.state_index
+    crossing = min(
+        (
+            (order[state], w - update, i, dst, w)
+            for state, values in _by_state(fwd_side).items()
+            for i, dst, update, targets in batch_steps(a, state, values)
+            for w in targets
+            if (dst, w) in bwd_side
+        ),
+        default=None,
+    )
     if crossing is not None:
-        return CheckResult(False, "Sep1", crossing)
-    order = lambda c: (a.state_index[c.state], c.value)
-    loose_fwd = sorted((c for c in fwd_side if not is_locally_bounded(a, c)), key=order)
-    loose_bwd = sorted((d for d in bwd_side if not is_locally_bounded(rev, d)), key=order)
+        rank, v, i, dst, w = crossing
+        return CheckResult(False, "Sep1", (Config(a.states[rank], v), i, Config(dst, w)))
+    by_order = lambda c: (order[c.state], c.value)
+    fwd_bounded, bwd_bounded = locally_bounded(a), locally_bounded(rev)
+    loose_fwd = sorted((c for c in fwd_side if not fwd_bounded(c)), key=by_order)
+    loose_bwd = sorted((d for d in bwd_side if not bwd_bounded(d)), key=by_order)
     for c in loose_fwd:
         for d in loose_bwd:
             path = candidate_reach(a, c, d)

@@ -37,7 +37,8 @@ from .automaton import (
     parse_config,
     require_valid,
 )
-from .exploration import PostStarResult, is_locally_bounded, post_star
+from .exploration import PostStarResult, post_star
+from .exploration import locally_bounded as locally_bounded_in
 from .flows import Flow, FlowError, check_flow, flow_has_positive_cycle, flow_of_path, path_from_flow
 
 
@@ -52,11 +53,12 @@ def _closure(a: OCA, roots, locally_bounded: bool, start=None, known=None) -> Po
     ceiling += (len(a.states) - 1) * a.max_update
     nodes = len(a.states) * (ceiling + 1)
     in_region = pumpable(a)
+    stay = locally_bounded_in(a) if locally_bounded else None
 
     def admit(c: Config) -> bool:
         if in_region(c) and c not in roots:
             return False
-        return not locally_bounded or is_locally_bounded(a, c)
+        return stay is None or stay(c)
 
     if known is not None:
         pessimistic = admit
@@ -95,7 +97,7 @@ def decide_pessimistic_reach(a: OCA, src: Config, trg: Config) -> Path | None:
     """
     require_valid(a, src, trg)
     res = _closure(a, [src], locally_bounded=False)
-    return res.run_to(trg) if trg in res.parents else None
+    return res.run_to(trg) if trg in res.configs else None
 
 
 # ------------------------------------------------------------- certificates

@@ -48,6 +48,53 @@ def naive_post_star(a: OCA, start: Config, value_bound: int, node_bound: int = 5
     return seen, hit
 
 
+def sorted_bfs(a: OCA, start, value_cap: int, restrict=None, stop_at=None):
+    """The closure a level-sorted breadth-first search finds.
+
+    Each level is scanned in (state index, value) order, each
+    configuration's transitions in index order, and the first step to
+    reach a configuration is its parent.  ``restrict`` filters every
+    configuration, starts included, before the value cap; ``stop_at``
+    ends the search after the level that found it.  Returns (parents,
+    cap_hit), parents mapping each configuration to ``(previous,
+    index)``, None at a start.
+    """
+    key = lambda c: (a.states.index(c.state), c.value)
+    parents: dict[Config, tuple[Config, int] | None] = {}
+    hit = False
+    level = []
+    for c in sorted(set(start), key=key):
+        if restrict is not None and not restrict(c):
+            continue
+        if c.value > value_cap:
+            hit = True
+            continue
+        parents[c] = None
+        level.append(c)
+    while level and (stop_at is None or stop_at not in parents):
+        found = []
+        for c in level:
+            for d, i in naive_successors(a, c):
+                if d in parents or (restrict is not None and not restrict(d)):
+                    continue
+                if d.value > value_cap:
+                    hit = True
+                    continue
+                parents[d] = (c, i)
+                found.append(d)
+        level = sorted(found, key=key)
+    return parents, hit
+
+
+def parent_run(parents, c: Config) -> Path:
+    """Transition indices from a start to ``c`` through ``parents``."""
+    steps: list[int] = []
+    while parents[c] is not None:
+        c, i = parents[c]
+        steps.append(i)
+    return tuple(reversed(steps))
+
+
 def naive_reach(a: OCA, src: Config, trg: Config, value_bound: int):
     """True / False / None (None: inconclusive at this ceiling)."""
     if not a.is_valid(src) or not a.is_valid(trg):

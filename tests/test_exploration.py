@@ -20,6 +20,7 @@ from ocareach.exploration import (
     candidate_reach,
     is_bounded,
     is_locally_bounded,
+    locally_bounded,
     post_star,
     reach_oracle,
     _candidate_tables,
@@ -30,8 +31,8 @@ from ocareach.exploration import (
 from ocareach.generators import FuzzSpec, gen_subset_sum, instances
 from ocareach.solver import decide_full
 
-from _oracles import naive_post_star, naive_reach, naive_z_reach
-from conftest import random_oca
+from _oracles import naive_post_star, naive_reach, naive_z_reach, parent_run, sorted_bfs
+from conftest import FIG_LOOP, random_oca
 
 BIG = {"node_cap": 200_000, "value_cap": 10_000}
 
@@ -101,6 +102,84 @@ def test_post_star_stop_at_short_circuits():
     assert Config("q", 5) in res.configs
     assert res.run_to(Config("q", 5)) == (0,) * 5
     assert Config("q", 7) not in res.configs
+
+
+def test_post_star_matches_a_sorted_bfs():
+    """Configurations, cap_hit and the run to every configuration agree
+    with a search that sorts each level and keeps the first parent found,
+    across equality tests, restrictions, binding value caps and stop_at."""
+    rng = random.Random(2024)
+    seen = dict.fromkeys(("automata", "eq", "restrict", "cap_hit", "stopped"), 0)
+    while seen["automata"] < 320:
+        a = random_oca(
+            rng,
+            num_states=rng.randint(1, 5),
+            max_update=3,
+            max_guard=10,
+            equality_fraction=0.3,
+        )
+        pool = [Config(q, v) for q in a.states for v in range(8) if a.is_valid(Config(q, v))]
+        if not pool:
+            continue
+        start = rng.sample(pool, rng.randint(1, min(3, len(pool))))
+        value_cap = rng.randint(0, 40)
+        restrict = None
+        if rng.random() < 0.4:
+            # A ceiling below the value cap keeps the cap from being hit.
+            salt, top = rng.randint(1, 6), value_cap + rng.randint(-8, 4)
+            order = a.state_index
+            restrict = lambda c: c.value <= top and (c.value + salt * order[c.state]) % 7 != 3
+        stop_at = None
+        if rng.random() < 0.4:
+            # Mostly a configuration the search finds, sometimes any valid one.
+            full, _ = sorted_bfs(a, start, value_cap, restrict)
+            stop_at = rng.choice(sorted(full) if full and rng.random() < 0.8 else pool)
+        parents, hit = sorted_bfs(a, start, value_cap, restrict, stop_at)
+        res = post_star(a, start, 10_000, value_cap, restrict=restrict, stop_at=stop_at)
+        assert set(res.configs) == set(parents), format_oca(a)
+        assert res.cap_hit == hit, format_oca(a)
+        for c in parents:
+            assert res.run_to(c) == parent_run(parents, c), (format_oca(a), c)
+        seen["automata"] += 1
+        seen["eq"] += a.has_equality_tests()
+        seen["restrict"] += restrict is not None
+        seen["cap_hit"] += hit
+        seen["stopped"] += stop_at in parents
+    assert min(seen.values()) >= 40, seen
+
+
+def test_post_star_node_cap_is_exact():
+    # From q:0 the closure is q:0..5 and r:0..5, twelve configurations.
+    a = parse_oca("states: q r\nguard q != 6\ntrans q +1 q\ntrans q +0 r\n")
+    assert len(post_star(a, [Config("q", 0)], 12).configs) == 12
+    with pytest.raises(ResourceExceeded):
+        post_star(a, [Config("q", 0)], 11)
+
+
+def test_post_star_lets_restrict_exceptions_through():
+    a = parse_oca("states: q\ntrans q +1 q\n")
+
+    def admit(c):
+        if c.value == 3:
+            raise exploration._Unbounded
+        return True
+
+    for start in (Config("q", 0), Config("q", 3)):
+        with pytest.raises(exploration._Unbounded):
+            post_star(a, [start], 100, restrict=admit)
+    # is_bounded ends its probe through the same exception.
+    assert not is_bounded(a, Config("q", 0))
+
+
+def test_locally_bounded_predicate_holds_its_automaton_weakly():
+    a = parse_oca(FIG_LOOP)
+    bounded = locally_bounded(a)
+    assert bounded is locally_bounded(a)
+    assert bounded(Config("q", 0)) and not bounded(Config("q", 6))
+    owner = weakref.ref(a)
+    del a
+    assert owner() is None
+    assert bounded(Config("q", 0))  # its table already holds q's component
 
 
 # ------------------------------------------------------------- reach_oracle
