@@ -140,15 +140,17 @@ def climbing_cycles(a: OCA) -> dict[str, CanonicalCycle]:
 
 
 @per_automaton
-def pumpable(a: OCA):
-    """The pumpable region on valid configurations, as a predicate."""
-    drops = {q: cyc.drop for q, cyc in climbing_cycles(a).items()}
-    return lambda c: c.state in drops and c.value >= drops[c.state]
+def pumpable_drops(a: OCA) -> dict[str, int]:
+    """The pumpable region, per state: each pumpable state's canonical
+    cycle's drop, the least value of the state in the region.  Closures
+    and scans read it once per state, not once per configuration."""
+    return {q: cyc.drop for q, cyc in climbing_cycles(a).items()}
 
 
 def in_pumpable_region(a: OCA, c: Config) -> bool:
-    """:func:`pumpable` for any configuration: it must also be valid."""
-    return pumpable(a)(c) and a.is_valid(c)
+    """Is ``c`` valid and at or above its state's :func:`pumpable_drops`?"""
+    drop = pumpable_drops(a).get(c.state)
+    return drop is not None and c.value >= drop and a.is_valid(c)
 
 
 class _ChainContext:
@@ -282,10 +284,12 @@ def sure_unbounded_thresholds(a: OCA) -> dict[str, int]:
     would invalidate every high pass-through), which keeps the bound
     sound: at or above the threshold, the canonical cycle of the
     test-free restriction clears every remaining disequality, so its
-    orbit never stops.
+    orbit never stops.  Without equality tests that restriction is
+    ``a`` itself, and its cycle analysis is ``a``'s own.
     """
-    ne_states = frozenset(q for q in a.states if a.guards[q].kind != "eq")
-    sub, _ = restrict(a, ne_states)
+    sub = a
+    if a.has_equality_tests():
+        sub, _ = restrict(a, frozenset(q for q in a.states if a.guards[q].kind != "eq"))
     out: dict[str, int] = {}
     for q in climbing_cycles(sub):
         ctx = _chain_context(sub, q)

@@ -1,8 +1,12 @@
 """Brute-force semantics: bounded exploration and exact candidate reachability.
 
 Everything here is explicit-state.  :func:`post_star` runs a capped
-breadth-first closure, batched by state, and keeps only each
-configuration's level; runs are read back from the levels on demand.
+breadth-first closure, batched by state, and keeps one table per state
+from value to breadth-first level; runs are read back from the levels
+on demand.  Closures are restricted per state too: a restriction names,
+for each state, either nothing (every valid value is admitted) or a
+predicate on values.  Local boundedness (:func:`locally_bounded`) and
+the boundedness labels behind it take the same per-state form.
 :func:`reach_oracle` layers escalating value caps on top of it
 and never answers unless the answer is certain; it is the only search
 that escalates.
@@ -16,18 +20,17 @@ from __future__ import annotations
 import heapq
 import weakref
 from collections import Counter, deque
-from collections.abc import KeysView
+from collections.abc import Iterator, Set
 from dataclasses import dataclass, field
 from math import gcd
 
-from .analysis import climbing_cycles, definitely_unbounded
+from .analysis import climbing_cycles, sure_unbounded_thresholds
 from .automaton import (
     OCA,
     Config,
     InternalError,
     Path,
     apply_path,
-    batch_steps,
     per_automaton,
     require_valid,
     restrict,
@@ -52,20 +55,61 @@ def _value_cap(a: OCA, *values: int, scale: int = 1) -> int:
     return base * scale
 
 
+class Configs(Set):
+    """A read-only set of configurations over per-state value tables:
+    ``levels[state]`` holds the values found at ``state`` as keys.
+    Membership takes a :class:`~ocareach.automaton.Config` or a plain
+    ``(state, value)`` tuple; iteration yields configurations, state by
+    state.  It is a view: nothing is copied."""
+
+    __slots__ = ("levels",)
+
+    def __init__(self, levels: dict[str, dict[int, int]]):
+        self.levels = levels
+
+    @classmethod
+    def _from_iterable(cls, it) -> set:
+        return set(it)
+
+    def __contains__(self, c) -> bool:
+        try:
+            state, value = c
+        except (TypeError, ValueError):
+            return False
+        table = self.levels.get(state)
+        return table is not None and value in table
+
+    def __iter__(self) -> Iterator[Config]:
+        new = tuple.__new__
+        for state, table in self.levels.items():
+            for value in table:
+                yield new(Config, (state, value))
+
+    def __len__(self) -> int:
+        return sum(map(len, self.levels.values()))
+
+    def __repr__(self) -> str:
+        return f"Configs({set(self)!r})"
+
+
 @dataclass
 class PostStarResult:
-    """A closure: ``depth`` maps each configuration found to its
-    breadth-first level, 0 at a start; ``configs`` is a view of its keys,
-    not a copy.  No run is stored: :meth:`run_to` reads one back on
-    demand through the automaton."""
+    """A closure: ``levels`` maps each state to a table from each value
+    found there to its breadth-first level, 0 at a start; ``configs`` is
+    a set view over those tables, not a copy.  No run is stored:
+    :meth:`run_to` reads one back on demand through the automaton."""
 
     automaton: OCA = field(repr=False)
-    depth: dict[Config, int]
+    levels: dict[str, dict[int, int]]
     cap_hit: bool
 
     @property
-    def configs(self) -> KeysView[Config]:
-        return self.depth.keys()
+    def configs(self) -> Configs:
+        return Configs(self.levels)
+
+    def __contains__(self, c: Config) -> bool:
+        table = self.levels.get(c[0])
+        return table is not None and c[1] in table
 
     def run_to(self, c: Config) -> Path:
         """Transition indices of a shortest discovered run ending at ``c``.
@@ -77,20 +121,20 @@ class PostStarResult:
         scanning each level in that order meets first, so runs do not
         depend on the order the closure was built in.
         """
-        depth = self.depth
-        if c not in depth:
+        if c not in self:
             raise KeyError(f"{c} was not discovered")
-        a = self.automaton
+        a, levels = self.automaton, self.levels
         into, order = reverse(a).step_table[0], a.state_index
+        state, value = c
         rev: list[int] = []
-        for level in range(depth[c] - 1, -1, -1):
-            best = min(
-                (order[src], c.value + back, i)
-                for i, src, back in into[c.state]
-                if depth.get((src, c.value + back)) == level
+        for level in range(levels[state][value] - 1, -1, -1):
+            rank, value, i = min(
+                (order[src], value + back, i)
+                for i, src, back in into[state]
+                if src in levels and levels[src].get(value + back) == level
             )
-            c = Config(a.states[best[0]], best[1])
-            rev.append(best[2])
+            state = a.states[rank]
+            rev.append(i)
         return tuple(reversed(rev))
 
 
@@ -98,7 +142,9 @@ def post_star(a, start, node_cap, value_cap=None, restrict=None, stop_at=None) -
     """Forward closure of ``start`` under valid steps, capped.
 
     ``restrict`` filters which configurations may be traversed at all,
-    start configurations included; it is asked before the value cap.
+    start configurations included.  It is asked per state:
+    ``restrict(state)`` is None when every valid value at ``state`` is
+    admitted, else a predicate on values, asked before the value cap.
     ``cap_hit`` is set when ``value_cap`` cut anything off; only then may
     the result be a strict subset of the true closure.  By default
     ``value_cap`` cannot bind: it sits ``node_cap * max_update`` above
@@ -111,11 +157,14 @@ def post_star(a, start, node_cap, value_cap=None, restrict=None, stop_at=None) -
     Breadth first, one level at a time, with the frontier batched by
     state: each transition out of a state steps that state's whole batch
     of values, reading the test at its destination from
-    :attr:`ocareach.automaton.OCA.step_table` once.  An ``==`` test lets
-    through one value, so its batch is the one source value that can
-    reach it, if that is in the frontier.  Nothing is sorted and no
-    parent is stored: each configuration keeps only its level, and
-    :meth:`PostStarResult.run_to` reads runs back from the levels.
+    :attr:`ocareach.automaton.OCA.step_table` once per level, and the
+    destination's restriction at most once, when a new value needs it.
+    An ``==`` test lets through one value, so its batch is the one
+    source value that can reach it, if that is in the frontier.  Visited
+    values go in one table per state, keyed by plain ints: no
+    configuration is built, and nothing is sorted.  Each value keeps
+    only its level, and :meth:`PostStarResult.run_to` reads runs back
+    from the levels.
     """
     roots = dict.fromkeys(start)
     for c in roots:
@@ -123,55 +172,66 @@ def post_star(a, start, node_cap, value_cap=None, restrict=None, stop_at=None) -
             raise ValueError(f"start configuration {c} is not valid")
     if value_cap is None:
         value_cap = max((c.value for c in roots), default=0) + node_cap * a.max_update + 1
-    depth: dict[Config, int] = {}
+    levels: dict[str, dict[int, int]] = {}
     frontier: dict[str, list[int]] = {}
     cap_hit = False
-    for c in roots:
-        if restrict is not None and not restrict(c):
+    size = 0
+    for state, value in roots:
+        keep = None if restrict is None else restrict(state)
+        if keep is not None and not keep(value):
             continue
-        if c.value > value_cap:
+        if value > value_cap:
             cap_hit = True
             continue
-        depth[c] = 0
-        frontier.setdefault(c.state, []).append(c.value)
+        levels.setdefault(state, {})[value] = 0
+        frontier.setdefault(state, []).append(value)
+        size += 1
     out, blocked, pinned = a.step_table
-    new = tuple.__new__  # skips the named tuple's Python-level __new__
+    none: dict[int, int] = {}  # stands in for a state's table until a value is found there
+    unasked = object()  # the restriction is looked up at the first new value that needs it
     level = 0
     while frontier:
-        if stop_at is not None and stop_at in depth:
+        if stop_at is not None and stop_at[1] in levels.get(stop_at[0], ()):
             break
         nxt: dict[str, list[int]] = {}
         for state, values in frontier.items():
+            here = levels[state]
             for _, dst, update in out[state]:
                 pin = pinned.get(dst)
                 if pin is None:
                     batch = values
-                elif depth.get((state, pin - update)) == level:
+                elif here.get(pin - update) == level:
                     batch = (pin - update,)
                 else:
                     continue
                 avoid = blocked[dst]
+                seen = levels.get(dst, none)
+                keep = unasked
                 found = nxt.get(dst)
                 for v in batch:
                     w = v + update
-                    if w < 0 or w == avoid or (dst, w) in depth:
+                    if w < 0 or w == avoid or w in seen:
                         continue
-                    d = new(Config, (dst, w))
-                    if restrict is not None and not restrict(d):
+                    if keep is unasked:
+                        keep = None if restrict is None else restrict(dst)
+                    if keep is not None and not keep(w):
                         continue
                     if w > value_cap:
                         cap_hit = True
                         continue
-                    if len(depth) >= node_cap:
+                    if size >= node_cap:
                         raise ResourceExceeded(f"post_star exceeded {node_cap} configurations")
-                    depth[d] = level + 1
+                    size += 1
                     if found is None:
+                        if seen is none:
+                            seen = levels[dst] = {}
                         found = nxt[dst] = [w]
                     else:
                         found.append(w)
+                    seen[w] = level + 1
         frontier = nxt
         level += 1
-    return PostStarResult(a, depth, cap_hit)
+    return PostStarResult(a, levels, cap_hit)
 
 
 def reach_oracle(a: OCA, src: Config, trg: Config) -> Path | None:
@@ -194,7 +254,7 @@ def reach_oracle(a: OCA, src: Config, trg: Config) -> Path | None:
             res = post_star(a, [src], NODE_CAP, cap, stop_at=trg)
         except ResourceExceeded:
             break
-        if trg in res.configs:
+        if trg in res:
             return res.run_to(trg)
         if not res.cap_hit:
             return None
@@ -216,8 +276,9 @@ def reach_oracle(a: OCA, src: Config, trg: Config) -> Path | None:
 
 
 @per_automaton
-def _labels(a: OCA) -> dict[Config, bool]:
-    """Boundedness labels of ``a``'s configurations, see :func:`is_bounded`."""
+def _labels(a: OCA) -> dict[str, dict[int, bool]]:
+    """Boundedness labels of ``a``'s configurations, one value table per
+    state, see :func:`is_bounded`."""
     return {}
 
 
@@ -238,34 +299,58 @@ def is_bounded(a: OCA, c: Config) -> bool:
     Only the node cap of 2,000,000 stops it early, raising
     :class:`ResourceExceeded`.
 
-    Verdicts go into one label table per automaton, in its memo.  A
-    closed probe labels every configuration it saw bounded: each one's
-    closure lies inside the closed one.  Later probes stop at labels:
-    one labeled bounded is neither expanded nor counted against the
-    node cap, as it adds finitely many configurations; reaching one
-    labeled unbounded makes the probe's root unbounded.  Labels are
-    exact, so the order of queries changes only the work.  Without
-    equality tests, strongly connected and climbing, a probe above every
-    test plus ``(2|Q|+2)*(max_update+1)`` stops within |Q| levels.
+    Verdicts go into one label table per automaton, in its memo, that
+    maps each state to a table from value to verdict.  A closed probe
+    labels every configuration it saw bounded: each one's closure lies
+    inside the closed one.  Later probes stop at labels: one labeled
+    bounded is neither expanded nor counted against the node cap, as it
+    adds finitely many configurations; reaching one labeled unbounded
+    makes the probe's root unbounded.  The probe's restriction is read
+    per state from that state's labels and its
+    :func:`ocareach.analysis.sure_unbounded_thresholds` threshold; a
+    state with neither admits every value unasked.  Labels are exact, so
+    the order of queries changes only the work.  Without equality tests,
+    strongly connected and climbing, a probe above every test plus
+    ``(2|Q|+2)*(max_update+1)`` stops within |Q| levels.
     """
     labels = _labels(a)
-    known = labels.get(c)
+    known = labels.get(c.state, {}).get(c.value)
     if known is not None:
         return known
+    thresholds = sure_unbounded_thresholds(a)
+    admits: dict[str, object] = {}
 
-    def admit(d: Config) -> bool:
-        label = labels.get(d)
-        if label is False or (label is None and definitely_unbounded(a, d)):
-            raise _Unbounded
-        return label is None
+    def admit(state: str):
+        try:
+            return admits[state]
+        except KeyError:
+            pass
+        at, top = labels.get(state), thresholds.get(state)
+        keep = admits[state] = None if not at and top is None else _admit(at or {}, top)
+        return keep
 
     try:
         res = post_star(a, [c], 2_000_000, restrict=admit)
     except _Unbounded:
-        labels[c] = False
+        labels.setdefault(c.state, {})[c.value] = False
         return False
-    labels.update(dict.fromkeys(res.configs, True))
+    for state, table in res.levels.items():
+        labels.setdefault(state, {}).update(dict.fromkeys(table, True))
     return True
+
+
+def _admit(labels: dict[int, bool], top: int | None):
+    """:func:`is_bounded`'s probe restriction at one state: values
+    labeled bounded are not expanded, and one labeled unbounded, or
+    unlabeled at or above the threshold ``top``, ends the probe."""
+
+    def keep(v: int) -> bool:
+        label = labels.get(v)
+        if label is False or (label is None and top is not None and v >= top):
+            raise _Unbounded
+        return label is None
+
+    return keep
 
 
 def _component(a: OCA, q: str) -> OCA | None:
@@ -278,29 +363,40 @@ def _component(a: OCA, q: str) -> OCA | None:
 
 @per_automaton
 def locally_bounded(a: OCA):
-    """:func:`is_bounded` inside each configuration's strongly connected
-    component, as a predicate on valid configurations of ``a``.
+    """:func:`is_bounded` inside each state's strongly connected
+    component, as a per-state restriction for :func:`post_star`.
 
-    True, unprobed, on a component without a climbing cycle; else the
-    component's label table answers, and a probe of the component fills
-    it on a miss.  Its per-state table of components fills on first use
-    of each state.  The predicate sits in ``a``'s memo, so it reaches
-    ``a`` only through a weak reference, to fill that table.
+    ``locally_bounded(a)(q)`` is None, every valid value at ``q`` being
+    locally bounded unprobed, when q's component has no climbing cycle;
+    else a predicate on q's valid values, which the component's label
+    table for q answers, a probe of the component filling it on a miss.
+    The per-state table of answers fills on first use of each state.
+    The restriction sits in ``a``'s memo, so it reaches ``a`` only
+    through a weak reference, to fill that table.
     """
     owner = weakref.ref(a)
-    table: dict[str, tuple[OCA, dict[Config, bool]] | None] = {}
+    table: dict[str, object] = {}
 
-    def bounded(c: Config) -> bool:
+    def at(state: str):
         try:
-            entry = table[c.state]
+            return table[state]
         except KeyError:
-            sub = _component(owner(), c.state)
-            entry = table[c.state] = None if sub is None else (sub, _labels(sub))
-        if entry is None:
-            return True
-        sub, labels = entry
-        known = labels.get(c)
-        return is_bounded(sub, c) if known is None else known
+            pass
+        sub = _component(owner(), state)
+        keep = table[state] = None if sub is None else _bounded_at(sub, state)
+        return keep
+
+    return at
+
+
+def _bounded_at(sub: OCA, state: str):
+    """:func:`is_bounded` in ``sub`` on the values at ``state``, read from
+    its label table for ``state`` first."""
+    labels = _labels(sub).setdefault(state, {})
+
+    def bounded(v: int) -> bool:
+        known = labels.get(v)
+        return is_bounded(sub, Config(state, v)) if known is None else known
 
     return bounded
 
@@ -309,7 +405,8 @@ def is_locally_bounded(a: OCA, c: Config) -> bool:
     """is_bounded inside c's strongly connected component, for a valid
     ``c``: :func:`locally_bounded` of ``a`` asked once.  The component's
     label table is the only cache of the answer."""
-    return locally_bounded(a)(c)
+    keep = locally_bounded(a)(c.state)
+    return keep is None or keep(c.value)
 
 
 # ------------------------------------------------------ candidate semantics

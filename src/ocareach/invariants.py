@@ -25,7 +25,11 @@ core: no witness could verify.
 Verification builds each side's pessimistic closure once, through
 locally bounded configurations, for the inductive check.  The separator
 needs the unrestricted closure; it is that closure continued from what
-local boundedness alone kept out, which is almost always nothing.
+local boundedness alone kept out, which is almost always nothing.  The
+checks read the closures' per-state value tables directly and keep the
+induced sets as the values at each state, so a state that is neither
+pumpable nor in a climbing component costs a table lookup, not a
+question per configuration.
 
 The module owns the WITNESS format, and with it the normalization
 gadget its ``normalized yes`` line names (:func:`normalize_endpoints`).
@@ -33,11 +37,10 @@ gadget its ``normalized yes`` line names (:func:`normalize_endpoints`).
 
 from __future__ import annotations
 
-from collections.abc import Collection, KeysView
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterator
 
-from .analysis import Chain, chain_of, in_pumpable_region, pumpable
+from .analysis import Chain, chain_of, in_pumpable_region, pumpable_drops
 from .automaton import (
     OCA,
     Config,
@@ -48,10 +51,11 @@ from .automaton import (
     content_lines,
     require_valid,
     reverse,
-    valid_steps,
 )
 from .exploration import (
     NODE_CAP,
+    Configs,
+    PostStarResult,
     ResourceExceeded,
     candidate_reach,
     is_locally_bounded,
@@ -172,7 +176,7 @@ def _step_order(a: OCA):
     return lambda step: (order[step[0].state], step[0].value, step[1])
 
 
-def _closed_post_star(a: OCA, root: Config) -> KeysView[Config]:
+def _closed_post_star(a: OCA, root: Config) -> PostStarResult:
     """Full forward closure of ``root`` through locally bounded
     configurations, in one search.
 
@@ -181,7 +185,7 @@ def _closed_post_star(a: OCA, root: Config) -> KeysView[Config]:
     the components' DAG.  Exceeding :data:`NODE_CAP` raises
     ResourceExceeded.
     """
-    return post_star(a, [root], NODE_CAP, restrict=locally_bounded(a)).configs
+    return post_star(a, [root], NODE_CAP, restrict=locally_bounded(a))
 
 
 def _compress_core(a: OCA, core: set[Config]) -> APSet:
@@ -239,9 +243,19 @@ def _endpoints(a: OCA, src: Config, trg: Config) -> OCA:
 def _core(a: OCA, root: Config, avoid: Config | None = None) -> APSet | None:
     """``root``'s perfect core, or None when its closure holds ``avoid``."""
     closure = _closed_post_star(a, root)
-    if avoid in closure:
+    if avoid is not None and avoid in closure:
         return None
-    return _compress_core(a, set(filter(pumpable(a), closure)))
+    drops = pumpable_drops(a)
+    return _compress_core(
+        a,
+        {
+            Config(state, v)
+            for state, table in closure.levels.items()
+            if state in drops
+            for v in table
+            if v >= drops[state]
+        },
+    )
 
 
 def perfect_cores(a: OCA, src: Config, trg: Config) -> tuple[APSet, APSet]:
@@ -255,59 +269,65 @@ def perfect_cores(a: OCA, src: Config, trg: Config) -> tuple[APSet, APSet]:
 
 
 _Step = tuple[Config, int, Config]
+_Values = dict[str, set[int]]  # a configuration set as the values at each state
 
 
-def _by_state(configs: Iterable[Config]) -> dict[str, list[int]]:
-    """The values of ``configs`` grouped by state, for :func:`batch_steps`."""
-    groups: dict[str, list[int]] = {}
-    for state, value in configs:
-        try:
-            groups[state].append(value)
-        except KeyError:
-            groups[state] = [value]
-    return groups
-
-
-def _closures(
-    a: OCA, roots: list[Config]
-) -> tuple[KeysView[Config], Collection[Config], list[_Step], set[Config]]:
+def _closures(a: OCA, roots: list[Config]) -> tuple[Configs, Configs, list[_Step], _Values]:
     """The pessimistic closures of ``roots``, each built once.
 
     Returns the closure through locally bounded configurations, what the
     unrestricted closure adds to it, the inductive escape candidates
     (steps out of the first into the pumpable region, outside ``roots``)
     and the induced set (the unrestricted closure plus its one-step
-    boundary).  One pass over the first closure's steps, batched by
-    state, finds the candidates, the boundary and the leaks: what only
-    local boundedness kept out, that is, the locally unbounded roots and
-    the locally unbounded successors outside the region.  The
-    unrestricted closure is the first one plus the leaks' closure; leaks
-    are rare.
+    boundary) as the values at each state.  One pass over the first
+    closure's value tables, batched by state, finds the candidates, the
+    boundary and the leaks: what only local boundedness kept out, that
+    is, the locally unbounded roots and the locally unbounded successors
+    outside the region.  The unrestricted closure is the first one plus
+    the leaks' closure; leaks are rare.
     """
     bounded = pessimistic_post_star(a, roots, locally_bounded=True)
-    in_region, inside = pumpable(a), set(roots)
+    drops = pumpable_drops(a)
+    inside: _Values = {}
+    for state, value in roots:
+        inside.setdefault(state, set()).add(value)
     escapes: list[_Step] = []
     leaks = [c for c in roots if c not in bounded]
-    induced = set(bounded)
-    new = tuple.__new__
-    for state, values in _by_state(bounded).items():
-        for i, dst, update, targets in batch_steps(a, state, values):
-            for w in targets:
-                d = new(Config, (dst, w))
-                if d not in inside and in_region(d):
-                    escapes.append((Config(state, w - update), i, d))
-                elif d not in bounded:
-                    leaks.append(d)
-                induced.add(d)
-    more: Collection[Config] = ()
+    tables = bounded.levels
+    induced: _Values = {state: set(table) for state, table in tables.items()}
+    for state, table in tables.items():
+        for i, dst, update, targets in batch_steps(a, state, table):
+            if not targets:
+                continue
+            drop, seen = drops.get(dst), tables.get(dst, {})
+            if drop is None:
+                leaks += [Config(dst, w) for w in targets if w not in seen]
+            else:
+                free = inside.get(dst, ())
+                for w in targets:
+                    if w >= drop and w not in free:
+                        escapes.append((Config(state, w - update), i, Config(dst, w)))
+                    elif w not in seen:
+                        leaks.append(Config(dst, w))
+            _add(induced, dst, targets)
+    more = Configs({})
     if leaks:
         more = pessimistic_extension(a, roots, leaks, bounded)
-        induced.update(more)
-        induced.update(d for _, _, d in valid_steps(a, more))
+        for state, table in more.levels.items():
+            _add(induced, state, table)
+            for _, dst, _, targets in batch_steps(a, state, table):
+                _add(induced, dst, targets)
     return bounded, more, escapes, induced
 
 
-def _side(a: OCA, aps: APSet) -> tuple[list[_Step], set[Config]]:
+def _add(values: _Values, state: str, new) -> None:
+    if state in values:
+        values[state].update(new)
+    elif new:
+        values[state] = set(new)
+
+
+def _side(a: OCA, aps: APSet) -> tuple[list[_Step], _Values]:
     """A witness side's inductive escape candidates and induced set."""
     members = _materialize(aps)
     for c in members:
@@ -317,7 +337,7 @@ def _side(a: OCA, aps: APSet) -> tuple[list[_Step], set[Config]]:
     return escapes, induced
 
 
-def _inductive(a: OCA, w: NonReachabilityWitness) -> tuple[CheckResult, list[set[Config]]]:
+def _inductive(a: OCA, w: NonReachabilityWitness) -> tuple[CheckResult, list[_Values]]:
     """:func:`check_inductive`'s result, and the induced sets of the sides
     it built: forward first, and backward only if forward holds."""
     induced = []
@@ -336,33 +356,42 @@ def check_inductive(a: OCA, w: NonReachabilityWitness) -> CheckResult:
     return _inductive(a, w)[0]
 
 
-def _separated(a: OCA, fwd_side: set[Config], bwd_side: set[Config]) -> CheckResult:
+def _separated(a: OCA, fwd_side: _Values, bwd_side: _Values) -> CheckResult:
     """:func:`check_separator` on the two induced sets."""
-    rev = reverse(a)
     order = a.state_index
-    crossing = min(
-        (
-            (order[state], w - update, i, dst, w)
-            for state, values in _by_state(fwd_side).items()
-            for i, dst, update, targets in batch_steps(a, state, values)
-            for w in targets
-            if (dst, w) in bwd_side
-        ),
-        default=None,
-    )
+    crossing = None
+    for state, values in fwd_side.items():
+        for i, dst, update, targets in batch_steps(a, state, values):
+            other = bwd_side.get(dst)
+            if other is None:
+                continue
+            for w in targets:
+                if w in other:
+                    step = (order[state], w - update, i, dst, w)
+                    if crossing is None or step < crossing:
+                        crossing = step
     if crossing is not None:
         rank, v, i, dst, w = crossing
         return CheckResult(False, "Sep1", (Config(a.states[rank], v), i, Config(dst, w)))
-    by_order = lambda c: (order[c.state], c.value)
-    fwd_bounded, bwd_bounded = locally_bounded(a), locally_bounded(rev)
-    loose_fwd = sorted((c for c in fwd_side if not fwd_bounded(c)), key=by_order)
-    loose_bwd = sorted((d for d in bwd_side if not bwd_bounded(d)), key=by_order)
+    loose_fwd, loose_bwd = _loose(a, fwd_side), _loose(reverse(a), bwd_side)
     for c in loose_fwd:
         for d in loose_bwd:
             path = candidate_reach(a, c, d)
             if path is not None:
                 return CheckResult(False, "Sep2", (c, d, path))
     return CheckResult(True)
+
+
+def _loose(a: OCA, side: _Values) -> list[Config]:
+    """The locally unbounded members of ``side``, by (state index, value).
+    A state whose component has no climbing cycle is skipped unasked."""
+    at = locally_bounded(a)
+    loose = []
+    for state in sorted(side, key=a.state_index.__getitem__):
+        keep = at(state)
+        if keep is not None:
+            loose.extend(Config(state, v) for v in sorted(side[state]) if not keep(v))
+    return loose
 
 
 def check_separator(a: OCA, w: NonReachabilityWitness) -> CheckResult:
@@ -387,7 +416,7 @@ def check_ap_domain(a: OCA, p: Progression) -> CheckResult:
     for c in members:
         if not a.is_valid(c):
             return CheckResult(False, "invalid-member", c)
-    if not pumpable(a)(members[0]):
+    if not in_pumpable_region(a, members[0]):
         return CheckResult(False, "outside-pumpable", members[0])
     loose = next((c for c in members if not is_locally_bounded(a, c)), None)
     if loose is not None:

@@ -22,10 +22,9 @@ replaying it, so "verified" always comes with a concrete witness.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import KeysView
 from dataclasses import dataclass
 
-from .analysis import pumpable
+from .analysis import pumpable_drops
 from .automaton import (
     OCA,
     Config,
@@ -37,7 +36,7 @@ from .automaton import (
     parse_config,
     require_valid,
 )
-from .exploration import PostStarResult, post_star
+from .exploration import Configs, PostStarResult, post_star
 from .exploration import locally_bounded as locally_bounded_in
 from .flows import Flow, FlowError, check_flow, flow_has_positive_cycle, flow_of_path, path_from_flow
 
@@ -47,29 +46,59 @@ def _closure(a: OCA, roots, locally_bounded: bool, start=None, known=None) -> Po
     pumpable-region restriction but not from local boundedness.  Values
     stay at or below ``ceiling``, so at most ``|Q|`` configurations each.
     The search starts from ``start`` (default: the roots) and enters no
-    configuration of ``known``; ceiling and exemption come from the roots."""
+    configuration of ``known``; ceiling and exemption come from the roots.
+
+    The restriction is built once per state.  It is None, admitting every
+    value unasked, at a state that is not pumpable, holds nothing of
+    ``known`` and, for ``locally_bounded``, lies in a component without
+    a climbing cycle.  Elsewhere it asks per value: outside ``known``,
+    below the state's drop or a root's own value, and locally bounded."""
     roots = frozenset(roots)
     ceiling = max((c.value for c in roots), default=0)
     ceiling += (len(a.states) - 1) * a.max_update
     nodes = len(a.states) * (ceiling + 1)
-    in_region = pumpable(a)
+    drops = pumpable_drops(a)
     stay = locally_bounded_in(a) if locally_bounded else None
+    exempt: dict[str, set[int]] = {}
+    for state, value in roots:
+        exempt.setdefault(state, set()).add(value)
+    seen = {} if known is None else known.levels
+    admits: dict[str, object] = {}
 
-    def admit(c: Config) -> bool:
-        if in_region(c) and c not in roots:
-            return False
-        return stay is None or stay(c)
+    def admit(state: str):
+        try:
+            return admits[state]
+        except KeyError:
+            pass
+        keep = None if stay is None else stay(state)
+        if state in drops:
+            keep = _pessimistic_at(drops[state], exempt.get(state, ()), keep)
+        if state in seen:
+            keep = _outside(seen[state], keep)
+        admits[state] = keep
+        return keep
 
-    if known is not None:
-        pessimistic = admit
-        admit = lambda c: c not in known and pessimistic(c)
     res = post_star(a, roots if start is None else start, nodes, ceiling, restrict=admit)
     if res.cap_hit:
         raise InternalError(f"pessimistic closure climbed above {ceiling}")
     return res
 
 
-def pessimistic_post_star(a: OCA, configs, locally_bounded: bool = False) -> KeysView[Config]:
+def _pessimistic_at(drop: int, free, then):
+    """Values below ``drop`` or in ``free``, and admitted by ``then``."""
+    if then is None:
+        return lambda v: v < drop or v in free
+    return lambda v: (v < drop or v in free) and then(v)
+
+
+def _outside(old, then):
+    """Values not in ``old``, and admitted by ``then``."""
+    if then is None:
+        return lambda v: v not in old
+    return lambda v: v not in old and then(v)
+
+
+def pessimistic_post_star(a: OCA, configs, locally_bounded: bool = False) -> Configs:
     """All configurations reachable by pessimistic runs from ``configs``.
 
     With ``locally_bounded`` the runs must additionally stay inside
@@ -78,7 +107,7 @@ def pessimistic_post_star(a: OCA, configs, locally_bounded: bool = False) -> Key
     return _closure(a, configs, locally_bounded).configs
 
 
-def pessimistic_extension(a: OCA, configs, start, known) -> KeysView[Config]:
+def pessimistic_extension(a: OCA, configs, start, known: Configs) -> Configs:
     """What :func:`pessimistic_post_star` of ``configs`` adds to ``known``.
 
     ``known`` is a part of that closure holding every root and every
@@ -97,7 +126,7 @@ def decide_pessimistic_reach(a: OCA, src: Config, trg: Config) -> Path | None:
     """
     require_valid(a, src, trg)
     res = _closure(a, [src], locally_bounded=False)
-    return res.run_to(trg) if trg in res.configs else None
+    return res.run_to(trg) if trg in res else None
 
 
 # ------------------------------------------------------------- certificates

@@ -54,17 +54,23 @@ def sorted_bfs(a: OCA, start, value_cap: int, restrict=None, stop_at=None):
     Each level is scanned in (state index, value) order, each
     configuration's transitions in index order, and the first step to
     reach a configuration is its parent.  ``restrict`` filters every
-    configuration, starts included, before the value cap; ``stop_at``
-    ends the search after the level that found it.  Returns (parents,
-    cap_hit), parents mapping each configuration to ``(previous,
-    index)``, None at a start.
+    configuration, starts included, before the value cap: a state's
+    ``restrict(state)`` is None when it admits every value, else a
+    predicate on values.  ``stop_at`` ends the search after the level
+    that found it.  Returns (parents, cap_hit), parents mapping each
+    configuration to ``(previous, index)``, None at a start.
     """
     key = lambda c: (a.states.index(c.state), c.value)
     parents: dict[Config, tuple[Config, int] | None] = {}
     hit = False
     level = []
+
+    def refused(c: Config) -> bool:
+        keep = None if restrict is None else restrict(c.state)
+        return keep is not None and not keep(c.value)
+
     for c in sorted(set(start), key=key):
-        if restrict is not None and not restrict(c):
+        if refused(c):
             continue
         if c.value > value_cap:
             hit = True
@@ -75,7 +81,7 @@ def sorted_bfs(a: OCA, start, value_cap: int, restrict=None, stop_at=None):
         found = []
         for c in level:
             for d, i in naive_successors(a, c):
-                if d in parents or (restrict is not None and not restrict(d)):
+                if d in parents or refused(d):
                     continue
                 if d.value > value_cap:
                     hit = True

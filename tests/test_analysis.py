@@ -1,5 +1,6 @@
 import random
 
+from ocareach import analysis
 from ocareach.analysis import (
     CanonicalCycle,
     Chain,
@@ -12,10 +13,10 @@ from ocareach.analysis import (
     structure_report,
     sure_unbounded_thresholds,
 )
-from ocareach.automaton import Config, parse_oca
+from ocareach.automaton import Config, parse_oca, restrict
 
 from _oracles import naive_chain_partition, naive_climbing_cycle
-from conftest import random_oca
+from conftest import FIG_LOOP, random_oca
 
 # ------------------------------------------------------- canonical cycles
 
@@ -226,6 +227,24 @@ def test_sure_unbounded_thresholds_loop3(loop3):
     assert definitely_unbounded(loop3, Config("q", 29))
     assert not definitely_unbounded(loop3, Config("q", 28))
     assert not definitely_unbounded(loop3, Config("q", 13))
+
+
+def test_sure_unbounded_thresholds_reuse_an_equality_free_automaton(monkeypatch):
+    """Without equality tests the restriction to the other states is the
+    automaton itself: no copy is built, and its cycles are analyzed once."""
+    a = parse_oca(FIG_LOOP)
+    seen = []
+    real = analysis.climbing_cycles
+
+    def recorded(b):
+        seen.append(b)
+        return real(b)
+
+    monkeypatch.setattr(analysis, "climbing_cycles", recorded)
+    assert sure_unbounded_thresholds(a) == {"q": 29, "r": 31, "s": 27}
+    assert restrict.__wrapped__ not in a.memo
+    assert seen and all(b is a for b in seen)
+    assert real.__wrapped__ in a.memo
 
 
 def test_sure_unbounded_skips_equality_cycles():

@@ -31,7 +31,14 @@ from ocareach.exploration import (
 from ocareach.generators import FuzzSpec, gen_subset_sum, instances
 from ocareach.solver import decide_full
 
-from _oracles import naive_post_star, naive_reach, naive_z_reach, parent_run, sorted_bfs
+from _oracles import (
+    naive_post_star,
+    naive_reach,
+    naive_successors,
+    naive_z_reach,
+    parent_run,
+    sorted_bfs,
+)
 from conftest import FIG_LOOP, random_oca
 
 BIG = {"node_cap": 200_000, "value_cap": 10_000}
@@ -70,7 +77,7 @@ def test_post_star_rejects_invalid_start(loop3):
 
 def test_post_star_restrict_filters_roots_too():
     a = parse_oca("states: q\ntrans q +1 q\n")
-    allowed = lambda c: c.value in (1, 2, 3)
+    allowed = lambda state: lambda v: v in (1, 2, 3)
     res = post_star(a, [Config("q", 0)], **BIG, restrict=allowed)
     assert res.configs == set()
     res = post_star(a, [Config("q", 1)], **BIG, restrict=allowed)
@@ -104,12 +111,17 @@ def test_post_star_stop_at_short_circuits():
     assert Config("q", 7) not in res.configs
 
 
+def _value_filter(top, shift):
+    return lambda v: v <= top and (v + shift) % 7 != 3
+
+
 def test_post_star_matches_a_sorted_bfs():
     """Configurations, cap_hit and the run to every configuration agree
     with a search that sorts each level and keeps the first parent found,
-    across equality tests, restrictions, binding value caps and stop_at."""
+    across equality tests, restrictions (some mixing states answered
+    wholesale with value predicates), binding value caps and stop_at."""
     rng = random.Random(2024)
-    seen = dict.fromkeys(("automata", "eq", "restrict", "cap_hit", "stopped"), 0)
+    seen = dict.fromkeys(("automata", "eq", "restrict", "mixed", "cap_hit", "stopped"), 0)
     while seen["automata"] < 320:
         a = random_oca(
             rng,
@@ -125,10 +137,14 @@ def test_post_star_matches_a_sorted_bfs():
         value_cap = rng.randint(0, 40)
         restrict = None
         if rng.random() < 0.4:
-            # A ceiling below the value cap keeps the cap from being hit.
+            # A ceiling below the value cap keeps the cap from being hit;
+            # states answered wholesale (None) admit every value.
             salt, top = rng.randint(1, 6), value_cap + rng.randint(-8, 4)
-            order = a.state_index
-            restrict = lambda c: c.value <= top and (c.value + salt * order[c.state]) % 7 != 3
+            keeps = {q: _value_filter(top, salt * i) for i, q in enumerate(a.states)}
+            for q in rng.sample(a.states, rng.randint(0, len(a.states))):
+                keeps[q] = None
+            restrict = keeps.__getitem__
+            mixed = None in keeps.values() and any(keeps.values())
         stop_at = None
         if rng.random() < 0.4:
             # Mostly a configuration the search finds, sometimes any valid one.
@@ -143,9 +159,67 @@ def test_post_star_matches_a_sorted_bfs():
         seen["automata"] += 1
         seen["eq"] += a.has_equality_tests()
         seen["restrict"] += restrict is not None
+        seen["mixed"] += restrict is not None and mixed
         seen["cap_hit"] += hit
         seen["stopped"] += stop_at in parents
     assert min(seen.values()) >= 40, seen
+
+
+def test_post_star_asks_values_only_where_restricted():
+    """A state whose restriction is None admits every value unasked; the
+    value predicates are asked only of their own state's candidates: a
+    start, or a valid step out of what the closure found.  A state's
+    restriction is looked up only where such a candidate needs it."""
+    rng = random.Random(77)
+    wholesale_found = 0
+    for _ in range(150):
+        a = random_oca(rng, num_states=rng.randint(2, 5), max_update=3, max_guard=10)
+        start = [Config(q, v) for q in a.states for v in range(4) if a.is_valid(Config(q, v))]
+        wholesale = set(rng.sample(a.states, rng.randint(1, len(a.states) - 1)))
+        asked: list[Config] = []
+        looked_up: set[str] = set()
+
+        def restrict(state):
+            looked_up.add(state)
+            if state in wholesale:
+                return None
+
+            def keep(v):
+                asked.append(Config(state, v))
+                return v % 5 != 4
+
+            return keep
+
+        res = post_star(a, start, 10_000, 30, restrict=restrict)
+        candidates = set(start) | {d for c in res.configs for d, _ in naive_successors(a, c)}
+        assert not {c.state for c in asked} & wholesale
+        assert set(asked) <= candidates, format_oca(a)
+        assert looked_up <= {c.state for c in candidates}, format_oca(a)
+        found_at = lambda states: {c for c in res.configs if c.state in states}
+        assert found_at(set(a.states) - wholesale) <= set(asked)
+        wholesale_found += len(found_at(wholesale))
+    assert wholesale_found >= 500, wholesale_found
+    # r is a destination, but every step into it goes negative.
+    a = parse_oca("states: q r\ntrans q +1 q\ntrans q -5 r\n")
+    looked_up = []
+    res = post_star(a, [Config("q", 0)], 100, 3, restrict=lambda q: looked_up.append(q))
+    assert len(res.configs) == 4 and set(looked_up) == {"q"}
+
+
+def test_post_star_configs_view():
+    """``configs`` is a read-only set view over the per-state tables."""
+    a = parse_oca("states: q r\nguard q != 3\ntrans q +1 q\ntrans q +0 r\n")
+    res = post_star(a, [Config("q", 0)], **BIG)
+    expected = {Config(q, v) for q in "qr" for v in range(3)}
+    view = res.configs
+    assert len(view) == 6
+    assert Config("r", 2) in view and ("r", 2) in view and Config("r", 2) in res
+    assert Config("q", 3) not in view and ("s", 0) not in view and "q" not in view
+    assert all(type(c) is Config for c in view)
+    assert sorted(view) == sorted(expected)
+    assert view == expected and expected == view and view != expected - {Config("q", 0)}
+    assert view <= expected and expected <= view and {Config("q", 1)} <= view
+    assert view | set() == expected and isinstance(view & expected, set)
 
 
 def test_post_star_node_cap_is_exact():
@@ -159,10 +233,13 @@ def test_post_star_node_cap_is_exact():
 def test_post_star_lets_restrict_exceptions_through():
     a = parse_oca("states: q\ntrans q +1 q\n")
 
-    def admit(c):
-        if c.value == 3:
-            raise exploration._Unbounded
-        return True
+    def admit(state):
+        def keep(v):
+            if v == 3:
+                raise exploration._Unbounded
+            return True
+
+        return keep
 
     for start in (Config("q", 0), Config("q", 3)):
         with pytest.raises(exploration._Unbounded):
@@ -175,11 +252,11 @@ def test_locally_bounded_predicate_holds_its_automaton_weakly():
     a = parse_oca(FIG_LOOP)
     bounded = locally_bounded(a)
     assert bounded is locally_bounded(a)
-    assert bounded(Config("q", 0)) and not bounded(Config("q", 6))
+    assert bounded("q")(0) and not bounded("q")(6)
     owner = weakref.ref(a)
     del a
     assert owner() is None
-    assert bounded(Config("q", 0))  # its table already holds q's component
+    assert bounded("q")(0)  # its table already holds q's component
 
 
 # ------------------------------------------------------------- reach_oracle

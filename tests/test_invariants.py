@@ -351,18 +351,23 @@ def _loop_witness_work(monkeypatch, k):
         f"guard s != {15 * k}\ntrans q +2 r\ntrans r +1 s\ntrans s +2 q\n"
     )
     counts = {"expanded": 0, "chain_of": 0}
-    real_unbounded = exploration.definitely_unbounded
+    real_admit = exploration._admit
     real_chain_of = invariants.chain_of
 
-    def counting_unbounded(b, c):
-        counts["expanded"] += 1  # a probe asks once per configuration it expands
-        return real_unbounded(b, c)
+    def counting_admit(labels, top):
+        keep = real_admit(labels, top)
+
+        def counted(v):
+            counts["expanded"] += v not in labels  # a probe asks once per value it expands
+            return keep(v)
+
+        return counted
 
     def counting_chain_of(b, c):
         counts["chain_of"] += 1
         return real_chain_of(b, c)
 
-    monkeypatch.setattr(exploration, "definitely_unbounded", counting_unbounded)
+    monkeypatch.setattr(exploration, "_admit", counting_admit)
     monkeypatch.setattr(invariants, "chain_of", counting_chain_of)
     verdict = decide_full(a, Config("q", 0), Config("q", 5 * k + 5))
     assert verdict.kind == "unreachable" and verdict.witness is not None
@@ -578,7 +583,10 @@ def _assert_shared_closures(a, roots):
     assert bounded == pessimistic_post_star(a, roots, locally_bounded=True)
     full = pessimistic_post_star(a, roots)
     assert bounded | set(more) == full
-    assert induced == full | {d for _, _, d in valid_steps(a, full)}
+    expected: dict[str, set[int]] = {}
+    for c in full | {d for _, _, d in valid_steps(a, full)}:
+        expected.setdefault(c.state, set()).add(c.value)
+    assert induced == expected
     region = set(roots)
     assert escapes == [
         s for s in valid_steps(a, bounded) if s[2] not in region and in_pumpable_region(a, s[2])
