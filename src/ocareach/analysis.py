@@ -7,6 +7,13 @@ broken by the lexicographically least transition-index tuple.  The
 pumpable region collects configurations at pumpable states whose value
 covers the canonical cycle's drop.
 
+The search for a state's cycle never leaves its strongly connected
+component, since no walk that leaves it comes back.  A state alone in
+its component without a positive self-loop is not searched at all.  The
+least drop is asked at 0 first, where most states climb; only then is
+the cap checked, and the drop found by galloping (1, 3, 7, ...) and
+bisecting, each step one max-value search of at most |Q| layers.
+
 Iterating the canonical cycle from a value either climbs forever or gets
 stuck on a test somewhere along the lap; the orbit segments are chains.
 A value forbidden by the state's own test is quarantined as a singleton
@@ -27,6 +34,7 @@ from ocareach.automaton import (
     per_automaton,
     restrict,
     scc_decompose,
+    scc_of,
 )
 
 
@@ -63,34 +71,51 @@ class Chain:
         return (self.last - self.first) // self.period + 1
 
 
-def _max_value_layers(a: OCA, source: str, value: int, layers: int):
-    """Best value per state for walks of exact length 1..layers, lazily."""
+def _completable(a: OCA, q: str, d: int, state: str, value: int, budget: int, comp) -> bool:
+    """Does a nonnegative walk of at most ``budget`` steps inside q's
+    component ``comp`` reach q above d?  Each step keeps the best value
+    per state over walks of exactly that many steps."""
     out = a.step_table[0]
-    vals = {source: value}
-    for _ in range(layers):
-        nxt: dict[str, int] = {}
-        for state, v in vals.items():
-            for _, dst, update in out[state]:
-                v2 = v + update
-                if v2 >= 0 and v2 > nxt.get(dst, -1):
-                    nxt[dst] = v2
-        yield nxt
-        vals = nxt
-        if not vals:
-            return
-
-
-def _completable(a: OCA, q: str, d: int, state: str, value: int, budget: int) -> bool:
-    """Does a nonnegative walk of at most ``budget`` steps reach q above d?"""
-    if state == q and value > d:
-        return True
-    for layer in _max_value_layers(a, state, value, budget):
-        if layer.get(q, -1) > d:
+    vals = {state: value}
+    for _ in range(budget):
+        if vals.get(q, -1) > d:
             return True
-    return False
+        nxt: dict[str, int] = {}
+        for s, v in vals.items():
+            for _, dst, update in out[s]:
+                v2 = v + update
+                if v2 > nxt.get(dst, -1) and dst in comp:
+                    nxt[dst] = v2
+        if not nxt:
+            return False
+        vals = nxt
+    return vals.get(q, -1) > d
 
 
-def _lex_least_cycle(a: OCA, q: str, d: int) -> Path:
+def _least_drop(a: OCA, q: str, comp) -> int | None:
+    """Least drop of a climbing cycle at q (None without one): drop 0
+    first, then the cap |Q|*max_update, which bounds the drop of every
+    cycle of at most |Q| steps, then gallop (1, 3, 7, ...) and bisect.
+    A cycle from drop d also climbs from every higher drop."""
+    n = len(a.states)
+    if _completable(a, q, 0, q, 0, n, comp):
+        return 0
+    lo, hi, d = 0, n * a.max_update, 1
+    if not _completable(a, q, hi, q, hi, n, comp):
+        return None
+    while d < hi and not _completable(a, q, d, q, d, n, comp):
+        lo, d = d, 2 * d + 1
+    hi = min(d, hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _completable(a, q, mid, q, mid, n, comp):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _lex_least_cycle(a: OCA, q: str, d: int, comp) -> Path:
     """The canonical cycle at q for minimal drop d.
 
     Greedy: always take the smallest completable transition index, and
@@ -105,9 +130,9 @@ def _lex_least_cycle(a: OCA, q: str, d: int) -> Path:
         budget = len(a.states) - len(prefix) - 1
         for i, dst, update in a.step_table[0][state]:
             v2 = value + update
-            if v2 < 0:
+            if v2 < 0 or dst not in comp:
                 continue
-            if _completable(a, q, d, dst, v2, budget):
+            if _completable(a, q, d, dst, v2, budget, comp):
                 prefix.append(i)
                 state, value = dst, v2
                 break
@@ -117,25 +142,24 @@ def _lex_least_cycle(a: OCA, q: str, d: int) -> Path:
 
 @per_automaton
 def climbing_cycles(a: OCA) -> dict[str, CanonicalCycle]:
-    """Canonical climbing cycle per pumpable state."""
+    """Canonical climbing cycle per pumpable state, in state order, each
+    searched inside its strongly connected component by
+    :func:`_least_drop` (drop 0 first, then gallop and bisect)."""
     result: dict[str, CanonicalCycle] = {}
-    n = len(a.states)
-    cap = n * a.max_update
+    out = a.step_table[0]
+    components = scc_of(a) if len(a.states) > 1 else dict.fromkeys(a.states, a.states)
     for q in a.states:
-        if not _completable(a, q, cap, q, cap, n):
+        comp = components[q]
+        if len(comp) == 1 and not any(dst == q and u > 0 for _, dst, u in out[q]):
             continue
-        lo, hi = 0, cap
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if _completable(a, q, mid, q, mid, n):
-                hi = mid
-            else:
-                lo = mid + 1
-        path = _lex_least_cycle(a, q, lo)
-        effect, drop = path_effect_drop(a, path)
-        if effect <= 0 or drop != lo:
+        drop = _least_drop(a, q, comp)
+        if drop is None:
+            continue
+        path = _lex_least_cycle(a, q, drop, comp)
+        effect, path_drop = path_effect_drop(a, path)
+        if effect <= 0 or path_drop != drop:
             raise InternalError(f"canonical cycle at {q} disagrees with its search")
-        result[q] = CanonicalCycle(q, path, effect, lo)
+        result[q] = CanonicalCycle(q, path, effect, drop)
     return result
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 
+from ocareach.analysis import CanonicalCycle
 from ocareach.automaton import OCA, Config, Guard, Path, Transition, restrict, scc_of
 
 
@@ -191,6 +192,79 @@ def naive_climbing_cycle(a: OCA, q: str):
     drop, cycle = best
     effect, _ = naive_effect_drop(a, cycle)
     return cycle, effect, drop
+
+
+def _max_value_layers(a: OCA, source: str, value: int, layers: int):
+    """Best value per state for walks of exact length 1..layers, lazily."""
+    out = a.step_table[0]
+    vals = {source: value}
+    for _ in range(layers):
+        nxt: dict[str, int] = {}
+        for state, v in vals.items():
+            for _, dst, update in out[state]:
+                v2 = v + update
+                if v2 >= 0 and v2 > nxt.get(dst, -1):
+                    nxt[dst] = v2
+        yield nxt
+        vals = nxt
+        if not vals:
+            return
+
+
+def _completable(a: OCA, q: str, d: int, state: str, value: int, budget: int) -> bool:
+    """Does a nonnegative walk of at most ``budget`` steps reach q above d?"""
+    if state == q and value > d:
+        return True
+    for layer in _max_value_layers(a, state, value, budget):
+        if layer.get(q, -1) > d:
+            return True
+    return False
+
+
+def _lex_least_cycle(a: OCA, q: str, d: int) -> Path:
+    """Greedy: the smallest completable transition index at every step."""
+    prefix: list[int] = []
+    state, value = q, d
+    while True:
+        if prefix and state == q and value > d:
+            return tuple(prefix)
+        budget = len(a.states) - len(prefix) - 1
+        for i, dst, update in a.step_table[0][state]:
+            v2 = value + update
+            if v2 < 0:
+                continue
+            if _completable(a, q, d, dst, v2, budget):
+                prefix.append(i)
+                state, value = dst, v2
+                break
+        else:
+            raise AssertionError("feasible climbing cycle vanished during reconstruction")
+
+
+def bisected_climbing_cycles(a: OCA) -> dict:
+    """Canonical climbing cycles by the earlier search, kept as a reference
+    past the exhaustive oracle's reach: for every state, a binary search
+    over drops in ``[0, |Q|*max_update]``, each probe a max-value walk over
+    the whole automaton, then the greedy lexicographically least cycle."""
+    result = {}
+    n = len(a.states)
+    cap = n * a.max_update
+    for q in a.states:
+        if not _completable(a, q, cap, q, cap, n):
+            continue
+        lo, hi = 0, cap
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if _completable(a, q, mid, q, mid, n):
+                hi = mid
+            else:
+                lo = mid + 1
+        path = _lex_least_cycle(a, q, lo)
+        effect, drop = naive_effect_drop(a, path)
+        if effect <= 0 or drop != lo:
+            raise AssertionError(f"canonical cycle at {q} disagrees with its search")
+        result[q] = CanonicalCycle(q, path, effect, lo)
+    return result
 
 
 def naive_chain_partition(a: OCA, q: str, cycle: Path, drop: int, window: int):

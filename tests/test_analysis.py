@@ -13,9 +13,9 @@ from ocareach.analysis import (
     structure_report,
     sure_unbounded_thresholds,
 )
-from ocareach.automaton import Config, parse_oca, restrict
+from ocareach.automaton import OCA, Config, Transition, parse_oca, restrict
 
-from _oracles import naive_chain_partition, naive_climbing_cycle
+from _oracles import bisected_climbing_cycles, naive_chain_partition, naive_climbing_cycle
 from conftest import FIG_LOOP, random_oca
 
 # ------------------------------------------------------- canonical cycles
@@ -62,18 +62,118 @@ def test_cycle_length_capped_by_state_count():
     assert climbing_cycles(a)["a"] == CanonicalCycle("a", (0, 1, 2), 1, 0)
 
 
+def _with_isolated(a: OCA, count: int) -> OCA:
+    """``a`` plus ``count`` states without transitions."""
+    return OCA(a.states + tuple(f"x{i}" for i in range(count)), a.transitions, dict(a.guards))
+
+
 def test_cycles_match_exhaustive_search():
     rng = random.Random(31)
     for _ in range(150):
-        a = random_oca(rng, num_states=rng.randint(1, 4), max_update=3)
+        drawn = random_oca(rng, num_states=rng.randint(1, 4), max_update=3)
+        for a in (drawn, _with_isolated(drawn, 2)):
+            got = climbing_cycles(a)
+            for q in a.states:
+                expected = naive_climbing_cycle(a, q)
+                if expected is None:
+                    assert q not in got
+                else:
+                    cycle, effect, drop = expected
+                    assert got[q] == CanonicalCycle(q, cycle, effect, drop)
+
+
+def _components_and_tail(rng: random.Random) -> OCA:
+    """6 to 12 states: up to three strongly connected blocks joined by
+    forward steps, a chain of tail states after them, isolated states,
+    updates up to 9 either way, in shuffled state order."""
+    upd = lambda: rng.randint(-9, 9)
+    blocks = [[f"b{k}_{i}" for i in range(rng.randint(1, 3))] for k in range(rng.randint(1, 3))]
+    tail = [f"t{i}" for i in range(rng.randint(0, 3))]
+    transitions = []
+    for k, block in enumerate(blocks):
+        for i, q in enumerate(block):
+            transitions.append(Transition(q, upd(), block[(i + 1) % len(block)]))
+        for _ in range(rng.randint(0, len(block) + 1)):
+            transitions.append(Transition(rng.choice(block), upd(), rng.choice(block)))
+        later = [q for b in blocks[k + 1 :] for q in b] + tail[:1]
+        if later:
+            transitions.append(Transition(rng.choice(block), upd(), rng.choice(later)))
+    for i in range(len(tail) - 1):
+        transitions.append(Transition(tail[i], upd(), tail[i + 1]))
+    states = [q for b in blocks for q in b] + tail
+    isolated = min(max(rng.randint(0, 3), 6 - len(states)), 12 - len(states))
+    states += [f"x{i}" for i in range(isolated)]
+    rng.shuffle(transitions)
+    rng.shuffle(states)
+    return OCA(tuple(states), tuple(transitions), {})
+
+
+def test_cycles_match_the_bisected_search():
+    """Beyond the exhaustive oracle's reach, the search inside each
+    component, drop 0 first, finds what a bisection over every drop with
+    walks through the whole automaton finds, state order included.
+    Drops of 2 and more make the search gallop and bisect."""
+    rng = random.Random(1978)
+    seen = dict.fromkeys(("drop_0", "drop_1", "drop_2_up", "not_pumpable", "blocks", "tail"), 0)
+    for _ in range(600):
+        a = _components_and_tail(rng)
         got = climbing_cycles(a)
-        for q in a.states:
-            expected = naive_climbing_cycle(a, q)
-            if expected is None:
-                assert q not in got
-            else:
-                cycle, effect, drop = expected
-                assert got[q] == CanonicalCycle(q, cycle, effect, drop)
+        expected = bisected_climbing_cycles(a)
+        assert list(got.items()) == list(expected.items()), a
+        drops = [cyc.drop for cyc in got.values()]
+        seen["drop_0"] += drops.count(0)
+        seen["drop_1"] += drops.count(1)
+        seen["drop_2_up"] += sum(d >= 2 for d in drops)
+        seen["not_pumpable"] += len(a.states) - len(got)
+        seen["blocks"] += len({q.split("_")[0] for q in a.states if q[0] == "b"}) > 1
+        seen["tail"] += "t0" in a.states
+    assert min(seen.values()) >= 40, seen
+
+
+def test_cycle_bound_counts_every_state():
+    """Cycles are searched up to |Q| steps, and |Q| counts states no run
+    can touch: three isolated states make q pumpable.  A bound that
+    depends on the component alone is ROADMAP item 8's definition step,
+    which may change evidence; until then this is pinned."""
+    text = "trans q 0 r\ntrans r +1 r\ntrans r -2 q\n"
+    cycles = climbing_cycles(parse_oca("states: q r\n" + text))
+    assert cycles == {"r": CanonicalCycle("r", (1,), 1, 0)}
+    cycles = climbing_cycles(parse_oca("states: q r x y z\n" + text))
+    assert cycles["q"] == CanonicalCycle("q", (0, 1, 1, 1, 2), 1, 0)
+    assert cycles["r"] == CanonicalCycle("r", (1,), 1, 0)
+
+
+class _CountingOut(dict):
+    """An out-table that counts its lookups."""
+
+    def __init__(self, table):
+        super().__init__(table)
+        self.reads = 0
+
+    def __getitem__(self, state):
+        self.reads += 1
+        return super().__getitem__(state)
+
+
+def _out_list_reads(tail: int) -> int:
+    """Out-lists read by climbing_cycles on a 2-state +1 cycle that leads
+    into a chain of ``tail`` states."""
+    steps = ["trans c0 +1 c1", "trans c1 0 c0", "trans c1 0 t0"]
+    steps += [f"trans t{i} 0 t{i + 1}" for i in range(tail - 1)]
+    names = " ".join(f"t{i}" for i in range(tail))
+    a = parse_oca(f"states: c0 c1 {names}\n" + "\n".join(steps) + "\n")
+    out, blocked, pinned = a.step_table
+    counting = _CountingOut(out)
+    a.__dict__["step_table"] = (counting, blocked, pinned)
+    assert list(climbing_cycles(a)) == ["c0", "c1"]
+    return counting.reads
+
+
+def test_cycle_search_stays_in_the_component():
+    """No walk that leaves a state's component comes back, so the search
+    reads no out-list beyond it, and lone tail states are not searched:
+    the reads grow linearly with the tail, not with its square."""
+    assert _out_list_reads(300) <= 3.5 * _out_list_reads(100)
 
 
 # ------------------------------------------------------- pumpable region
