@@ -29,7 +29,7 @@ from ocareach.automaton import (
     Config,
     InternalError,
     Path,
-    apply_path,
+    path_configs,
     path_effect_drop,
     per_automaton,
     restrict,
@@ -186,7 +186,7 @@ class _ChainContext:
         self.period = cyc.effect
         self.drop = cyc.drop
         # Each step of one lap from q:0: its state and the prefix effect.
-        self.lap = apply_path(a, Config(cyc.state, 0), cyc.path, mode="candidate")[1:]
+        self.lap = path_configs(a, Config(cyc.state, 0), cyc.path, mode="candidate")[1:]
         # Values where behavior differs from the high-value regime:
         # pulled-back test positions along the lap, plus the state's own
         # test value.

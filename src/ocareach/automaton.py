@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, wraps
-from typing import Iterable, Iterator, Literal, NamedTuple
+from typing import Callable, Iterable, Iterator, Literal, NamedTuple
 
 GuardKind = Literal["true", "eq", "ne"]
 
@@ -355,9 +355,10 @@ def scc_decompose(a: OCA) -> tuple[frozenset[str], ...]:
     """Strongly connected components, topologically ordered, sources first.
 
     Iterative Kosaraju: a depth-first pass records the finish order, then
-    a sweep over predecessors collects components in decreasing finish
-    time of their first state.  Single states without a self-loop still
-    form their own (trivial) component.
+    a sweep over predecessor lists, read off ``a.transitions`` in one
+    pass, collects components in decreasing finish time of their first
+    state.  Single states without a self-loop still form their own
+    (trivial) component.
     """
     out = a.step_table[0]
     seen: set[str] = set()
@@ -377,7 +378,9 @@ def scc_decompose(a: OCA) -> tuple[frozenset[str], ...]:
             else:
                 work.pop()
                 finished.append(node)
-    preds = reverse(a).step_table[0]
+    preds: dict[str, list[str]] = {q: [] for q in a.states}
+    for t in a.transitions:
+        preds[t.dst].append(t.src)
     placed: set[str] = set()
     components: list[frozenset[str]] = []
     for root in reversed(finished):
@@ -386,7 +389,7 @@ def scc_decompose(a: OCA) -> tuple[frozenset[str], ...]:
         placed.add(root)
         component = [root]
         for q in component:  # grows while it is read
-            for _, p, _ in preds[q]:
+            for p in preds[q]:
                 if p not in placed:
                     placed.add(p)
                     component.append(p)
@@ -432,14 +435,23 @@ def path_to(parents: dict, target) -> Path:
     return tuple(reversed(rev))
 
 
-def apply_path(a: OCA, start: Config, path: Path, mode: str = "valid") -> list[Config]:
-    """Replay ``path`` from ``start`` and return every configuration.
+def apply_path(
+    a: OCA,
+    start: Config,
+    path: Path,
+    mode: str = "valid",
+    on_step: Callable[[Config], object] | None = None,
+) -> Config:
+    """Replay ``path`` from ``start`` and return the configuration it ends at.
 
     The one loop over a transition sequence: every other walk is a view
     of it.  ``valid`` mode raises :class:`ReplayError` at the first
     configuration that is negative or fails its state's test (the start
     counts, at index 0).  ``candidate`` mode only checks that transitions
-    chain.  Both reject an index that names no transition.
+    chain.  Both reject an index that names no transition.  The loop
+    tracks a plain ``(state, value)`` pair and builds a :class:`Config`
+    only for the result or an error, or for ``on_step``, when given,
+    which receives each configuration after the start.
     """
     if mode not in ("valid", "candidate"):
         raise ValueError(f"unknown replay mode {mode!r}")
@@ -448,32 +460,46 @@ def apply_path(a: OCA, start: Config, path: Path, mode: str = "valid") -> list[C
     check = mode == "valid"
     if check and not a.is_valid(start):
         raise ReplayError("invalid configuration", 0, start)
-    configs = [start]
+    _, blocked, pinned = a.step_table
+    transitions = a.transitions
+    count = len(transitions)
+    state, value = start
     for pos, i in enumerate(path):
-        if not 0 <= i < len(a.transitions):
-            raise ReplayError(f"no transition {i}", pos, configs[-1])
-        t = a.transitions[i]
-        if t.src != configs[-1].state:
-            raise ReplayError("step source mismatch", pos, configs[-1])
-        nxt = Config(t.dst, configs[-1].value + t.update)
-        if check and not a.is_valid(nxt):
-            raise ReplayError("invalid configuration", pos + 1, nxt)
-        configs.append(nxt)
+        if not 0 <= i < count:
+            raise ReplayError(f"no transition {i}", pos, Config(state, value))
+        t = transitions[i]
+        if t.src != state:
+            raise ReplayError("step source mismatch", pos, Config(state, value))
+        state = t.dst
+        value += t.update
+        if check and not (0 <= value != blocked[state] and pinned.get(state, value) == value):
+            raise ReplayError("invalid configuration", pos + 1, Config(state, value))
+        if on_step is not None:
+            on_step(Config(state, value))
+    return Config(state, value)
+
+
+def path_configs(a: OCA, start: Config, path: Path, mode: str = "valid") -> list[Config]:
+    """Every configuration ``path`` visits from ``start``, the start
+    first: a view of :func:`apply_path`, collected through its
+    ``on_step`` callback, with the same checks and errors."""
+    configs = [start]
+    apply_path(a, start, path, mode, configs.append)
     return configs
 
 
 def source_replay(a: OCA, path: Path) -> list[Config]:
     """Candidate replay of a nonempty ``path`` from value 0 at the source
-    of its first transition."""
+    of its first transition, every configuration visited."""
     first = path[0]
     # An index naming no transition starts anywhere; apply_path rejects it.
     state = a.transitions[first].src if 0 <= first < len(a.transitions) else a.states[0]
-    return apply_path(a, Config(state, 0), path, mode="candidate")
+    return path_configs(a, Config(state, 0), path, mode="candidate")
 
 
 def path_states(a: OCA, start_state: str, path: Path) -> list[str]:
     """States visited by ``path`` from ``start_state`` (length + 1 entries)."""
-    return [c.state for c in apply_path(a, Config(start_state, 0), path, mode="candidate")]
+    return [c.state for c in path_configs(a, Config(start_state, 0), path, mode="candidate")]
 
 
 def path_effect_drop(a: OCA, path: Path) -> tuple[int, int]:

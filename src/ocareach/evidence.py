@@ -51,10 +51,10 @@ def check_run(a: OCA, src: Config, trg: Config, run: Path) -> str:
     semantics and ends at ``trg``, else the failing condition,
     ``replay: ...`` or ``endpoint``."""
     try:
-        configs = apply_path(a, src, run)
+        end = apply_path(a, src, run)
     except ReplayError as exc:
         return f"replay: {exc}"
-    return "" if configs[-1] == trg else "endpoint"
+    return "" if end == trg else "endpoint"
 
 
 def evidence_kind(text: str) -> str:

@@ -670,7 +670,7 @@ def candidate_reach(a: OCA, src: Config, trg: Config) -> Path | None:
                 counts[i] += m * mult
         flow = Flow.make(counts, src.state, trg.state)
         path = path_from_flow(a, flow)
-        if apply_path(a, src, path, mode="candidate")[-1] != trg:
+        if apply_path(a, src, path, mode="candidate") != trg:
             raise InternalError(f"candidate path does not reach {trg}")
         return path
     return None

@@ -34,6 +34,7 @@ from .automaton import (
     apply_path,
     content_lines,
     parse_config,
+    path_configs,
     require_valid,
 )
 from .exploration import Configs, PostStarResult, post_star
@@ -173,7 +174,7 @@ def make_certificate(a: OCA, src: Config, run: Path) -> PessimisticCertificate:
     above and first visit below the guard.  The run's flow must not
     contain a positive cycle (pessimistic runs never do).
     """
-    configs = apply_path(a, src, run)
+    configs = path_configs(a, src, run)
     flow = flow_of_path(a, src.state, run)
     if flow_has_positive_cycle(a, flow):
         raise ValueError("run climbs through a positive cycle; not certifiable")
@@ -334,10 +335,10 @@ def verify_pessimistic_certificate(
             return _refuted("segment-flow")
     run = tuple(pieces)
     try:
-        configs = apply_path(a, src, run)
+        end = apply_path(a, src, run)
     except ReplayError:
         return _refuted("replay")
-    if configs[-1] != trg:
+    if end != trg:
         return _refuted("replay")
     return VerifyResult(True, None, run)
 

@@ -121,7 +121,7 @@ def lift_candidate_run(a: OCA, c: Config, d: Config, p: Path) -> Path:
     rev = reverse(a)
     if is_locally_bounded(rev, d):
         raise ValueError(f"{d} is locally bounded in reverse; lifting does not apply")
-    if apply_path(a, c, p, mode="candidate")[-1] != d:
+    if apply_path(a, c, p, mode="candidate") != d:
         raise ValueError(f"path does not lead from {c} to {d} over the integers")
     up, e_up = _pumping_cycle(a, c)
     down_rev, e_down = _pumping_cycle(rev, d)
@@ -136,7 +136,7 @@ def lift_candidate_run(a: OCA, c: Config, d: Config, p: Path) -> Path:
 def _replay(a: OCA, start: Config, path: Path) -> Config:
     """Where ``path`` ends from ``start``; a path that does not replay is a bug."""
     try:
-        return apply_path(a, start, path)[-1]
+        return apply_path(a, start, path)
     except ReplayError as exc:
         raise InternalError(f"path from {start} does not replay: {exc}") from exc
 

@@ -10,7 +10,16 @@ from __future__ import annotations
 from collections import deque
 
 from ocareach.analysis import CanonicalCycle
-from ocareach.automaton import OCA, Config, Guard, Path, Transition, restrict, scc_of
+from ocareach.automaton import (
+    OCA,
+    Config,
+    Guard,
+    Path,
+    ReplayError,
+    Transition,
+    restrict,
+    scc_of,
+)
 
 
 def naive_successors(a: OCA, c: Config) -> list[tuple[Config, int]]:
@@ -22,6 +31,31 @@ def naive_successors(a: OCA, c: Config) -> list[tuple[Config, int]]:
         if a.is_valid(nxt):
             out.append((nxt, i))
     return out
+
+
+def reference_replay(a: OCA, start: Config, path: Path, mode: str = "valid") -> list[Config]:
+    """The list-building replay loop that ``apply_path`` once was, kept
+    verbatim: every configuration, the start first, with the same checks
+    and :class:`ReplayError` reasons, indices and configurations."""
+    if mode not in ("valid", "candidate"):
+        raise ValueError(f"unknown replay mode {mode!r}")
+    if start.state not in a.state_index:
+        raise ValueError(f"unknown state {start.state!r}")
+    check = mode == "valid"
+    if check and not a.is_valid(start):
+        raise ReplayError("invalid configuration", 0, start)
+    configs = [start]
+    for pos, i in enumerate(path):
+        if not 0 <= i < len(a.transitions):
+            raise ReplayError(f"no transition {i}", pos, configs[-1])
+        t = a.transitions[i]
+        if t.src != configs[-1].state:
+            raise ReplayError("step source mismatch", pos, configs[-1])
+        nxt = Config(t.dst, configs[-1].value + t.update)
+        if check and not a.is_valid(nxt):
+            raise ReplayError("invalid configuration", pos + 1, nxt)
+        configs.append(nxt)
+    return configs
 
 
 def naive_post_star(a: OCA, start: Config, value_bound: int, node_bound: int = 500_000):

@@ -292,7 +292,7 @@ def test_criterion_08_lifting_equivalence():
         assert (p is None) == (want is None), (a.transitions, src, trg)
         if p is not None:
             run = lift_candidate_run(a, src, trg, p)
-            assert apply_path(a, src, run)[-1] == trg
+            assert apply_path(a, src, run) == trg
             lifted += 1
         hits += 1
     assert lifted >= 50
@@ -377,7 +377,7 @@ def test_criterion_11_pessimistic_certificates():
                 p = path_from_flow(a, seg)
                 if len(p) < 2:
                     continue
-                mid = apply_path(a, cert.waypoints[k], (p[0],))[-1]
+                mid = apply_path(a, cert.waypoints[k], (p[0],))
                 seg_a = flow_of_path(a, cert.waypoints[k].state, p[:1])
                 seg_b = flow_of_path(a, mid.state, p[1:])
                 mutants.append(
@@ -397,7 +397,7 @@ def test_criterion_11_pessimistic_certificates():
                 continue
             res = verify_pessimistic_certificate(a, src, trg, m)
             if res.verified:
-                assert apply_path(a, src, res.run)[-1] == trg
+                assert apply_path(a, src, res.run) == trg
                 assert reach_oracle(a, src, trg) is not None
                 verified_mutants += 1
     assert verified_mutants >= 1

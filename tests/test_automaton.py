@@ -5,7 +5,7 @@ import weakref
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import ocareach
 from ocareach.automaton import (
@@ -18,11 +18,13 @@ from ocareach.automaton import (
     format_oca,
     parse_config,
     parse_oca,
+    path_configs,
     path_effect_drop,
     path_states,
     restrict,
     reverse,
     scc_decompose,
+    scc_of,
     valid_steps,
 )
 from ocareach.evidence import verify_evidence
@@ -30,7 +32,7 @@ from ocareach.flows import rotate_to_zero_drop
 from ocareach.invariants import format_witness
 from ocareach.solver import decide_full
 
-from _oracles import naive_effect_drop
+from _oracles import naive_effect_drop, reference_replay
 from conftest import FIG_LOOP, random_oca
 
 # ---------------------------------------------------------------- parsing
@@ -208,6 +210,9 @@ def test_scc_order_golden():
         frozenset({"d", "e"}),
         frozenset({"g"}),
     )
+    # Predecessors are read off the transitions: no reversed automaton.
+    scc_of(a)
+    assert reverse.__wrapped__ not in a.memo
 
 
 def test_restrict_maps_indices(loop3):
@@ -253,7 +258,7 @@ def test_effect_drop_composition_law(updates, data):
 
 
 def test_apply_path_valid(loop3):
-    configs = apply_path(loop3, Config("q", 1), (0, 1, 2))
+    configs = path_configs(loop3, Config("q", 1), (0, 1, 2))
     assert configs == [Config("q", 1), Config("r", 3), Config("s", 4), Config("q", 6)]
 
 
@@ -279,14 +284,14 @@ def test_apply_path_negative_value():
 
 
 def test_apply_path_candidate_ignores_guards(loop3):
-    configs = apply_path(loop3, Config("q", 0), (0, 1, 2), mode="candidate")
-    assert configs[-1] == Config("q", 5)
+    end = apply_path(loop3, Config("q", 0), (0, 1, 2), mode="candidate")
+    assert end == Config("q", 5)
 
 
 def test_apply_path_candidate_allows_negative():
     a = parse_oca("states: a\ntrans a -2 a\n")
-    configs = apply_path(a, Config("a", 1), (0, 0), mode="candidate")
-    assert configs[-1] == Config("a", -3)
+    end = apply_path(a, Config("a", 1), (0, 0), mode="candidate")
+    assert end == Config("a", -3)
 
 
 def test_apply_path_step_mismatch(loop3):
@@ -308,6 +313,58 @@ def test_every_walk_rejects_an_index_naming_no_transition(loop3, bad):
         path_effect_drop(loop3, (bad, 1, 2))
     with pytest.raises(ReplayError):
         rotate_to_zero_drop(loop3, (bad, 1, 2))
+
+
+@st.composite
+def replays(draw):
+    """A small automaton with ``!=`` and ``==`` tests, a start and a path.
+    Each step either follows a transition out of the current state or
+    names any index, out-of-range ones and mismatched steps included."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    states = tuple(f"q{k}" for k in range(n))
+    state = st.sampled_from(states)
+    step = st.builds(Transition, state, st.integers(-3, 3), state)
+    transitions = tuple(draw(st.lists(step, min_size=1, max_size=8)))
+    guards = {}
+    for q in states:
+        kind = draw(st.sampled_from(("true", "ne", "eq")))
+        if kind != "true":
+            guards[q] = Guard(kind, draw(st.integers(0, 4)))
+    a = OCA(states, transitions, guards)
+    at = draw(state)
+    pinned = a.guards[at].value if a.guards[at].kind == "eq" else None
+    value = draw(st.integers(-1, 6) if pinned is None else st.sampled_from((pinned, pinned + 1)))
+    start, path = Config(at, value), []
+    for _ in range(draw(st.integers(1, 12))):
+        out = [i for i, t in enumerate(transitions) if t.src == at]
+        if out and draw(st.integers(0, 3)):
+            i = draw(st.sampled_from(out))
+        else:
+            i = draw(st.integers(-1, len(transitions)))
+        path.append(i)
+        if 0 <= i < len(transitions):
+            at = transitions[i].dst
+    return a, start, tuple(path)
+
+
+@settings(max_examples=300)
+@given(replays(), st.sampled_from(("valid", "candidate")))
+def test_replay_matches_the_list_building_loop(case, mode):
+    a, start, path = case
+    try:
+        want = reference_replay(a, start, path, mode)
+    except ReplayError as exc:
+        for replay in (apply_path, path_configs):
+            with pytest.raises(ReplayError) as err:
+                replay(a, start, path, mode)
+            assert (err.value.reason, err.value.index, err.value.config) == (
+                exc.reason,
+                exc.index,
+                exc.config,
+            )
+        return
+    assert apply_path(a, start, path, mode) == want[-1]
+    assert path_configs(a, start, path, mode) == want
 
 
 def test_undeclared_state_is_invalid(loop3):

@@ -100,7 +100,7 @@ def test_post_star_runs_replay_everywhere(loop3):
             continue
         res = post_star(a, [start], 10_000, 40)
         for c in res.configs:
-            assert apply_path(a, start, res.run_to(c))[-1] == c
+            assert apply_path(a, start, res.run_to(c)) == c
 
 
 def test_post_star_stop_at_short_circuits():
@@ -317,7 +317,7 @@ def test_oracle_needs_backward_direction():
     a = parse_oca(text)
     run = reach_oracle(a, Config("q", 0), Config("t", 3))
     assert run is not None
-    assert apply_path(a, Config("q", 0), run)[-1] == Config("t", 3)
+    assert apply_path(a, Config("q", 0), run) == Config("t", 3)
     assert reach_oracle(a, Config("q", 0), Config("t", 4)) is None
 
 
@@ -358,7 +358,7 @@ def test_oracle_matches_naive_and_reverse():
         if run is None:
             assert naive is not True
         else:
-            assert apply_path(a, src, run)[-1] == trg
+            assert apply_path(a, src, run) == trg
             assert naive is not False
         rev_run = reach_oracle(reverse(a), trg, src)
         assert (rev_run is None) == (run is None)
@@ -587,7 +587,7 @@ def test_candidate_parity():
 def test_candidate_seven_laps(loop3):
     p = candidate_reach(loop3, Config("q", 0), Config("q", 35))
     assert p is not None and len(p) == 21
-    assert apply_path(loop3, Config("q", 0), p, mode="candidate")[-1] == Config("q", 35)
+    assert apply_path(loop3, Config("q", 0), p, mode="candidate") == Config("q", 35)
 
 
 def test_candidate_disconnected():
@@ -609,7 +609,7 @@ def test_candidate_connectivity_is_not_free():
     assert candidate_reach(a, Config("a", 0), Config("a", 2)) == (0, 1)
     p = candidate_reach(a, Config("a", 0), Config("a", 3))
     assert p is not None
-    assert apply_path(a, Config("a", 0), p, mode="candidate")[-1] == Config("a", 3)
+    assert apply_path(a, Config("a", 0), p, mode="candidate") == Config("a", 3)
 
 
 def test_candidate_path_effect_classes():
@@ -627,7 +627,7 @@ def test_candidate_mixed_sign_cycles():
     for target in (1, -1, 7, -13, 10_001):
         p = candidate_reach(a, Config("a", 0), Config("a", target))
         assert p is not None
-        end = apply_path(a, Config("a", 0), p, mode="candidate")[-1]
+        end = apply_path(a, Config("a", 0), p, mode="candidate")
         assert end == Config("a", target)
 
 
@@ -646,7 +646,7 @@ def test_candidate_coin_gap_golden(coins, sign):
         p = candidate_reach(a, Config("a", 0), target)
         assert (p is None) == (total <= 150 and total not in sums), total
         if p is not None:
-            assert apply_path(a, Config("a", 0), p, mode="candidate")[-1] == target
+            assert apply_path(a, Config("a", 0), p, mode="candidate") == target
 
 
 def test_candidate_matches_windowed_bfs():
@@ -661,7 +661,7 @@ def test_candidate_matches_windowed_bfs():
         if got is None:
             assert naive is not True
         else:
-            end = apply_path(a, src, got, mode="candidate")[-1]
+            end = apply_path(a, src, got, mode="candidate")
             assert end == trg
             assert naive is not False
         checked += 1
@@ -715,7 +715,7 @@ def test_long_chain_decides_without_recursion(tmp_path, capsys):
     src, trg = Config("c0", 0), Config(f"c{n - 1}", 3)
     verdict = decide_full(a, src, trg)
     assert verdict.kind == "reachable"
-    assert apply_path(a, src, verdict.run)[-1] == trg
+    assert apply_path(a, src, verdict.run) == trg
     path = tmp_path / "chain.oca"
     path.write_text(_chain_text(n))
     code = cli.main(["decide", str(path), "--src", str(src), "--trg", str(trg)])

@@ -10,8 +10,8 @@ from ocareach.automaton import (
     Guard,
     InternalError,
     Transition,
-    apply_path,
     parse_oca,
+    path_configs,
     reverse,
     valid_steps,
 )
@@ -285,7 +285,7 @@ def test_verify_inductive_escape():
     assert got.reason == "inductive"
     side, (c, i, d) = got.detail
     assert side == "forward"
-    assert apply_path(a, c, (i,)) == [c, d]
+    assert path_configs(a, c, (i,)) == [c, d]
     assert d == Config("pp", 4)
 
 
@@ -296,7 +296,7 @@ def test_verify_separator_violation():
     assert got.reason == "separator"
     assert got.detail[0] == "Sep1"
     c, i, d = got.detail[1]
-    assert apply_path(a, c, (i,)) == [c, d]
+    assert path_configs(a, c, (i,)) == [c, d]
 
 
 def test_check_inductive_vacuous():

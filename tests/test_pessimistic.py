@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 
 from ocareach.analysis import in_pumpable_region
-from ocareach.automaton import Config, apply_path, parse_oca
+from ocareach.automaton import Config, apply_path, parse_oca, path_configs
 from ocareach.exploration import is_locally_bounded
 from ocareach.flows import Flow, flow_has_positive_cycle, flow_of_path
 from ocareach.pessimistic import (
@@ -140,7 +140,7 @@ def test_decide_runs_are_pessimistic_and_replay():
         if run is None:
             assert trg not in brute_pessimistic(a, [src])
             continue
-        configs = apply_path(a, src, run)
+        configs = path_configs(a, src, run)
         assert configs[-1] == trg
         assert all(not in_pumpable_region(a, c) for c in configs[1:])
         hits += 1
@@ -162,7 +162,7 @@ def test_certificate_round_trip_with_crossing():
     assert cert.crossings and cert.crossings[0][0] == "a"
     res = verify_pessimistic_certificate(a, src, trg, cert)
     assert res.verified, res.condition
-    assert apply_path(a, src, res.run)[-1] == trg
+    assert apply_path(a, src, res.run) == trg
 
 
 def test_certificate_empty_run(loop3):
@@ -355,7 +355,7 @@ def test_certificates_across_corpus():
         assert not flow_has_positive_cycle(a, cert.flow)
         res = verify_pessimistic_certificate(a, src, trg, cert)
         assert res.verified, (a.states, src, trg, res.condition)
-        assert apply_path(a, src, res.run)[-1] == trg
+        assert apply_path(a, src, res.run) == trg
         verified += 1
 
 

@@ -64,7 +64,7 @@ def check_verdict(a, src, trg, v: Verdict) -> None:
     """Every verdict must carry evidence that stands on its own."""
     if v.kind == REACHABLE:
         assert v.run is not None
-        assert apply_path(a, src, v.run)[-1] == trg
+        assert apply_path(a, src, v.run) == trg
     elif v.witness is not None:
         n, s2, t2 = v.certified
         report = verify_witness(n, s2, t2, v.witness)
@@ -86,7 +86,7 @@ def test_fig_loop_reachable_seven_laps(loop3):
     v = decide_disequality(loop3, src, trg)
     assert v.kind == REACHABLE
     assert len(v.run) == 21  # 7 laps of the 3-transition loop, effect 5 each
-    assert apply_path(loop3, src, v.run)[-1] == trg
+    assert apply_path(loop3, src, v.run) == trg
 
 
 def test_equal_endpoints_short_circuit(loop3):
@@ -174,26 +174,26 @@ def test_lift_free_slide_replays():
     a, src, trg = free_slide()
     p = candidate_reach(a, src, trg)
     run = lift_candidate_run(a, src, trg, p)
-    assert apply_path(a, src, run)[-1] == trg
+    assert apply_path(a, src, run) == trg
 
 
 def test_lift_keeps_valid_candidate_valid():
     # the candidate path is already a run; pumping must not break it
     a, src, trg = free_slide()
     p = (1,) + (2,) * 3  # step over, then slide 3 down to 0
-    assert apply_path(a, src, p)[-1] == trg
+    assert apply_path(a, src, p) == trg
     run = lift_candidate_run(a, src, trg, p)
-    assert apply_path(a, src, run)[-1] == trg
+    assert apply_path(a, src, run) == trg
 
 
 def test_lift_guard_free_strongly_connected():
     a = parse_oca("states: u v\ntrans u +3 v\ntrans v -1 u\ntrans v -4 u\n")
     src, trg = Config("u", 2), Config("u", 1)
     for p in ((0, 1), (0, 2), (0, 1, 0, 2)):
-        end = apply_path(a, src, p, mode="candidate")[-1]
+        end = apply_path(a, src, p, mode="candidate")
         run = lift_candidate_run(a, src, end, p)
-        assert apply_path(a, src, run)[-1] == end
-    assert trg == apply_path(a, src, (0, 2), mode="candidate")[-1]
+        assert apply_path(a, src, run) == end
+    assert trg == apply_path(a, src, (0, 2), mode="candidate")
 
 
 def test_lift_precondition_errors(loop3):
@@ -225,7 +225,7 @@ def test_lift_fuzz_matches_candidate_level():
         if p is None:
             continue
         run = lift_candidate_run(a, src, trg, p)
-        assert apply_path(a, src, run)[-1] == trg
+        assert apply_path(a, src, run) == trg
         lifted += 1
     assert lifted >= 15
 
@@ -256,7 +256,7 @@ def test_lifted_run_grows_linearly_in_the_tests(k):
     src, trg = Config("q", 5 * k + 1), Config("q", 1)
     v = decide_full(a, src, trg)
     assert v.kind == REACHABLE
-    assert apply_path(a, src, v.run)[-1] == trg
+    assert apply_path(a, src, v.run) == trg
     assert len(v.run) <= 100 * k + 100
 
 
@@ -316,7 +316,7 @@ def test_decide_full_parity_fixture():
     assert bad.kind == UNREACHABLE
     good = decide_full(a, Config("a", 1), Config("b", 3))
     assert good.kind == REACHABLE
-    assert apply_path(a, Config("a", 1), good.run)[-1] == Config("b", 3)
+    assert apply_path(a, Config("a", 1), good.run) == Config("b", 3)
 
 
 def test_decide_full_refusals_are_checkable():
@@ -335,7 +335,7 @@ def test_decide_full_equality_endpoints():
     assert v.kind == REACHABLE and v.run == (2,)
     # entering the pin from below and leaving it again
     v2 = decide_full(a, Config("a", 3), Config("m", 3))
-    assert v2.kind == REACHABLE and apply_path(a, Config("a", 3), v2.run)[-1] == Config("m", 3)
+    assert v2.kind == REACHABLE and apply_path(a, Config("a", 3), v2.run) == Config("m", 3)
 
 
 def test_decide_full_without_equality_delegates(loop3):
@@ -357,7 +357,7 @@ def test_decide_full_chained_pins():
     )
     v = decide_full(a, Config("a", 0), Config("b", 4))
     assert v.kind == REACHABLE
-    assert apply_path(a, Config("a", 0), v.run)[-1] == Config("b", 4)
+    assert apply_path(a, Config("a", 0), v.run) == Config("b", 4)
 
 
 def test_decide_full_mixed_fuzz_versus_oracle():
@@ -445,7 +445,7 @@ def test_oracle_needs_its_higher_rungs(monkeypatch):
     src, trg = Config("s", 0), Config("r", 1)
     v = decide_full(a, src, trg)
     assert v.kind == REACHABLE and len(v.run) == 165
-    assert apply_path(a, src, v.run)[-1] == trg
+    assert apply_path(a, src, v.run) == trg
     assert len(caps) > 1
 
 
@@ -465,5 +465,5 @@ def test_reachable_core_closure_skips_the_witness_check(monkeypatch):
     a, src, trg = gen_subset_sum((44, 957, 593, 549, 86, 342, 708, 694), 1980)
     v = decide_disequality(a, src, trg)
     assert v.kind == REACHABLE
-    assert apply_path(a, src, v.run)[-1] == trg
+    assert apply_path(a, src, v.run) == trg
     assert calls == {"reach_oracle": 1}
