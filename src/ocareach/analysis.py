@@ -324,11 +324,6 @@ def sure_unbounded_thresholds(a: OCA) -> dict[str, int]:
     return out
 
 
-def definitely_unbounded(a: OCA, c: Config) -> bool:
-    threshold = sure_unbounded_thresholds(a).get(c.state)
-    return threshold is not None and c.value >= threshold and a.is_valid(c)
-
-
 def structure_report(a: OCA) -> str:
     """Deterministic plain-text analysis report."""
     lines = [

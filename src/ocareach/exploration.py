@@ -291,8 +291,9 @@ def is_bounded(a: OCA, c: Config) -> bool:
 
     One :func:`post_star` probe whose value cap cannot bind.  A closure
     that completes proves bounded.  An infinite one reaches a
-    configuration that :func:`ocareach.analysis.definitely_unbounded`
-    flags, proving unbounded: above every test plus ``|Q|*max_update`` a
+    configuration at or above its state's
+    :func:`ocareach.analysis.sure_unbounded_thresholds` threshold,
+    proving unbounded: above every test plus ``|Q|*max_update`` a
     climbing cycle of the equality-free restriction runs freely, and a
     run that climbs that high without coming back down repeats a state
     on such a cycle.  The probe stops at the first such configuration.

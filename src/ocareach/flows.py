@@ -4,7 +4,9 @@ A path from ``u`` to ``v`` induces a flow: the multiset of transitions it
 uses.  The flow forgets the order but keeps enough structure to rebuild
 some path with the same endpoints and counts (an Euler trail), which is
 the backbone of both candidate-path materialization and the descent
-certificates.
+certificates.  The module checks the flow conditions, realizes flows as
+paths, and tests whether a flow's support carries a positive-effect
+cycle, which descent certificates must rule out.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass
 
-from .automaton import OCA, InternalError, Path, path_effect_drop, path_states, source_replay
+from .automaton import OCA, InternalError, Path, path_states
 
 
 class FlowError(ValueError):
@@ -175,26 +177,3 @@ def flow_has_positive_cycle(a: OCA, flow: Flow) -> bool:
         if not changed:
             return False
     return any(dist[src] + w < dist[dst] for src, dst, w in edges)
-
-
-def rotate_to_zero_drop(a: OCA, cycle: Path) -> Path:
-    """Rotate a positive-effect cycle so its drop becomes zero.
-
-    Rotating to start at the first lowest prefix point lifts every other
-    prefix above the start.  Rejects paths that are not cycles or whose
-    effect is not positive.
-    """
-    if not cycle:
-        raise ValueError("empty path is not a rotatable cycle")
-    configs = source_replay(a, cycle)
-    if configs[0].state != configs[-1].state:
-        raise ValueError(f"path is not a cycle ({configs[0].state} to {configs[-1].state})")
-    values = [c.value for c in configs]
-    if values[-1] <= 0:
-        raise ValueError(f"cycle effect {values[-1]} is not positive")
-    cut = values.index(min(values))
-    rotated = cycle[cut:] + cycle[:cut]
-    _, drop = path_effect_drop(a, rotated)
-    if drop != 0:
-        raise InternalError("rotation at the minimum prefix must clear the drop")
-    return rotated

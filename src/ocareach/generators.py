@@ -31,8 +31,10 @@ class FuzzSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.num_states < 1 or self.max_update < 1 or self.max_guard < 0:
+        if self.num_states < 1 or self.max_update < 1:
             raise ValueError("num_states and max_update must be positive")
+        if self.max_guard < 0:
+            raise ValueError("max_guard must be nonnegative")
         for frac in (self.guard_density, self.equality_fraction):
             if not 0.0 <= frac <= 1.0:
                 raise ValueError(f"fraction {frac} outside [0, 1]")

@@ -22,14 +22,15 @@ closure once.  The forward closure follows valid steps only, so a target
 inside it is reachable, and synthesis then stops before the backward
 core: no witness could verify.
 
-Verification builds each side's pessimistic closure once, through
-locally bounded configurations, for the inductive check.  The separator
-needs the unrestricted closure; it is that closure continued from what
-local boundedness alone kept out, which is almost always nothing.  The
-checks read the closures' per-state value tables directly and keep the
-induced sets as the values at each state, so a state that is neither
-pumpable nor in a climbing component costs a table lookup, not a
-question per configuration.
+Verification runs three named stages after its shape checks:
+:func:`check_ap_domain` per progression, :func:`check_inductive` per
+side, and :func:`check_separator` between the sides.  The inductive
+stage builds each side's pessimistic closure once, through locally
+bounded configurations, and returns the induced sets the separator
+reads; their unrestricted closure continues from what local boundedness
+alone kept out, almost always nothing.  The stages read per-state value
+tables directly, so a state neither pumpable nor in a climbing
+component costs a table lookup, not a question per configuration.
 
 The module owns the WITNESS format, and with it the normalization
 gadget its ``normalized yes`` line names (:func:`normalize_endpoints`).
@@ -55,7 +56,6 @@ from .automaton import (
 from .exploration import (
     NODE_CAP,
     Configs,
-    PostStarResult,
     ResourceExceeded,
     candidate_reach,
     is_locally_bounded,
@@ -160,32 +160,10 @@ def _reject_equality_tests(a: OCA, what: str) -> None:
 MEMBER_CAP = 200_000  # configurations one side of a witness may describe
 
 
-def _check_size(aps: APSet) -> None:
-    if sum(len(p.values()) for p in aps.progressions) > MEMBER_CAP:
-        raise ResourceExceeded(f"progression set describes more than {MEMBER_CAP} configurations")
-
-
-def _materialize(aps: APSet) -> list[Config]:
-    _check_size(aps)
-    return list(aps.members())
-
-
 def _step_order(a: OCA):
     """Sort key of a step ``(c, i, d)``: c's state index, c's value, i."""
     order = a.state_index
     return lambda step: (order[step[0].state], step[0].value, step[1])
-
-
-def _closed_post_star(a: OCA, root: Config) -> PostStarResult:
-    """Full forward closure of ``root`` through locally bounded
-    configurations, in one search.
-
-    The closure is finite: locally bounded configurations form finite
-    closures inside each strongly connected component, and runs cross
-    the components' DAG.  Exceeding :data:`NODE_CAP` raises
-    ResourceExceeded.
-    """
-    return post_star(a, [root], NODE_CAP, restrict=locally_bounded(a))
 
 
 def _compress_core(a: OCA, core: set[Config]) -> APSet:
@@ -241,8 +219,11 @@ def _endpoints(a: OCA, src: Config, trg: Config) -> OCA:
 
 
 def _core(a: OCA, root: Config, avoid: Config | None = None) -> APSet | None:
-    """``root``'s perfect core, or None when its closure holds ``avoid``."""
-    closure = _closed_post_star(a, root)
+    """``root``'s perfect core, or None when its closure holds ``avoid``.
+    The closure is one search through locally bounded configurations,
+    finite as runs cross the components' DAG; past :data:`NODE_CAP` it
+    raises ResourceExceeded."""
+    closure = post_star(a, [root], NODE_CAP, restrict=locally_bounded(a))
     if avoid is not None and avoid in closure:
         return None
     drops = pumpable_drops(a)
@@ -327,22 +308,18 @@ def _add(values: _Values, state: str, new) -> None:
         values[state] = set(new)
 
 
-def _side(a: OCA, aps: APSet) -> tuple[list[_Step], _Values]:
-    """A witness side's inductive escape candidates and induced set."""
-    members = _materialize(aps)
-    for c in members:
-        if not a.is_valid(c):
-            raise ValueError(f"core member {c} is not a valid configuration")
-    _, _, escapes, induced = _closures(a, members)
-    return escapes, induced
+def check_inductive(a: OCA, w: NonReachabilityWitness) -> tuple[CheckResult, list[_Values]]:
+    """Closure property of the cores under locally bounded pessimistic
+    exploration plus one step, forward for ``fwd``, reversed for ``bwd``.
 
-
-def _inductive(a: OCA, w: NonReachabilityWitness) -> tuple[CheckResult, list[_Values]]:
-    """:func:`check_inductive`'s result, and the induced sets of the sides
-    it built: forward first, and backward only if forward holds."""
+    Also returns the induced sets of the sides it built, for
+    :func:`check_separator`: forward first, and backward only if forward
+    holds.  A core member that is not a valid configuration raises
+    ValueError.
+    """
     induced = []
     for condition, machine, aps in (("forward", a, w.fwd), ("backward", reverse(a), w.bwd)):
-        escapes, side = _side(machine, aps)
+        _, _, escapes, side = _closures(machine, list(aps.members()))
         for escape in sorted(escapes, key=_step_order(machine)):
             if is_locally_bounded(machine, escape[2]):
                 return CheckResult(False, condition, escape), induced
@@ -350,14 +327,15 @@ def _inductive(a: OCA, w: NonReachabilityWitness) -> tuple[CheckResult, list[_Va
     return CheckResult(True), induced
 
 
-def check_inductive(a: OCA, w: NonReachabilityWitness) -> CheckResult:
-    """Closure property of the cores under locally bounded pessimistic
-    exploration plus one step, forward for ``fwd``, reversed for ``bwd``."""
-    return _inductive(a, w)[0]
+def check_separator(a: OCA, fwd_side: _Values, bwd_side: _Values) -> CheckResult:
+    """No crossing between the induced sets :func:`check_inductive`
+    returns: the pessimistic closures of the cores plus their one-step
+    boundaries.
 
-
-def _separated(a: OCA, fwd_side: _Values, bwd_side: _Values) -> CheckResult:
-    """:func:`check_separator` on the two induced sets."""
+    Sep1: no single transition from the forward side to the backward
+    side.  Sep2: no candidate path between a locally unbounded forward
+    member and a backward member locally unbounded in reverse.
+    """
     order = a.state_index
     crossing = None
     for state, values in fwd_side.items():
@@ -394,19 +372,6 @@ def _loose(a: OCA, side: _Values) -> list[Config]:
     return loose
 
 
-def check_separator(a: OCA, w: NonReachabilityWitness) -> CheckResult:
-    """No crossing between the induced sets: the pessimistic closures of
-    the cores plus their one-step boundaries.
-
-    Sep1: no single transition from the forward side to the backward
-    side.  Sep2: no candidate path between a locally unbounded forward
-    member and a backward member locally unbounded in reverse.
-    """
-    _, fwd_side = _side(a, w.fwd)
-    _, bwd_side = _side(reverse(a), w.bwd)
-    return _separated(a, fwd_side, bwd_side)
-
-
 def check_ap_domain(a: OCA, p: Progression) -> CheckResult:
     """One progression's domain obligations: valid members, the least
     member pumpable, and every member locally bounded."""
@@ -432,8 +397,10 @@ def verify_witness(a: OCA, src: Config, trg: Config, w: NonReachabilityWitness) 
     """Full witness check; verified means the target is unreachable.
 
     Refutation reasons, in checking order: trivial (equal endpoints),
-    domain (endpoint or progression outside its required region), size,
-    value-bound, src-membership / trg-membership, inductive, separator.
+    domain (an endpoint not valid), size, value-bound, domain (a
+    progression failing :func:`check_ap_domain`), src-membership /
+    trg-membership, inductive (:func:`check_inductive`), separator
+    (:func:`check_separator`).
     After value-bound, a side of over :data:`MEMBER_CAP` members raises ResourceExceeded.
     """
     _reject_equality_tests(a, "witnesses")
@@ -453,10 +420,12 @@ def verify_witness(a: OCA, src: Config, trg: Config, w: NonReachabilityWitness) 
                 return WitnessReport(False, "malformed", (side, p))
             if top > bound and not (p.min_value() == top == pivot.value and p.state == pivot.state):
                 return WitnessReport(False, "value-bound", (side, p))
-    _check_size(w.fwd)
-    _check_size(w.bwd)
-    rev = reverse(a)
-    for side, aps, machine in (("I", w.fwd, a), ("J", w.bwd, rev)):
+    for aps in (w.fwd, w.bwd):
+        if sum(len(p.values()) for p in aps.progressions) > MEMBER_CAP:
+            raise ResourceExceeded(
+                f"progression set describes more than {MEMBER_CAP} configurations"
+            )
+    for side, aps, machine in (("I", w.fwd, a), ("J", w.bwd, reverse(a))):
         for p in aps.progressions:
             res = check_ap_domain(machine, p)
             if not res:
@@ -465,10 +434,10 @@ def verify_witness(a: OCA, src: Config, trg: Config, w: NonReachabilityWitness) 
         return WitnessReport(False, "src-membership", src)
     if not w.bwd.contains(trg):
         return WitnessReport(False, "trg-membership", trg)
-    res, induced = _inductive(a, w)
+    res, induced = check_inductive(a, w)
     if not res:
         return WitnessReport(False, "inductive", (res.condition, res.detail))
-    res = _separated(a, *induced)
+    res = check_separator(a, *induced)
     if not res:
         return WitnessReport(False, "separator", (res.condition, res.detail))
     return WitnessReport(True)

@@ -301,8 +301,10 @@ def verify_pessimistic_certificate(
         recorded[state] = (i, j)
     for state, (i, j) in recorded.items():
         occ = occurrences.get(state)
+        if occ is None:
+            return _refuted("crossing-malformed")
         guard = a.guard(state)
-        if occ is None or guard.kind != "ne":
+        if guard.kind != "ne":
             return _refuted("crossing-malformed")
         if i not in occ or j not in occ or occ.index(j) != occ.index(i) + 1:
             return _refuted("crossing-malformed")

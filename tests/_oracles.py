@@ -9,16 +9,19 @@ from __future__ import annotations
 
 from collections import deque
 
-from ocareach.analysis import CanonicalCycle
+from ocareach.analysis import CanonicalCycle, sure_unbounded_thresholds
 from ocareach.automaton import (
     OCA,
     Config,
     Guard,
+    InternalError,
     Path,
     ReplayError,
     Transition,
+    path_effect_drop,
     restrict,
     scc_of,
+    source_replay,
 )
 
 
@@ -378,3 +381,35 @@ def naive_first_step(a: OCA, configs, hit) -> tuple[Config, int, Config] | None:
             if hit(d):
                 return c, i, d
     return None
+
+
+# Helpers only tests call.  Unlike the baselines above they build on the
+# package's own analyses and replay.
+
+
+def definitely_unbounded(a: OCA, c: Config) -> bool:
+    threshold = sure_unbounded_thresholds(a).get(c.state)
+    return threshold is not None and c.value >= threshold and a.is_valid(c)
+
+
+def rotate_to_zero_drop(a: OCA, cycle: Path) -> Path:
+    """Rotate a positive-effect cycle so its drop becomes zero.
+
+    Rotating to start at the first lowest prefix point lifts every other
+    prefix above the start.  Rejects paths that are not cycles or whose
+    effect is not positive.
+    """
+    if not cycle:
+        raise ValueError("empty path is not a rotatable cycle")
+    configs = source_replay(a, cycle)
+    if configs[0].state != configs[-1].state:
+        raise ValueError(f"path is not a cycle ({configs[0].state} to {configs[-1].state})")
+    values = [c.value for c in configs]
+    if values[-1] <= 0:
+        raise ValueError(f"cycle effect {values[-1]} is not positive")
+    cut = values.index(min(values))
+    rotated = cycle[cut:] + cycle[:cut]
+    _, drop = path_effect_drop(a, rotated)
+    if drop != 0:
+        raise InternalError("rotation at the minimum prefix must clear the drop")
+    return rotated

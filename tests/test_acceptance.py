@@ -32,7 +32,6 @@ from ocareach.flows import (
     flow_has_positive_cycle,
     flow_of_path,
     path_from_flow,
-    rotate_to_zero_drop,
 )
 from ocareach.generators import gen_subset_sum
 from ocareach.invariants import (
@@ -58,6 +57,7 @@ from ocareach.solver import (
     normalize_endpoints,
 )
 
+from _oracles import rotate_to_zero_drop
 from conftest import FIG_LOOP, random_oca, random_walk
 
 

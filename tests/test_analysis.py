@@ -8,14 +8,18 @@ from ocareach.analysis import (
     chain_of,
     chains_at,
     climbing_cycles,
-    definitely_unbounded,
     in_pumpable_region,
     structure_report,
     sure_unbounded_thresholds,
 )
 from ocareach.automaton import OCA, Config, Transition, parse_oca, restrict
 
-from _oracles import bisected_climbing_cycles, naive_chain_partition, naive_climbing_cycle
+from _oracles import (
+    bisected_climbing_cycles,
+    definitely_unbounded,
+    naive_chain_partition,
+    naive_climbing_cycle,
+)
 from conftest import FIG_LOOP, random_oca
 
 # ------------------------------------------------------- canonical cycles

@@ -28,11 +28,10 @@ from ocareach.automaton import (
     valid_steps,
 )
 from ocareach.evidence import verify_evidence
-from ocareach.flows import rotate_to_zero_drop
 from ocareach.invariants import format_witness
 from ocareach.solver import decide_full
 
-from _oracles import naive_effect_drop, reference_replay
+from _oracles import naive_effect_drop, reference_replay, rotate_to_zero_drop
 from conftest import FIG_LOOP, random_oca
 
 # ---------------------------------------------------------------- parsing

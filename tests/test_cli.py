@@ -211,6 +211,17 @@ def test_pessimistic_round_trip(tmp_path, capsys):
     assert "verified: CERT" in capsys.readouterr().out
 
 
+def test_verify_refutes_a_crossing_at_an_undeclared_state(tmp_path, capsys):
+    p = tmp_path / "descent.oca"
+    p.write_text("states: a b\nguard a != 3\ntrans a -2 a\ntrans a +0 b\n")
+    ev = tmp_path / "cert.ev"
+    main(["pessimistic", str(p), "--src", "a:6", "--trg", "b:0", "--emit", str(ev)])
+    capsys.readouterr()
+    ev.write_text(ev.read_text() + "crossing zz 0 1\n")
+    assert main(["verify", str(p), "--src", "a:6", "--trg", "b:0", str(ev)]) == 1
+    assert "crossing-malformed" in capsys.readouterr().out
+
+
 def test_pessimistic_declines_climbs(loop_file, capsys):
     assert main(["pessimistic", loop_file, "--src", "q:7", "--trg", "s:10"]) == 1
     assert "no pessimistic run" in capsys.readouterr().out
@@ -260,6 +271,11 @@ def test_fuzz_flags_are_the_spec_fields():
 def test_fuzz_rejects_an_invalid_spec(capsys, flag, value):
     assert main(["fuzz", flag, value]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_fuzz_names_the_invalid_field(capsys):
+    assert main(["fuzz", "--max-guard", "-1"]) == 2
+    assert "max_guard" in capsys.readouterr().err
 
 
 def test_decide_reports_the_lift_leg_refusal(tmp_path, monkeypatch, capsys):

@@ -185,7 +185,7 @@ def test_evidence_is_stable():
 
 # ------------------------------------------------------------ trusted base
 
-_SYNTHESIS = {"perfect_cores", "_closed_post_star", "_compress_core", "synthesize_witness"}
+_SYNTHESIS = {"perfect_cores", "_core", "_compress_core", "synthesize_witness"}
 
 
 def _evidence_corpus(loop3):

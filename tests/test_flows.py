@@ -12,10 +12,9 @@ from ocareach.flows import (
     flow_has_positive_cycle,
     flow_of_path,
     path_from_flow,
-    rotate_to_zero_drop,
 )
 
-from _oracles import naive_cycles_through, naive_effect_drop
+from _oracles import naive_cycles_through, naive_effect_drop, rotate_to_zero_drop
 from conftest import random_oca, random_walk
 
 # ---------------------------------------------------------------- basics

@@ -267,16 +267,21 @@ def test_verify_domain_reasons():
     assert got.reason == "domain" and got.detail[2].condition == "locally-unbounded"
 
 
-def test_verify_inductive_escape():
-    # Widen the fence so the source chain has three members; dropping the
-    # upper two leaves a hole one pessimistic step wide.
+def widened_pair():
+    # blocked_pair with the fence at 6, so the source chain has three members.
     a = parse_oca(
         "states: pp p t tp\n"
         "guard pp != 6\nguard t != 2\nguard tp != 8\n"
         "trans pp +1 pp\ntrans pp +0 p\ntrans p +1 t\n"
         "trans t +0 tp\ntrans tp -1 tp\n"
     )
-    src, trg = Config("pp", 3), Config("tp", 7)
+    return a, Config("pp", 3), Config("tp", 7)
+
+
+def test_verify_inductive_escape():
+    # Dropping the upper two members of the source chain leaves a hole one
+    # pessimistic step wide.
+    a, src, trg = widened_pair()
     w = synthesize_witness(a, src, trg)
     assert w is not None
     assert w.fwd == APSet((Progression("pp", 3, 1, 3, 5),))
@@ -302,7 +307,42 @@ def test_verify_separator_violation():
 def test_check_inductive_vacuous():
     a, _, _ = blocked_pair()
     w = NonReachabilityWitness(APSet(()), APSet(()))
-    assert check_inductive(a, w).holds
+    assert check_inductive(a, w)[0].holds
+
+
+def test_check_inductive_rejects_an_invalid_core_member():
+    a, _, _ = blocked_pair()  # pp != 4 and tp != 8
+    none = APSet(())
+    for w in (
+        NonReachabilityWitness(APSet((Progression("pp", 4, 1, 4, 4),)), none),
+        NonReachabilityWitness(none, APSet((Progression("tp", 8, 1, 8, 8),))),
+    ):
+        with pytest.raises(ValueError):
+            check_inductive(a, w)
+
+
+def test_verify_witness_calls_its_public_stages(monkeypatch):
+    """verify_witness reaches its stages through the module globals that
+    the benchmark tracer wraps, and stops at the first stage that fails."""
+    a, src, trg = widened_pair()
+    w = synthesize_witness(a, src, trg)
+    assert w is not None
+    clipped = NonReachabilityWitness(APSet((Progression("pp", 3, 1, 3, 3),)), w.bwd)
+    calls: dict[str, int] = {}
+    for name in ("check_ap_domain", "check_inductive", "check_separator"):
+
+        def counted(*args, _name=name, _real=getattr(invariants, name)):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _real(*args)
+
+        monkeypatch.setattr(invariants, name, counted)
+
+    assert verify_witness(a, src, trg, w).verified
+    progressions = len(w.fwd.progressions) + len(w.bwd.progressions)
+    assert calls == {"check_ap_domain": progressions, "check_inductive": 1, "check_separator": 1}
+    calls.clear()
+    assert verify_witness(a, src, trg, clipped).reason == "inductive"
+    assert calls == {"check_ap_domain": 1 + len(w.bwd.progressions), "check_inductive": 1}
 
 
 # ------------------------------------------------------------ ap domain
@@ -554,7 +594,7 @@ def test_refutation_details_match_a_sorted_scan():
             if found is not None:
                 expected = (side, found)
                 break
-        res = check_inductive(b, w)
+        res, _ = check_inductive(b, w)
         assert (res.condition, res.detail) == (expected or (None, None))
         hits["inductive"] += expected is not None
 
@@ -563,7 +603,10 @@ def test_refutation_details_match_a_sorted_scan():
             closure = pessimistic_post_star(machine, list(aps.members()))
             sides.append(closure | {d for c in closure for d, _ in naive_successors(machine, c)})
         crossing = naive_first_step(b, sides[0], lambda d: d in sides[1])
-        res = check_separator(b, w)
+        induced = [
+            invariants._closures(m, list(aps.members()))[3] for m, aps in ((b, w.fwd), (rev, w.bwd))
+        ]
+        res = check_separator(b, *induced)
         if crossing is not None:
             assert (res.condition, res.detail) == ("Sep1", crossing)
             hits["Sep1"] += 1

@@ -249,7 +249,8 @@ def test_certificate_decomposition_sum_checked():
 # automaton (transitions listed as "src update dst"), the waypoints, and
 # each segment as a list of transition indices (its endpoints are the
 # waypoints around it).  The whole flow is the segments' sum unless the
-# row overrides it; "crossings" defaults to none.
+# row overrides it; "crossings" defaults to none, and a record names x
+# unless it names its state first.
 _DOWN = "x -1 y, y -1 x, x -2 x"  # t0 leaves x, t1 returns, t2 loops
 REFUTATIONS = [
     # More segments than 4 * |Q| + 1.
@@ -294,6 +295,8 @@ REFUTATIONS = [
         [[0], [1, 2], [3]],
         {"crossings": [(0, 3)]},
     ),
+    # A record for a state the automaton does not declare.
+    ("crossing-malformed", "x -2 x", "x:7 x:3", [[0, 0]], {"crossings": [("zz", 0, 1)]}),
 ]
 
 
@@ -320,7 +323,7 @@ def test_hand_built_certificate_refutations(condition, transitions, waypoints, s
         flow = Flow.make(counts, start, end)
     else:
         flow = Flow.make(Counter(i for seg in segments for i in seg), wp[0].state, wp[-1].state)
-    crossings = tuple(("x", i, j) for i, j in extra.get("crossings", ()))
+    crossings = tuple(c if len(c) == 3 else ("x", *c) for c in extra.get("crossings", ()))
     cert = PessimisticCertificate(flow, decomposition, wp, crossings)
     res = verify_pessimistic_certificate(a, wp[0], wp[-1], cert)
     assert not res.verified
