@@ -159,41 +159,54 @@ def require_valid(a: OCA, *configs: Config) -> None:
             raise ValueError(f"configuration {c} is not valid")
 
 
-def batch_steps(a: OCA, state: str, values) -> Iterator[tuple[int, str, int, list[int]]]:
-    """Every valid step out of ``state`` at each of ``values`` (distinct
-    valid values, a list or any collection), one batch per transition:
-    ``(i, dst, update, targets)`` with transitions ``i`` in index order
-    and ``targets`` the values reached at ``dst`` that pass its test,
-    in the order of ``values``.  Each transition reads the test at
-    ``dst`` from :attr:`OCA.step_table` once, whatever the batch size.
-    Scans over a whole configuration set group it by state and step
-    through here; :func:`ocareach.exploration.post_star` inlines the
-    same rule per level."""
+def batch_steps(a: OCA, state: str, values: int) -> Iterator[tuple[int, str, int, int]]:
+    """Every valid step out of ``state`` at each of ``values``, a set of
+    valid values held as a bitset (bit ``v`` set for value ``v``), one
+    batch per transition: ``(i, dst, update, targets)`` with transitions
+    ``i`` in index order and ``targets`` the bitset of values reached at
+    ``dst`` that pass its test.  A batch is a shift of ``values``, less
+    the bit a ``!=`` test forbids; an ``==`` test lets through its one
+    value if the one source value that reaches it is in ``values``.
+    Scans over a whole configuration set step each state's set through
+    here; :func:`ocareach.exploration.post_star` inlines the same rule
+    per level."""
     out, blocked, pinned = a.step_table
     for i, dst, update in out[state]:
         pin = pinned.get(dst)
         if pin is not None:
-            targets = [pin] if pin - update in values else []
+            targets = 1 << pin if pin >= update and values >> (pin - update) & 1 else 0
         else:
-            if update >= 0:
-                targets = [v + update for v in values]
-            else:
-                targets = [w for v in values if (w := v + update) >= 0]
+            targets = values << update if update >= 0 else values >> -update
             avoid = blocked[dst]
-            if avoid >= 0 and avoid in targets:
-                targets.remove(avoid)
+            if avoid >= 0 and targets >> avoid & 1:
+                targets ^= 1 << avoid
         yield i, dst, update, targets
+
+
+def bit_values(bits: int) -> Iterator[int]:
+    """The values in a bitset, in increasing order.  The set is read
+    relative to its least value, so a few high values cost what their
+    span does, not what their height does."""
+    if bits:
+        low = (bits & -bits).bit_length() - 1
+        digits = bin(bits >> low)[:1:-1]  # bit j of the shifted set at index j
+        j = 0
+        while j >= 0:
+            yield low + j
+            j = digits.find("1", j + 1)
 
 
 def valid_steps(a: OCA, configs: Iterable[Config]) -> Iterator[tuple[Config, int, Config]]:
     """Every valid step ``(c, i, d)`` out of ``configs``: ``c`` in the
     order given, its transitions ``i`` in index order, ``d`` valid.  One
-    configuration at a time, for short scans; it is a view of
-    :func:`batch_steps`, which whole-set scans call directly."""
+    configuration at a time, for short scans, with no bitset as large as
+    the value; whole-set scans step bitsets through :func:`batch_steps`."""
+    out = a.step_table[0]
     for c in configs:
-        for i, dst, _, targets in batch_steps(a, c.state, (c.value,)):
-            for w in targets:
-                yield c, i, Config(dst, w)
+        for i, dst, update in out[c.state]:
+            d = Config(dst, c.value + update)
+            if a.is_valid(d):
+                yield c, i, d
 
 
 def per_automaton(fn):
@@ -405,6 +418,17 @@ def scc_of(a: OCA) -> dict[str, frozenset[str]]:
         for q in component:
             table[q] = component
     return table
+
+
+def component(a: OCA, q: str) -> tuple[OCA, tuple[int, ...]]:
+    """q's strongly connected component as a sub-automaton, with the map
+    back to ``a``'s transition indices, as :func:`restrict` gives them.
+    The sub-automaton is one component by construction, so its
+    :func:`scc_of` table is filled in here rather than searched for."""
+    states = scc_of(a)[q]
+    sub, back = restrict(a, states)
+    sub.memo.setdefault(scc_of.__wrapped__, dict.fromkeys(sub.states, states))
+    return sub, back
 
 
 @per_automaton

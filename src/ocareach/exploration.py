@@ -1,9 +1,11 @@
 """Brute-force semantics: bounded exploration and exact candidate reachability.
 
-Everything here is explicit-state.  :func:`post_star` runs a capped
-breadth-first closure, batched by state, and keeps one table per state
-from value to breadth-first level; runs are read back from the levels
-on demand.  Closures are restricted per state too: a restriction names,
+Everything here is explicit-state.  A set of values at one state is a
+bitset, bit ``v`` for value ``v``.  :func:`post_star` runs a capped
+breadth-first closure that steps a state's whole frontier per
+transition with a shift, a cleared ``!=`` bit and a mask of what was
+seen, and keeps each level's frontiers; runs are read back from them on
+demand.  Closures are restricted per state too: a restriction names,
 for each state, either nothing (every valid value is admitted) or a
 predicate on values.  Local boundedness (:func:`locally_bounded`) and
 the boundedness labels behind it take the same per-state form.
@@ -31,9 +33,10 @@ from .automaton import (
     InternalError,
     Path,
     apply_path,
+    bit_values,
+    component,
     per_automaton,
     require_valid,
-    restrict,
     reverse,
     scc_of,
     state_search,
@@ -56,16 +59,17 @@ def _value_cap(a: OCA, *values: int, scale: int = 1) -> int:
 
 
 class Configs(Set):
-    """A read-only set of configurations over per-state value tables:
-    ``levels[state]`` holds the values found at ``state`` as keys.
+    """A read-only set of configurations over per-state value bitsets:
+    ``sets[state]`` has bit ``v`` set for each value ``v`` at ``state``.
     Membership takes a :class:`~ocareach.automaton.Config` or a plain
-    ``(state, value)`` tuple; iteration yields configurations, state by
-    state.  It is a view: nothing is copied."""
+    ``(state, value)`` tuple, and anything else is not a member;
+    iteration yields configurations state by state, values in
+    increasing order.  It is a view: nothing is copied."""
 
-    __slots__ = ("levels",)
+    __slots__ = ("sets",)
 
-    def __init__(self, levels: dict[str, dict[int, int]]):
-        self.levels = levels
+    def __init__(self, sets: dict[str, int]):
+        self.sets = sets
 
     @classmethod
     def _from_iterable(cls, it) -> set:
@@ -76,40 +80,48 @@ class Configs(Set):
             state, value = c
         except (TypeError, ValueError):
             return False
-        table = self.levels.get(state)
-        return table is not None and value in table
+        bits = self.sets.get(state)
+        return bits is not None and isinstance(value, int) and value >= 0 and bits >> value & 1 == 1
 
     def __iter__(self) -> Iterator[Config]:
         new = tuple.__new__
-        for state, table in self.levels.items():
-            for value in table:
+        for state, bits in self.sets.items():
+            for value in bit_values(bits):
                 yield new(Config, (state, value))
 
     def __len__(self) -> int:
-        return sum(map(len, self.levels.values()))
+        return sum(bits.bit_count() for bits in self.sets.values())
 
     def __repr__(self) -> str:
         return f"Configs({set(self)!r})"
 
 
+# A state's frontier at one level: a tuple of values, or a bitset read
+# from an offset, ``[low, bits]`` for the values ``low + j`` of bits j.
+# Tuples of ints leave the garbage collector's lists, so a long thin
+# search keeps nothing it must scan.
+Front = dict[str, "tuple[int, ...] | list[int]"]
+
+
 @dataclass
 class PostStarResult:
-    """A closure: ``levels`` maps each state to a table from each value
-    found there to its breadth-first level, 0 at a start; ``configs`` is
-    a set view over those tables, not a copy.  No run is stored:
-    :meth:`run_to` reads one back on demand through the automaton."""
+    """A closure: ``sets`` maps each state to the bitset of values found
+    there, and ``fronts[k]`` holds, per state, the values first found
+    there at breadth-first level ``k``, 0 at a start.  ``configs`` is a
+    set view over ``sets``, not a copy.  No run is stored: :meth:`run_to`
+    reads one back on demand through the automaton."""
 
     automaton: OCA = field(repr=False)
-    levels: dict[str, dict[int, int]]
+    sets: dict[str, int]
+    fronts: list[Front] = field(repr=False)
     cap_hit: bool
 
     @property
     def configs(self) -> Configs:
-        return Configs(self.levels)
+        return Configs(self.sets)
 
     def __contains__(self, c: Config) -> bool:
-        table = self.levels.get(c[0])
-        return table is not None and c[1] in table
+        return c in Configs(self.sets)
 
     def run_to(self, c: Config) -> Path:
         """Transition indices of a shortest discovered run ending at ``c``.
@@ -123,19 +135,30 @@ class PostStarResult:
         """
         if c not in self:
             raise KeyError(f"{c} was not discovered")
-        a, levels = self.automaton, self.levels
+        a, fronts = self.automaton, self.fronts
         into, order = reverse(a).step_table[0], a.state_index
         state, value = c
+        depth = next(k for k, front in enumerate(fronts) if _holds(front, state, value))
         rev: list[int] = []
-        for level in range(levels[state][value] - 1, -1, -1):
+        for front in reversed(fronts[:depth]):
             rank, value, i = min(
                 (order[src], value + back, i)
                 for i, src, back in into[state]
-                if src in levels and levels[src].get(value + back) == level
+                if _holds(front, src, value + back)
             )
             state = a.states[rank]
             rev.append(i)
         return tuple(reversed(rev))
+
+
+def _holds(front: Front, state: str, value: int) -> bool:
+    got = front.get(state)
+    if got is None:
+        return False
+    if type(got) is tuple:
+        return value in got
+    low, bits = got
+    return value >= low and bits >> (value - low) & 1 == 1
 
 
 def post_star(a, start, node_cap, value_cap=None, restrict=None, stop_at=None) -> PostStarResult:
@@ -154,17 +177,20 @@ def post_star(a, start, node_cap, value_cap=None, restrict=None, stop_at=None) -
     configuration is found (the level in progress is finished first,
     keeping runs shortest).
 
-    Breadth first, one level at a time, with the frontier batched by
-    state: each transition out of a state steps that state's whole batch
-    of values, reading the test at its destination from
-    :attr:`ocareach.automaton.OCA.step_table` once per level, and the
-    destination's restriction at most once, when a new value needs it.
-    An ``==`` test lets through one value, so its batch is the one
-    source value that can reach it, if that is in the frontier.  Visited
-    values go in one table per state, keyed by plain ints: no
-    configuration is built, and nothing is sorted.  Each value keeps
-    only its level, and :meth:`PostStarResult.run_to` reads runs back
-    from the levels.
+    Breadth first, one level at a time, reading the test at each
+    destination from :attr:`ocareach.automaton.OCA.step_table`.  The
+    values found at a state are a bitset, kept in a bytearray while the
+    search runs, so that marking values costs what they span, not how
+    high they are.  A state's frontier is a tuple of at most
+    :data:`_THIN` values, stepped value by value as in long climbs and
+    descents, or else a bitset read from an offset, which a transition
+    steps whole: the update moves the offset, a ``!=`` test clears one
+    bit, and what the destination has seen is masked off.  An ``==``
+    test lets through the one value its source must hold.  A
+    destination's restriction is looked up once, when a new value first
+    needs it; a predicate is asked of each new value.  No configuration
+    is built.  :meth:`PostStarResult.run_to` reads runs back from the
+    frontiers of the levels.
     """
     roots = dict.fromkeys(start)
     for c in roots:
@@ -172,66 +198,178 @@ def post_star(a, start, node_cap, value_cap=None, restrict=None, stop_at=None) -
             raise ValueError(f"start configuration {c} is not valid")
     if value_cap is None:
         value_cap = max((c.value for c in roots), default=0) + node_cap * a.max_update + 1
-    levels: dict[str, dict[int, int]] = {}
-    frontier: dict[str, list[int]] = {}
+    seen: dict[str, bytearray] = {}  # per state, the values found as a little-endian bitset
+    starts: dict[str, list[int]] = {}
     cap_hit = False
     size = 0
+    keeps: dict[str, object] = {}  # each state's restriction, looked up at first need
     for state, value in roots:
-        keep = None if restrict is None else restrict(state)
+        keep = keeps.get(state, keeps)
+        if keep is keeps:
+            keep = keeps[state] = None if restrict is None else restrict(state)
         if keep is not None and not keep(value):
             continue
         if value > value_cap:
             cap_hit = True
             continue
-        levels.setdefault(state, {})[value] = 0
-        frontier.setdefault(state, []).append(value)
+        starts.setdefault(state, []).append(value)  # roots are distinct
         size += 1
+    frontier: Front = {}
+    for state, values in starts.items():
+        marks = seen[state] = bytearray((max(values) >> 3) + 1)
+        for value in values:
+            marks[value >> 3] |= _BIT[value & 7]
+        frontier[state] = tuple(values)
+    fronts = [frontier]
     out, blocked, pinned = a.step_table
-    none: dict[int, int] = {}  # stands in for a state's table until a value is found there
-    unasked = object()  # the restriction is looked up at the first new value that needs it
-    level = 0
     while frontier:
-        if stop_at is not None and stop_at[1] in levels.get(stop_at[0], ()):
+        if stop_at is not None and _has(seen.get(stop_at[0]), stop_at[1]):
             break
-        nxt: dict[str, list[int]] = {}
-        for state, values in frontier.items():
-            here = levels[state]
+        nxt: Front = {}
+        for state, front in frontier.items():
+            if type(front) is tuple and len(front) <= _THIN:
+                for _, dst, update in out[state]:
+                    pin, avoid = pinned.get(dst), blocked[dst]
+                    batch = front if pin is None else (pin - update,) if pin - update in front else ()
+                    had = seen.get(dst)
+                    if had is None:
+                        had = seen[dst] = bytearray()
+                    keep, found = keeps.get(dst, keeps), nxt.get(dst)
+                    for at in batch:
+                        at += update
+                        if at < 0 or at == avoid:
+                            continue
+                        i, bit = at >> 3, _BIT[at & 7]
+                        try:
+                            if had[i] & bit:
+                                continue
+                        except IndexError:  # grown geometrically, so rarely
+                            had.extend(bytes(max(i + 1 - len(had), len(had))))
+                        if keep is keeps:
+                            keep = keeps[dst] = None if restrict is None else restrict(dst)
+                        if keep is not None and not keep(at):
+                            continue
+                        if at > value_cap:
+                            cap_hit = True
+                            continue
+                        size += 1
+                        if size > node_cap:
+                            raise ResourceExceeded(f"post_star exceeded {node_cap} configurations")
+                        had[i] |= bit
+                        if found is None:
+                            found = nxt[dst] = (at,)
+                        elif type(found) is tuple:
+                            found = nxt[dst] = found + (at,)
+                        else:
+                            _union(found, at, 1)
+                continue
+            low, bits = _packed(front) if type(front) is tuple else front
             for _, dst, update in out[state]:
                 pin = pinned.get(dst)
                 if pin is None:
-                    batch = values
-                elif here.get(pin - update) == level:
-                    batch = (pin - update,)
+                    at, new = low + update, bits
+                    if at < 0:
+                        at, new = 0, new >> -at
+                    avoid = blocked[dst] - at
+                    if avoid >= 0 and new >> avoid & 1:
+                        new ^= 1 << avoid
+                elif pin - update >= low and bits >> (pin - update - low) & 1:
+                    at, new = pin, 1
                 else:
                     continue
-                avoid = blocked[dst]
-                seen = levels.get(dst, none)
-                keep = unasked
+                had = seen.get(dst)
+                if had is None:
+                    had = seen[dst] = bytearray()
+                # Only the bytes the batch spans are read and written.
+                i, j, shift = at >> 3, (at + new.bit_length() + 7) >> 3, at & 7
+                old = int.from_bytes(had[i:j], "little")
+                new &= ~(old >> shift)
+                if not new:
+                    continue
+                keep = keeps.get(dst, keeps)
+                if keep is keeps:
+                    keep = keeps[dst] = None if restrict is None else restrict(dst)
+                if keep is not None:
+                    new = _admitted(at, new, keep)
+                    if not new:
+                        continue
+                if at + new.bit_length() > value_cap + 1:
+                    cap_hit = True
+                    new &= (1 << max(value_cap + 1 - at, 0)) - 1
+                    if not new:
+                        continue
+                size += new.bit_count()
+                if size > node_cap:
+                    raise ResourceExceeded(f"post_star exceeded {node_cap} configurations")
+                if j > len(had):
+                    had.extend(bytes(j - len(had)))
+                had[i:j] = (old | new << shift).to_bytes(j - i, "little")
                 found = nxt.get(dst)
-                for v in batch:
-                    w = v + update
-                    if w < 0 or w == avoid or w in seen:
-                        continue
-                    if keep is unasked:
-                        keep = None if restrict is None else restrict(dst)
-                    if keep is not None and not keep(w):
-                        continue
-                    if w > value_cap:
-                        cap_hit = True
-                        continue
-                    if size >= node_cap:
-                        raise ResourceExceeded(f"post_star exceeded {node_cap} configurations")
-                    size += 1
-                    if found is None:
-                        if seen is none:
-                            seen = levels[dst] = {}
-                        found = nxt[dst] = [w]
-                    else:
-                        found.append(w)
-                    seen[w] = level + 1
+                if found is None:
+                    nxt[dst] = [at, new]
+                else:
+                    if type(found) is tuple:
+                        found = nxt[dst] = _packed(found)
+                    _union(found, at, new)
         frontier = nxt
-        level += 1
-    return PostStarResult(a, levels, cap_hit)
+        if nxt:
+            fronts.append(nxt)
+    sets = {}
+    for state, marks in seen.items():
+        bits = int.from_bytes(marks, "little")
+        if bits:
+            sets[state] = bits
+    return PostStarResult(a, sets, fronts, cap_hit)
+
+
+_THIN = 8  # up to this many values, stepping each costs less than word operations
+_BIT = tuple(1 << j for j in range(8))
+
+
+def _packed(values: tuple[int, ...]) -> list[int]:
+    """A frontier of values as a bitset ``[low, bits]``."""
+    low, bits = min(values), 0
+    for v in values:
+        bits |= 1 << (v - low)
+    return [low, bits]
+
+
+def _has(marks: bytes | None, value: int) -> bool:
+    """Is ``value`` marked in ``marks``, a little-endian bitset?"""
+    i = value >> 3
+    return marks is not None and i < len(marks) and marks[i] & _BIT[value & 7] != 0
+
+
+def _mark(marks: bytearray, bits: int) -> None:
+    """Or the int bitset ``bits`` into ``marks``, a little-endian bitset,
+    growing it as needed."""
+    n = (bits.bit_length() + 7) >> 3
+    if n > len(marks):
+        marks.extend(bytes(n - len(marks)))
+    marks[:n] = (int.from_bytes(marks[:n], "little") | bits).to_bytes(n, "little")
+
+
+def _union(front: list[int], at: int, bits: int) -> None:
+    """Add the values ``at + j`` of ``bits`` to the frontier ``[low, bits]``."""
+    low, old = front
+    if at < low:
+        front[:] = at, bits | old << (low - at)
+    else:
+        front[1] = old | bits << (at - low)
+
+
+def _admitted(at: int, bits: int, keep) -> int:
+    """The values ``at + j`` of the bitset ``bits`` that the predicate
+    ``keep`` admits, each asked once, in increasing order, read relative
+    to the least of them."""
+    low = (bits & -bits).bit_length() - 1
+    digits = bytearray(bin(bits >> low), "ascii")  # bit j of the shifted set at index top - j
+    top = i = len(digits) - 1
+    while i > 1:
+        if not keep(at + low + top - i):
+            digits[i] = 48  # "0"
+        i = digits.rfind(49, 0, i)  # the next "1" up
+    return int(digits, 0) << low
 
 
 def reach_oracle(a: OCA, src: Config, trg: Config) -> Path | None:
@@ -276,10 +414,12 @@ def reach_oracle(a: OCA, src: Config, trg: Config) -> Path | None:
 
 
 @per_automaton
-def _labels(a: OCA) -> dict[str, dict[int, bool]]:
-    """Boundedness labels of ``a``'s configurations, one value table per
-    state, see :func:`is_bounded`."""
-    return {}
+def _labels(a: OCA) -> tuple[dict[str, bytearray], dict[str, bytearray]]:
+    """Boundedness labels of ``a``'s configurations, see
+    :func:`is_bounded`: per state, the values labeled bounded and the
+    values labeled unbounded, each a little-endian bitset in a
+    bytearray, marked in place."""
+    return {}, {}
 
 
 class _Unbounded(Exception):
@@ -300,56 +440,57 @@ def is_bounded(a: OCA, c: Config) -> bool:
     Only the node cap of 2,000,000 stops it early, raising
     :class:`ResourceExceeded`.
 
-    Verdicts go into one label table per automaton, in its memo, that
-    maps each state to a table from value to verdict.  A closed probe
-    labels every configuration it saw bounded: each one's closure lies
-    inside the closed one.  Later probes stop at labels: one labeled
-    bounded is neither expanded nor counted against the node cap, as it
-    adds finitely many configurations; reaching one labeled unbounded
-    makes the probe's root unbounded.  The probe's restriction is read
-    per state from that state's labels and its
+    Verdicts go into the automaton's memo as labels: per state, one
+    bitset of values labeled bounded and one of values labeled
+    unbounded.  A closed probe labels every configuration it saw
+    bounded, one ``|`` per state: each one's closure lies inside the
+    closed one.  Later probes stop at labels: one labeled bounded is
+    neither expanded nor counted against the node cap, as it adds
+    finitely many configurations; reaching one labeled unbounded makes
+    the probe's root unbounded.  The probe's restriction is read per
+    state from that state's labels and its
     :func:`ocareach.analysis.sure_unbounded_thresholds` threshold; a
     state with neither admits every value unasked.  Labels are exact, so
     the order of queries changes only the work.  Without equality tests,
     strongly connected and climbing, a probe above every test plus
     ``(2|Q|+2)*(max_update+1)`` stops within |Q| levels.
     """
-    labels = _labels(a)
-    known = labels.get(c.state, {}).get(c.value)
-    if known is not None:
-        return known
+    yes, no = _labels(a)
+    state, value = c
+    if _has(yes.get(state), value):
+        return True
+    if _has(no.get(state), value):
+        return False
     thresholds = sure_unbounded_thresholds(a)
-    admits: dict[str, object] = {}
 
     def admit(state: str):
-        try:
-            return admits[state]
-        except KeyError:
-            pass
-        at, top = labels.get(state), thresholds.get(state)
-        keep = admits[state] = None if not at and top is None else _admit(at or {}, top)
-        return keep
+        bounded, unbounded, top = yes.get(state), no.get(state), thresholds.get(state)
+        if not bounded and not unbounded and top is None:
+            return None
+        return _admit(bounded or b"", unbounded or b"", top)
 
     try:
         res = post_star(a, [c], 2_000_000, restrict=admit)
     except _Unbounded:
-        labels.setdefault(c.state, {})[c.value] = False
+        _mark(no.setdefault(state, bytearray()), 1 << value)
         return False
-    for state, table in res.levels.items():
-        labels.setdefault(state, {}).update(dict.fromkeys(table, True))
+    for state, bits in res.sets.items():
+        _mark(yes.setdefault(state, bytearray()), bits)
     return True
 
 
-def _admit(labels: dict[int, bool], top: int | None):
-    """:func:`is_bounded`'s probe restriction at one state: values
-    labeled bounded are not expanded, and one labeled unbounded, or
-    unlabeled at or above the threshold ``top``, ends the probe."""
+def _admit(bounded: bytes, unbounded: bytes, top: int | None):
+    """:func:`is_bounded`'s probe restriction at one state, from its
+    labels: values labeled bounded are not expanded, and one labeled
+    unbounded, or unlabeled at or above the threshold ``top``, ends the
+    probe."""
 
     def keep(v: int) -> bool:
-        label = labels.get(v)
-        if label is False or (label is None and top is not None and v >= top):
+        i, bit = v >> 3, _BIT[v & 7]
+        known = i < len(bounded) and bounded[i] & bit
+        if i < len(unbounded) and unbounded[i] & bit or (top is not None and v >= top and not known):
             raise _Unbounded
-        return label is None
+        return not known
 
     return keep
 
@@ -358,7 +499,7 @@ def _component(a: OCA, q: str) -> OCA | None:
     """q's strongly connected component as a sub-automaton, or None when
     it has no climbing cycle, hence no positive cycle: no run in it then
     climbs over ``(|Q|-1)*max_update`` above its start, so closures end."""
-    sub, _ = restrict(a, scc_of(a)[q])
+    sub, _ = component(a, q)
     return sub if climbing_cycles(sub) else None
 
 
@@ -369,8 +510,8 @@ def locally_bounded(a: OCA):
 
     ``locally_bounded(a)(q)`` is None, every valid value at ``q`` being
     locally bounded unprobed, when q's component has no climbing cycle;
-    else a predicate on q's valid values, which the component's label
-    table for q answers, a probe of the component filling it on a miss.
+    else a predicate on q's valid values, which the component's labels
+    for q answer, a probe of the component filling them on a miss.
     The per-state table of answers fills on first use of each state.
     The restriction sits in ``a``'s memo, so it reaches ``a`` only
     through a weak reference, to fill that table.
@@ -392,12 +533,15 @@ def locally_bounded(a: OCA):
 
 def _bounded_at(sub: OCA, state: str):
     """:func:`is_bounded` in ``sub`` on the values at ``state``, read from
-    its label table for ``state`` first."""
-    labels = _labels(sub).setdefault(state, {})
+    its labels for ``state`` first."""
+    yes, no = _labels(sub)
+    good, bad = yes.setdefault(state, bytearray()), no.setdefault(state, bytearray())
 
     def bounded(v: int) -> bool:
-        known = labels.get(v)
-        return is_bounded(sub, Config(state, v)) if known is None else known
+        i, bit = v >> 3, _BIT[v & 7]
+        if i < len(good) and good[i] & bit:
+            return True
+        return not (i < len(bad) and bad[i] & bit) and is_bounded(sub, Config(state, v))
 
     return bounded
 
@@ -405,7 +549,7 @@ def _bounded_at(sub: OCA, state: str):
 def is_locally_bounded(a: OCA, c: Config) -> bool:
     """is_bounded inside c's strongly connected component, for a valid
     ``c``: :func:`locally_bounded` of ``a`` asked once.  The component's
-    label table is the only cache of the answer."""
+    labels are the only cache of the answer."""
     keep = locally_bounded(a)(c.state)
     return keep is None or keep(c.value)
 

@@ -28,9 +28,11 @@ side, and :func:`check_separator` between the sides.  The inductive
 stage builds each side's pessimistic closure once, through locally
 bounded configurations, and returns the induced sets the separator
 reads; their unrestricted closure continues from what local boundedness
-alone kept out, almost always nothing.  The stages read per-state value
-tables directly, so a state neither pumpable nor in a climbing
-component costs a table lookup, not a question per configuration.
+alone kept out, almost always nothing.  The stages read the closures'
+per-state value sets directly, as bitsets: the escapes, the leaks, the
+induced sets and the separator's crossings are shifts, ands and ors per
+state and transition, and a state neither pumpable nor in a climbing
+component costs no question per configuration.
 
 The module owns the WITNESS format, and with it the normalization
 gadget its ``normalized yes`` line names (:func:`normalize_endpoints`).
@@ -49,6 +51,7 @@ from .automaton import (
     InternalError,
     Transition,
     batch_steps,
+    bit_values,
     content_lines,
     require_valid,
     reverse,
@@ -231,10 +234,9 @@ def _core(a: OCA, root: Config, avoid: Config | None = None) -> APSet | None:
         a,
         {
             Config(state, v)
-            for state, table in closure.levels.items()
+            for state, bits in closure.sets.items()
             if state in drops
-            for v in table
-            if v >= drops[state]
+            for v in bit_values(bits >> drops[state] << drops[state])
         },
     )
 
@@ -250,7 +252,7 @@ def perfect_cores(a: OCA, src: Config, trg: Config) -> tuple[APSet, APSet]:
 
 
 _Step = tuple[Config, int, Config]
-_Values = dict[str, set[int]]  # a configuration set as the values at each state
+_Values = dict[str, int]  # a configuration set as a bitset of values per state, bit v for value v
 
 
 def _closures(a: OCA, roots: list[Config]) -> tuple[Configs, Configs, list[_Step], _Values]:
@@ -260,52 +262,52 @@ def _closures(a: OCA, roots: list[Config]) -> tuple[Configs, Configs, list[_Step
     unrestricted closure adds to it, the inductive escape candidates
     (steps out of the first into the pumpable region, outside ``roots``)
     and the induced set (the unrestricted closure plus its one-step
-    boundary) as the values at each state.  One pass over the first
-    closure's value tables, batched by state, finds the candidates, the
-    boundary and the leaks: what only local boundedness kept out, that
-    is, the locally unbounded roots and the locally unbounded successors
-    outside the region.  The unrestricted closure is the first one plus
-    the leaks' closure; leaks are rare.
+    boundary) as the values at each state.  :func:`_scan` finds the
+    candidates, the first closure's boundary and its leaks; the
+    unrestricted closure is the first one plus the leaks' closure, and
+    leaks are rare.
     """
     bounded = pessimistic_post_star(a, roots, locally_bounded=True)
-    drops = pumpable_drops(a)
-    inside: _Values = {}
-    for state, value in roots:
-        inside.setdefault(state, set()).add(value)
-    escapes: list[_Step] = []
-    leaks = [c for c in roots if c not in bounded]
-    tables = bounded.levels
-    induced: _Values = {state: set(table) for state, table in tables.items()}
-    for state, table in tables.items():
-        for i, dst, update, targets in batch_steps(a, state, table):
-            if not targets:
-                continue
-            drop, seen = drops.get(dst), tables.get(dst, {})
-            if drop is None:
-                leaks += [Config(dst, w) for w in targets if w not in seen]
-            else:
-                free = inside.get(dst, ())
-                for w in targets:
-                    if w >= drop and w not in free:
-                        escapes.append((Config(state, w - update), i, Config(dst, w)))
-                    elif w not in seen:
-                        leaks.append(Config(dst, w))
-            _add(induced, dst, targets)
+    escapes, leaks, induced = _scan(a, roots, bounded)
     more = Configs({})
     if leaks:
         more = pessimistic_extension(a, roots, leaks, bounded)
-        for state, table in more.levels.items():
-            _add(induced, state, table)
-            for _, dst, _, targets in batch_steps(a, state, table):
-                _add(induced, dst, targets)
+        for state, bits in more.sets.items():
+            induced[state] = induced.get(state, 0) | bits
+            for _, dst, _, targets in batch_steps(a, state, bits):
+                if targets:
+                    induced[dst] = induced.get(dst, 0) | targets
     return bounded, more, escapes, induced
 
 
-def _add(values: _Values, state: str, new) -> None:
-    if state in values:
-        values[state].update(new)
-    elif new:
-        values[state] = set(new)
+def _scan(a: OCA, roots: list[Config], bounded: Configs) -> tuple[list[_Step], list[Config], _Values]:
+    """One pass over ``bounded``, the closure of ``roots`` through locally
+    bounded configurations, a few shifts and masks per state and
+    transition.  Returns the inductive escape candidates, the leaks and
+    the closure plus its one-step boundary.  The leaks are what only
+    local boundedness kept out of the closure: the locally unbounded
+    roots, and the locally unbounded successors outside the pumpable
+    region, one per step that reaches them."""
+    drops = pumpable_drops(a)
+    inside: _Values = {}
+    for state, value in roots:
+        inside[state] = inside.get(state, 0) | 1 << value
+    escapes: list[_Step] = []
+    leaks = [c for c in roots if c not in bounded]
+    sets = bounded.sets
+    induced = dict(sets)
+    for state, bits in sets.items():
+        for i, dst, update, targets in batch_steps(a, state, bits):
+            if not targets:
+                continue
+            drop, fresh = drops.get(dst), targets & ~sets.get(dst, 0)
+            if drop is not None:
+                out = targets >> drop << drop & ~inside.get(dst, 0)
+                escapes += [(Config(state, w - update), i, Config(dst, w)) for w in bit_values(out)]
+                fresh &= ~out
+            leaks += [Config(dst, w) for w in bit_values(fresh)]
+            induced[dst] = induced.get(dst, 0) | targets
+    return escapes, leaks, induced
 
 
 def check_inductive(a: OCA, w: NonReachabilityWitness) -> tuple[CheckResult, list[_Values]]:
@@ -336,21 +338,9 @@ def check_separator(a: OCA, fwd_side: _Values, bwd_side: _Values) -> CheckResult
     side.  Sep2: no candidate path between a locally unbounded forward
     member and a backward member locally unbounded in reverse.
     """
-    order = a.state_index
-    crossing = None
-    for state, values in fwd_side.items():
-        for i, dst, update, targets in batch_steps(a, state, values):
-            other = bwd_side.get(dst)
-            if other is None:
-                continue
-            for w in targets:
-                if w in other:
-                    step = (order[state], w - update, i, dst, w)
-                    if crossing is None or step < crossing:
-                        crossing = step
+    crossing = _crossing(a, fwd_side, bwd_side)
     if crossing is not None:
-        rank, v, i, dst, w = crossing
-        return CheckResult(False, "Sep1", (Config(a.states[rank], v), i, Config(dst, w)))
+        return CheckResult(False, "Sep1", crossing)
     loose_fwd, loose_bwd = _loose(a, fwd_side), _loose(reverse(a), bwd_side)
     for c in loose_fwd:
         for d in loose_bwd:
@@ -358,6 +348,27 @@ def check_separator(a: OCA, fwd_side: _Values, bwd_side: _Values) -> CheckResult
             if path is not None:
                 return CheckResult(False, "Sep2", (c, d, path))
     return CheckResult(True)
+
+
+def _crossing(a: OCA, fwd_side: _Values, bwd_side: _Values) -> _Step | None:
+    """The least step from ``fwd_side`` into ``bwd_side`` by (source
+    state index, source value, transition index), or None: per state and
+    transition, one and of the shifted values with the other side, whose
+    least value crosses first."""
+    order = a.state_index
+    crossing = None
+    for state, values in fwd_side.items():
+        for i, dst, update, targets in batch_steps(a, state, values):
+            hit = targets & bwd_side.get(dst, 0)
+            if hit:
+                w = (hit & -hit).bit_length() - 1
+                step = (order[state], w - update, i, dst, w)
+                if crossing is None or step < crossing:
+                    crossing = step
+    if crossing is None:
+        return None
+    rank, v, i, dst, w = crossing
+    return Config(a.states[rank], v), i, Config(dst, w)
 
 
 def _loose(a: OCA, side: _Values) -> list[Config]:
@@ -368,7 +379,7 @@ def _loose(a: OCA, side: _Values) -> list[Config]:
     for state in sorted(side, key=a.state_index.__getitem__):
         keep = at(state)
         if keep is not None:
-            loose.extend(Config(state, v) for v in sorted(side[state]) if not keep(v))
+            loose.extend(Config(state, v) for v in bit_values(side[state]) if not keep(v))
     return loose
 
 

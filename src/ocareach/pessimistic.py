@@ -63,7 +63,7 @@ def _closure(a: OCA, roots, locally_bounded: bool, start=None, known=None) -> Po
     exempt: dict[str, set[int]] = {}
     for state, value in roots:
         exempt.setdefault(state, set()).add(value)
-    seen = {} if known is None else known.levels
+    seen = {} if known is None else known.sets
     admits: dict[str, object] = {}
 
     def admit(state: str):
@@ -92,11 +92,11 @@ def _pessimistic_at(drop: int, free, then):
     return lambda v: (v < drop or v in free) and then(v)
 
 
-def _outside(old, then):
-    """Values not in ``old``, and admitted by ``then``."""
+def _outside(old: int, then):
+    """Values not in the bitset ``old``, and admitted by ``then``."""
     if then is None:
-        return lambda v: v not in old
-    return lambda v: v not in old and then(v)
+        return lambda v: not old >> v & 1
+    return lambda v: not old >> v & 1 and then(v)
 
 
 def pessimistic_post_star(a: OCA, configs, locally_bounded: bool = False) -> Configs:

@@ -19,12 +19,12 @@ from .automaton import (
     Path,
     ReplayError,
     apply_path,
+    component,
     path_effect_drop,
     path_to,
     require_valid,
     restrict,
     reverse,
-    scc_of,
     state_search,
     valid_steps,
 )
@@ -75,13 +75,18 @@ def _pumping_cycle(a: OCA, c: Config) -> tuple[Path, int]:
     update of the component, so it holds the first crossing of ``goal``;
     exceeding :data:`NODE_CAP` raises ResourceExceeded.
     """
-    sub, back = restrict(a, scc_of(a)[c.state])
+    sub, back = component(a, c.state)
     goal = c.value + a.max_test + a.max_update * len(a.states) + 1
     res = post_star(sub, [c], NODE_CAP, _value_cap(sub, c.value, goal))
-    above = [e for e in res.configs if e.value > goal]
-    if not above:
+    high = None
+    for state in sub.states:  # the least value above goal, ties to the lower state index
+        above = res.sets.get(state, 0) >> (goal + 1)
+        if above:
+            value = goal + (above & -above).bit_length()
+            if high is None or value < high.value:
+                high = Config(state, value)
+    if high is None:
         raise ValueError(f"{c} is locally bounded; nothing to pump")
-    high = min(above, key=lambda e: (e.value, sub.state_index[e.state]))
     climb = res.run_to(high)
     cycle = tuple(back[i] for i in climb + path_to(state_search(sub, high.state), c.state))
     end = _replay(a, c, cycle)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from ocareach.analysis import CanonicalCycle, sure_unbounded_thresholds
+from ocareach.analysis import CanonicalCycle, pumpable_drops, sure_unbounded_thresholds
 from ocareach.automaton import (
     OCA,
     Config,
@@ -23,6 +23,7 @@ from ocareach.automaton import (
     scc_of,
     source_replay,
 )
+from ocareach.pessimistic import pessimistic_extension, pessimistic_post_star
 
 
 def naive_successors(a: OCA, c: Config) -> list[tuple[Config, int]]:
@@ -413,3 +414,105 @@ def rotate_to_zero_drop(a: OCA, cycle: Path) -> Path:
     if drop != 0:
         raise InternalError("rotation at the minimum prefix must clear the drop")
     return rotated
+
+
+# The witness checker's scans as they were written over per-state value
+# tables (dicts and sets), kept verbatim but for what the table shape
+# forces: each closure is read into per-state value sets first, the
+# list-based batch stepping they called lives here too, and the scan
+# also returns its leaks.  The bitset scans must agree with them.
+
+
+def reference_batch_steps(a: OCA, state: str, values):
+    """Every valid step out of ``state`` at each of ``values`` (distinct
+    valid values, a list or any collection), one batch per transition:
+    ``(i, dst, update, targets)`` with transitions ``i`` in index order
+    and ``targets`` the values reached at ``dst`` that pass its test,
+    in the order of ``values``."""
+    out, blocked, pinned = a.step_table
+    for i, dst, update in out[state]:
+        pin = pinned.get(dst)
+        if pin is not None:
+            targets = [pin] if pin - update in values else []
+        else:
+            if update >= 0:
+                targets = [v + update for v in values]
+            else:
+                targets = [w for v in values if (w := v + update) >= 0]
+            avoid = blocked[dst]
+            if avoid >= 0 and avoid in targets:
+                targets.remove(avoid)
+        yield i, dst, update, targets
+
+
+def _value_tables(configs) -> dict[str, set[int]]:
+    tables: dict[str, set[int]] = {}
+    for state, value in configs:
+        tables.setdefault(state, set()).add(value)
+    return tables
+
+
+def reference_closures(a: OCA, roots: list[Config]):
+    """``invariants._closures`` over value tables: the closure through
+    locally bounded configurations, what the unrestricted closure adds,
+    the escape candidates, the leaks and the induced set."""
+    bounded = pessimistic_post_star(a, roots, locally_bounded=True)
+    drops = pumpable_drops(a)
+    inside: dict[str, set[int]] = {}
+    for state, value in roots:
+        inside.setdefault(state, set()).add(value)
+    escapes = []
+    leaks = [c for c in roots if c not in bounded]
+    tables = _value_tables(bounded)
+    induced = {state: set(table) for state, table in tables.items()}
+    for state, table in tables.items():
+        for i, dst, update, targets in reference_batch_steps(a, state, table):
+            if not targets:
+                continue
+            drop, seen = drops.get(dst), tables.get(dst, {})
+            if drop is None:
+                leaks += [Config(dst, w) for w in targets if w not in seen]
+            else:
+                free = inside.get(dst, ())
+                for w in targets:
+                    if w >= drop and w not in free:
+                        escapes.append((Config(state, w - update), i, Config(dst, w)))
+                    elif w not in seen:
+                        leaks.append(Config(dst, w))
+            _add(induced, dst, targets)
+    more = set()
+    if leaks:
+        more = set(pessimistic_extension(a, roots, leaks, bounded))
+        for state, table in _value_tables(more).items():
+            _add(induced, state, table)
+            for _, dst, _, targets in reference_batch_steps(a, state, table):
+                _add(induced, dst, targets)
+    return bounded, more, escapes, leaks, induced
+
+
+def _add(values: dict[str, set[int]], state: str, new) -> None:
+    if state in values:
+        values[state].update(new)
+    elif new:
+        values[state] = set(new)
+
+
+def reference_crossing(a: OCA, fwd_side: dict[str, set[int]], bwd_side: dict[str, set[int]]):
+    """``check_separator``'s Sep1 search over value tables: the least
+    step from one side into the other, or None."""
+    order = a.state_index
+    crossing = None
+    for state, values in fwd_side.items():
+        for i, dst, update, targets in reference_batch_steps(a, state, values):
+            other = bwd_side.get(dst)
+            if other is None:
+                continue
+            for w in targets:
+                if w in other:
+                    step = (order[state], w - update, i, dst, w)
+                    if crossing is None or step < crossing:
+                        crossing = step
+    if crossing is not None:
+        rank, v, i, dst, w = crossing
+        return (Config(a.states[rank], v), i, Config(dst, w))
+    return None

@@ -4,10 +4,12 @@ import weakref
 
 import pytest
 
-from ocareach import cli, exploration
+from ocareach import automaton, cli, exploration
 from ocareach.automaton import (
     OCA,
     Config,
+    Guard,
+    Transition,
     apply_path,
     format_oca,
     parse_oca,
@@ -163,6 +165,96 @@ def test_post_star_matches_a_sorted_bfs():
         seen["cap_hit"] += hit
         seen["stopped"] += stop_at in parents
     assert min(seen.values()) >= 40, seen
+
+
+def _wide_oca(rng, num_states):
+    """States with tests into the thousands, ``==`` pins mostly above 64,
+    and transitions mixing small updates with updates up to +-1,000."""
+    states = tuple(f"q{i}" for i in range(num_states))
+    guards = {}
+    for q in states:
+        roll = rng.random()
+        if roll < 0.25:
+            guards[q] = Guard("eq", rng.randint(65, 3000) if rng.random() < 0.9 else rng.randint(0, 64))
+        elif roll < 0.6:
+            guards[q] = Guard("ne", rng.randint(0, 3000))
+    transitions = []
+    for _ in range(rng.randint(num_states, 2 * num_states + 1)):
+        update = rng.randint(-3, 3) if rng.random() < 0.5 else rng.randint(-1000, 1000)
+        transitions.append(Transition(rng.choice(states), update, rng.choice(states)))
+    return OCA(states, tuple(transitions), guards)
+
+
+def test_post_star_matches_a_sorted_bfs_on_multiword_sets():
+    """As the test above, with values, tests and ``==`` pins into the
+    thousands and updates up to +-1,000, so that value sets span many
+    machine words and frontiers are both short lists and bitsets;
+    restrictions, binding and non-binding value caps and stop_at.  Runs
+    are compared on a sample of each closure."""
+    rng = random.Random(1818)
+    keys = ("automata", "wide", "eq_pin", "restrict", "cap_hit", "cap_free", "stopped")
+    seen = dict.fromkeys(keys, 0)
+    while seen["automata"] < 150:
+        a = _wide_oca(rng, rng.randint(1, 3))
+        pool = [
+            c
+            for q in a.states
+            for c in (Config(q, rng.randint(0, 3000)), Config(q, rng.randint(0, 8)), Config(q, a.guards[q].value or 0))
+            if a.is_valid(c)
+        ]
+        if not pool:
+            continue
+        start = rng.sample(pool, rng.randint(1, min(3, len(pool))))
+        value_cap = rng.randint(max(c.value for c in start), 4000)
+        restrict = None
+        if rng.random() < 0.4:
+            salt, top = rng.randint(1, 6), value_cap - rng.randint(-50, 1500)
+            keeps = {q: _value_filter(top, salt * i) for i, q in enumerate(a.states)}
+            for q in rng.sample(a.states, rng.randint(0, len(a.states))):
+                keeps[q] = None
+            restrict = keeps.__getitem__
+        stop_at = None
+        if rng.random() < 0.4:
+            full, _ = sorted_bfs(a, start, value_cap, restrict)
+            stop_at = rng.choice(sorted(full) if full and rng.random() < 0.8 else pool)
+        parents, hit = sorted_bfs(a, start, value_cap, restrict, stop_at)
+        res = post_star(a, start, 50_000, value_cap, restrict=restrict, stop_at=stop_at)
+        assert set(res.configs) == set(parents), format_oca(a)
+        assert len(res.configs) == len(parents), format_oca(a)
+        assert res.cap_hit == hit, format_oca(a)
+        for c in rng.sample(sorted(parents), min(len(parents), 40)):
+            assert res.run_to(c) == parent_run(parents, c), (format_oca(a), c)
+        wide = any(type(f) is tuple for front in res.fronts for f in front.values())
+        seen["automata"] += 1
+        seen["wide"] += wide and max(res.sets.values(), default=0).bit_length() > 640
+        seen["eq_pin"] += any(g.kind == "eq" and g.value > 64 and q in res.sets for q, g in a.guards.items())
+        seen["restrict"] += restrict is not None
+        seen["cap_hit"] += hit
+        seen["cap_free"] += not hit and len(parents) > 100
+        seen["stopped"] += stop_at in parents
+    assert min(seen.values()) >= 15, seen
+
+
+def test_post_star_cap_is_not_hit_by_what_the_restriction_refuses():
+    """A frontier of many values, stepped as one bitset, whose successors
+    all lie above the cap and are all refused: the restriction, not the
+    cap, stopped them, as it did for the single value in the second
+    search."""
+    a = parse_oca("states: q r\ntrans q +100 r\n")
+    refuse = {"q": None, "r": lambda v: False}.__getitem__
+    for start in ([Config("q", v) for v in range(20)], [Config("q", 0)]):
+        res = post_star(a, start, 1000, 50, restrict=refuse)
+        assert set(res.configs) == set(start) and not res.cap_hit
+    res = post_star(a, [Config("q", v) for v in range(20)], 1000, 50)
+    assert set(res.configs) == {Config("q", v) for v in range(20)} and res.cap_hit
+
+
+def test_post_star_configs_view_refuses_what_is_not_a_configuration():
+    a = parse_oca("states: q\ntrans q +1 q\n")
+    view = post_star(a, [Config("q", 0)], 100, 70).configs
+    assert ("q", 70) in view and ("q", 1) in view and ("q", True) in view
+    for other in (("q", "1"), ("q", 1.5), ("q",), ("q", -1), ("q", 71), ("q", 1, 2), "q", 7, None):
+        assert other not in view, other
 
 
 def test_post_star_asks_values_only_where_restricted():
@@ -469,6 +561,32 @@ def test_bounded_labels_do_not_depend_on_query_order():
         automata += 1
         eq_tests += a.has_equality_tests()
     assert eq_tests >= 20
+
+
+def test_component_sub_automata_need_no_scc_search(monkeypatch):
+    """The sub-automata ``_component`` restricts to one strongly
+    connected component are one component by construction: neither
+    their cycle analysis nor the boundedness probes run on them search
+    for components again."""
+    a = parse_oca(
+        "states: a b c d e\nguard b != 4\ntrans a +2 b\ntrans b -1 a\ntrans b +0 c\n"
+        "trans c +1 d\ntrans d +1 c\ntrans d -3 e\ntrans e +1 e\n"
+    )
+    scc_of(a)  # a's own components, searched once
+    searched = []
+    real = automaton.scc_decompose
+    monkeypatch.setattr(automaton, "scc_decompose", lambda b: searched.append(b) or real(b))
+    subs = {q: exploration._component(a, q) for q in a.states}
+    assert {q: sub and sub.states for q, sub in subs.items()} == {
+        "a": ("a", "b"),
+        "b": ("a", "b"),
+        "c": ("c", "d"),
+        "d": ("c", "d"),
+        "e": ("e",),
+    }
+    verdicts = [is_locally_bounded(a, Config(q, v)) for q in a.states for v in range(8) if a.is_valid(Config(q, v))]
+    assert not all(verdicts) and any(verdicts)
+    assert searched == []
 
 
 def test_is_locally_bounded_on_strongly_connected_equals_global(loop3):

@@ -13,6 +13,7 @@ from ocareach.automaton import (
     parse_oca,
     path_configs,
     reverse,
+    bit_values,
     valid_steps,
 )
 from ocareach.exploration import ResourceExceeded, is_bounded, is_locally_bounded, reach_oracle
@@ -34,7 +35,14 @@ from ocareach.solver import decide_full
 
 from ocareach.pessimistic import pessimistic_post_star
 
-from _oracles import naive_first_step, naive_reach, naive_successors, probe_automaton
+from _oracles import (
+    naive_first_step,
+    naive_reach,
+    naive_successors,
+    probe_automaton,
+    reference_closures,
+    reference_crossing,
+)
 from conftest import random_oca
 
 
@@ -394,11 +402,12 @@ def _loop_witness_work(monkeypatch, k):
     real_admit = exploration._admit
     real_chain_of = invariants.chain_of
 
-    def counting_admit(labels, top):
-        keep = real_admit(labels, top)
+    def counting_admit(bounded, unbounded, top):
+        keep = real_admit(bounded, unbounded, top)
+        labeled = int.from_bytes(bounded, "little") | int.from_bytes(unbounded, "little")
 
         def counted(v):
-            counts["expanded"] += v not in labels  # a probe asks once per value it expands
+            counts["expanded"] += not labeled >> v & 1  # a probe asks once per value it expands
             return keep(v)
 
         return counted
@@ -626,9 +635,9 @@ def _assert_shared_closures(a, roots):
     assert bounded == pessimistic_post_star(a, roots, locally_bounded=True)
     full = pessimistic_post_star(a, roots)
     assert bounded | set(more) == full
-    expected: dict[str, set[int]] = {}
+    expected: dict[str, int] = {}  # a bitset of values per state
     for c in full | {d for _, _, d in valid_steps(a, full)}:
-        expected.setdefault(c.state, set()).add(c.value)
+        expected[c.state] = expected.get(c.state, 0) | 1 << c.value
     assert induced == expected
     region = set(roots)
     assert escapes == [
@@ -670,3 +679,52 @@ def test_shared_closures_continue_from_a_successor():
     assert not in_pumpable_region(a, Config("r", 10))
     assert _assert_shared_closures(a, [root])
     assert set(invariants._closures(a, [root])[1]) == {Config("r", 10)}
+
+
+def _value_sets(side) -> dict[str, set[int]]:
+    return {state: set(bit_values(bits)) for state, bits in side.items()}
+
+
+def test_scans_match_the_value_table_scans():
+    """The witness checker's bitset scans against the value-table scans
+    they replaced (``tests/_oracles.py``), on equality-free automata with
+    pumpable states: the escape candidates in ``_step_order``, the
+    leaks, the unrestricted closure, the induced sets and the least Sep1
+    crossing agree.  Half the draws have updates and tests large enough
+    that the value sets span several machine words."""
+    rng = random.Random(1818)
+    hits = dict.fromkeys(("draws", "wide", "escapes", "leaks", "crossings"), 0)
+    while hits["draws"] < 200:
+        wide = rng.random() < 0.5
+        a = random_oca(
+            rng,
+            num_states=rng.randint(2, 5),
+            max_update=40 if wide else 3,
+            max_guard=300 if wide else 10,
+        )
+        sides = []
+        for machine in (a, reverse(a)):
+            climbing = sorted(climbing_cycles(machine))
+            roots = set()
+            for _ in range(rng.randint(1, 3)):
+                q = rng.choice(climbing if climbing and rng.random() < 0.7 else machine.states)
+                c = Config(q, rng.randint(0, 300 if wide else 14))
+                if machine.is_valid(c):
+                    roots.add(c)
+            roots = sorted(roots, key=str)
+            bounded, more, escapes, induced = invariants._closures(machine, roots)
+            _, _, ref_escapes, ref_leaks, ref_induced = reference_closures(machine, roots)
+            order = invariants._step_order(machine)
+            assert sorted(escapes, key=order) == sorted(ref_escapes, key=order)
+            _, leaks, _ = invariants._scan(machine, roots, bounded)
+            assert sorted(leaks) == sorted(ref_leaks)
+            assert _value_sets(induced) == ref_induced
+            sides.append(induced)
+            hits["escapes"] += bool(escapes)
+            hits["leaks"] += bool(leaks)
+            hits["wide"] += max((bits.bit_length() for bits in induced.values()), default=0) > 128
+        crossing = invariants._crossing(a, *sides)
+        assert crossing == reference_crossing(a, *map(_value_sets, sides))
+        hits["crossings"] += crossing is not None
+        hits["draws"] += 1
+    assert min(hits.values()) >= 20, hits
