@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 from functools import cached_property, wraps
 from typing import Callable, Iterable, Iterator, Literal, NamedTuple
 
+from .values import Values, discard, has, one, shift
+
 GuardKind = Literal["true", "eq", "ne"]
 
 Path = tuple[int, ...]
@@ -159,48 +161,32 @@ def require_valid(a: OCA, *configs: Config) -> None:
             raise ValueError(f"configuration {c} is not valid")
 
 
-def batch_steps(a: OCA, state: str, values: int) -> Iterator[tuple[int, str, int, int]]:
-    """Every valid step out of ``state`` at each of ``values``, a set of
-    valid values held as a bitset (bit ``v`` set for value ``v``), one
-    batch per transition: ``(i, dst, update, targets)`` with transitions
-    ``i`` in index order and ``targets`` the bitset of values reached at
-    ``dst`` that pass its test.  A batch is a shift of ``values``, less
-    the bit a ``!=`` test forbids; an ``==`` test lets through its one
-    value if the one source value that reaches it is in ``values``.
-    Scans over a whole configuration set step each state's set through
-    here; :func:`ocareach.exploration.post_star` inlines the same rule
-    per level."""
+def batch_steps(a: OCA, state: str, values: Values) -> Iterator[tuple[int, str, int, Values]]:
+    """Every valid step out of ``state`` at each of ``values``, a
+    :mod:`ocareach.values` set of valid values, one batch per transition:
+    ``(i, dst, update, targets)`` with transitions ``i`` in index order
+    and ``targets`` the set of values reached at ``dst`` that pass its
+    test.  A batch is ``values`` shifted by the update, less the value a
+    ``!=`` test forbids; an ``==`` test lets through its one value if
+    the one source value that reaches it is in ``values``.  Scans over a
+    whole configuration set step each state's set through here;
+    :func:`ocareach.exploration.post_star` inlines the same rule per
+    level."""
     out, blocked, pinned = a.step_table
     for i, dst, update in out[state]:
         pin = pinned.get(dst)
         if pin is not None:
-            targets = 1 << pin if pin >= update and values >> (pin - update) & 1 else 0
+            targets = one(pin) if has(values, pin - update) else ()
         else:
-            targets = values << update if update >= 0 else values >> -update
-            avoid = blocked[dst]
-            if avoid >= 0 and targets >> avoid & 1:
-                targets ^= 1 << avoid
+            targets = discard(shift(values, update), blocked[dst])
         yield i, dst, update, targets
-
-
-def bit_values(bits: int) -> Iterator[int]:
-    """The values in a bitset, in increasing order.  The set is read
-    relative to its least value, so a few high values cost what their
-    span does, not what their height does."""
-    if bits:
-        low = (bits & -bits).bit_length() - 1
-        digits = bin(bits >> low)[:1:-1]  # bit j of the shifted set at index j
-        j = 0
-        while j >= 0:
-            yield low + j
-            j = digits.find("1", j + 1)
 
 
 def valid_steps(a: OCA, configs: Iterable[Config]) -> Iterator[tuple[Config, int, Config]]:
     """Every valid step ``(c, i, d)`` out of ``configs``: ``c`` in the
     order given, its transitions ``i`` in index order, ``d`` valid.  One
-    configuration at a time, for short scans, with no bitset as large as
-    the value; whole-set scans step bitsets through :func:`batch_steps`."""
+    configuration at a time, for short scans; whole-set scans step value
+    sets through :func:`batch_steps`."""
     out = a.step_table[0]
     for c in configs:
         for i, dst, update in out[c.state]:

@@ -1,11 +1,13 @@
 """Brute-force semantics: bounded exploration and exact candidate reachability.
 
-Everything here is explicit-state.  A set of values at one state is a
-bitset, bit ``v`` for value ``v``.  :func:`post_star` runs a capped
-breadth-first closure that steps a state's whole frontier per
-transition with a shift, a cleared ``!=`` bit and a mask of what was
-seen, and keeps each level's frontiers; runs are read back from them on
-demand.  Closures are restricted per state too: a restriction names,
+Everything here is explicit-state.  The values a closure finds at one
+state are a :mod:`ocareach.values` set: segments of bits, costing what
+the values span where they are dense and a few words each where they
+are sparse.  :func:`post_star` runs a capped breadth-first closure that
+steps a few values one by one and a wider frontier a segment at a time,
+per transition with a shift, a cleared ``!=`` bit and a mask of what
+was seen, and keeps each level's frontiers; runs are read back from them
+on demand.  Closures are restricted per state too: a restriction names,
 for each state, either nothing (every valid value is admitted) or a
 predicate on values.  Local boundedness (:func:`locally_bounded`) and
 the boundedness labels behind it take the same per-state form.
@@ -22,6 +24,7 @@ from __future__ import annotations
 import heapq
 import weakref
 from collections import Counter, deque
+from itertools import chain
 from collections.abc import Iterator, Set
 from dataclasses import dataclass, field
 from math import gcd
@@ -33,7 +36,6 @@ from .automaton import (
     InternalError,
     Path,
     apply_path,
-    bit_values,
     component,
     per_automaton,
     require_valid,
@@ -42,6 +44,25 @@ from .automaton import (
     state_search,
 )
 from .flows import Flow, path_from_flow
+from .values import (
+    BIT,
+    PAGE,
+    PAGE_BYTES,
+    PAGE_MASK,
+    PAGE_SHIFT,
+    Pages,
+    Values,
+    admitted,
+    count,
+    from_pages,
+    has,
+    iterate,
+    mark,
+    mark_all,
+    marked,
+    of,
+    unmarked,
+)
 
 
 class ResourceExceeded(Exception):
@@ -59,16 +80,16 @@ def _value_cap(a: OCA, *values: int, scale: int = 1) -> int:
 
 
 class Configs(Set):
-    """A read-only set of configurations over per-state value bitsets:
-    ``sets[state]`` has bit ``v`` set for each value ``v`` at ``state``.
-    Membership takes a :class:`~ocareach.automaton.Config` or a plain
-    ``(state, value)`` tuple, and anything else is not a member;
-    iteration yields configurations state by state, values in
-    increasing order.  It is a view: nothing is copied."""
+    """A read-only set of configurations over per-state value sets:
+    ``sets[state]`` is the :mod:`ocareach.values` set of the values at
+    ``state``.  Membership takes a :class:`~ocareach.automaton.Config` or
+    a plain ``(state, value)`` tuple, and anything else is not a member;
+    iteration yields configurations state by state, values in increasing
+    order.  It is a view: nothing is copied."""
 
     __slots__ = ("sets",)
 
-    def __init__(self, sets: dict[str, int]):
+    def __init__(self, sets: dict[str, Values]):
         self.sets = sets
 
     @classmethod
@@ -80,40 +101,34 @@ class Configs(Set):
             state, value = c
         except (TypeError, ValueError):
             return False
-        bits = self.sets.get(state)
-        return bits is not None and isinstance(value, int) and value >= 0 and bits >> value & 1 == 1
+        got = self.sets.get(state)
+        return got is not None and isinstance(value, int) and has(got, value)
 
     def __iter__(self) -> Iterator[Config]:
         new = tuple.__new__
-        for state, bits in self.sets.items():
-            for value in bit_values(bits):
+        for state, got in self.sets.items():
+            for value in iterate(got):
                 yield new(Config, (state, value))
 
     def __len__(self) -> int:
-        return sum(bits.bit_count() for bits in self.sets.values())
+        return sum(count(got) for got in self.sets.values())
 
     def __repr__(self) -> str:
         return f"Configs({set(self)!r})"
 
 
-# A state's frontier at one level: a tuple of values, or a bitset read
-# from an offset, ``[low, bits]`` for the values ``low + j`` of bits j.
-# Tuples of ints leave the garbage collector's lists, so a long thin
-# search keeps nothing it must scan.
-Front = dict[str, "tuple[int, ...] | list[int]"]
-
-
 @dataclass
 class PostStarResult:
-    """A closure: ``sets`` maps each state to the bitset of values found
-    there, and ``fronts[k]`` holds, per state, the values first found
-    there at breadth-first level ``k``, 0 at a start.  ``configs`` is a
-    set view over ``sets``, not a copy.  No run is stored: :meth:`run_to`
-    reads one back on demand through the automaton."""
+    """A closure: ``sets`` maps each state to the :mod:`ocareach.values`
+    set of values found there, and ``fronts[k]`` holds, per state, the
+    values first found there at breadth-first level ``k``, 0 at a start,
+    as a :data:`Level`.  ``configs`` is a set view over ``sets``, not a
+    copy.  No run is stored: :meth:`run_to` reads one back on demand
+    through the automaton."""
 
     automaton: OCA = field(repr=False)
-    sets: dict[str, int]
-    fronts: list[Front] = field(repr=False)
+    sets: dict[str, Values]
+    fronts: list[Level] = field(repr=False)
     cap_hit: bool
 
     @property
@@ -151,14 +166,46 @@ class PostStarResult:
         return tuple(reversed(rev))
 
 
-def _holds(front: Front, state: str, value: int) -> bool:
-    got = front.get(state)
-    if got is None:
-        return False
-    if type(got) is tuple:
-        return value in got
-    low, bits = got
-    return value >= low and bits >> (value - low) & 1 == 1
+# A state's frontier at one level: a tuple of values, or a list of
+# disjoint segments ``[at, bits, at, bits, ...]`` for the values
+# ``at + j`` of each ``bits``.  A level keeps its frontiers flat, as
+# ``(state, front, state, front, ...)``, and a lone state's lone value as
+# ``(state, value)``: a long thin search keeps one small tuple per level.
+Front = dict[str, "tuple[int, ...] | list[int]"]
+Level = tuple
+
+
+def _holds(level: Level, state: str, value: int) -> bool:
+    for k in range(0, len(level), 2):
+        if level[k] == state:
+            got = level[k + 1]
+            if type(got) is int:
+                return value == got
+            if type(got) is tuple:
+                return value in got
+            for j in range(0, len(got), 2):
+                d = value - got[j]
+                if d >= 0 and got[j + 1] >> d & 1:
+                    return True
+            return False
+    return False
+
+
+_THIN = 8  # up to this many values, stepping each costs less than stepping a segment
+
+
+def _add(found: list[int], at: int, bits: int) -> None:
+    """Add the segment ``at, bits`` to the frontier segments ``found``:
+    into the last one when less than a page apart, so that a dense
+    frontier stays one segment, else as a segment of its own."""
+    low, old = found[-2], found[-1]
+    if low - PAGE < at + bits.bit_length() and at - PAGE < low + old.bit_length():
+        if at < low:
+            found[-2:] = at, bits | old << (low - at)
+        else:
+            found[-1] = old | bits << (at - low)
+    else:
+        found += (at, bits)
 
 
 def post_star(a, start, node_cap, value_cap=None, restrict=None, stop_at=None) -> PostStarResult:
@@ -178,17 +225,17 @@ def post_star(a, start, node_cap, value_cap=None, restrict=None, stop_at=None) -
     keeping runs shortest).
 
     Breadth first, one level at a time, reading the test at each
-    destination from :attr:`ocareach.automaton.OCA.step_table`.  The
-    values found at a state are a bitset, kept in a bytearray while the
-    search runs, so that marking values costs what they span, not how
-    high they are.  A state's frontier is a tuple of at most
-    :data:`_THIN` values, stepped value by value as in long climbs and
-    descents, or else a bitset read from an offset, which a transition
-    steps whole: the update moves the offset, a ``!=`` test clears one
-    bit, and what the destination has seen is masked off.  An ``==``
-    test lets through the one value its source must hold.  A
-    destination's restriction is looked up once, when a new value first
-    needs it; a predicate is asked of each new value.  No configuration
+    destination from :attr:`ocareach.automaton.OCA.step_table`.  A
+    state's frontier is a tuple of at most :data:`_THIN` values, stepped
+    one by one as in long climbs and descents, or else a list of
+    segments, each of which a transition steps whole: the update shifts
+    it, a ``!=`` test clears one bit, an ``==`` test lets through the
+    one value its source must hold, and what the destination has already
+    marked is masked off.  A destination's restriction is looked up
+    once, when a new value first needs it; a predicate is asked of each
+    new value.  Found values are marked in pages (see
+    :mod:`ocareach.values`) once admitted and under the cap, so memory
+    follows the values found, not how high they are.  No configuration
     is built.  :meth:`PostStarResult.run_to` reads runs back from the
     frontiers of the levels.
     """
@@ -198,7 +245,7 @@ def post_star(a, start, node_cap, value_cap=None, restrict=None, stop_at=None) -
             raise ValueError(f"start configuration {c} is not valid")
     if value_cap is None:
         value_cap = max((c.value for c in roots), default=0) + node_cap * a.max_update + 1
-    seen: dict[str, bytearray] = {}  # per state, the values found as a little-endian bitset
+    seen: dict[str, Pages] = {}  # per state, the values found
     starts: dict[str, list[int]] = {}
     cap_hit = False
     size = 0
@@ -215,15 +262,14 @@ def post_star(a, start, node_cap, value_cap=None, restrict=None, stop_at=None) -
         starts.setdefault(state, []).append(value)  # roots are distinct
         size += 1
     frontier: Front = {}
-    for state, values in starts.items():
-        marks = seen[state] = bytearray((max(values) >> 3) + 1)
-        for value in values:
-            marks[value >> 3] |= _BIT[value & 7]
-        frontier[state] = tuple(values)
-    fronts = [frontier]
+    for state, found in starts.items():
+        new = of(found)
+        mark_all(seen.setdefault(state, {}), new)
+        frontier[state] = tuple(found) if len(found) <= _THIN else list(new)
+    fronts = [tuple(chain.from_iterable(frontier.items()))]
     out, blocked, pinned = a.step_table
     while frontier:
-        if stop_at is not None and _has(seen.get(stop_at[0]), stop_at[1]):
+        if stop_at is not None and marked(seen.get(stop_at[0], {}), stop_at[1]):
             break
         nxt: Front = {}
         for state, front in frontier.items():
@@ -231,20 +277,17 @@ def post_star(a, start, node_cap, value_cap=None, restrict=None, stop_at=None) -
                 for _, dst, update in out[state]:
                     pin, avoid = pinned.get(dst), blocked[dst]
                     batch = front if pin is None else (pin - update,) if pin - update in front else ()
-                    had = seen.get(dst)
-                    if had is None:
-                        had = seen[dst] = bytearray()
+                    pages = seen.get(dst)
+                    if pages is None:
+                        pages = seen[dst] = {}
                     keep, found = keeps.get(dst, keeps), nxt.get(dst)
                     for at in batch:
                         at += update
                         if at < 0 or at == avoid:
                             continue
-                        i, bit = at >> 3, _BIT[at & 7]
-                        try:
-                            if had[i] & bit:
-                                continue
-                        except IndexError:  # grown geometrically, so rarely
-                            had.extend(bytes(max(i + 1 - len(had), len(had))))
+                        page, i, bit = pages.get(at >> PAGE_SHIFT), (at & PAGE_MASK) >> 3, BIT[at & 7]
+                        if page is not None and page[i] & bit:
+                            continue
                         if keep is keeps:
                             keep = keeps[dst] = None if restrict is None else restrict(dst)
                         if keep is not None and not keep(at):
@@ -255,121 +298,75 @@ def post_star(a, start, node_cap, value_cap=None, restrict=None, stop_at=None) -
                         size += 1
                         if size > node_cap:
                             raise ResourceExceeded(f"post_star exceeded {node_cap} configurations")
-                        had[i] |= bit
+                        if page is None:
+                            page = pages[at >> PAGE_SHIFT] = bytearray(PAGE_BYTES)
+                        page[i] |= bit
                         if found is None:
                             found = nxt[dst] = (at,)
                         elif type(found) is tuple:
                             found = nxt[dst] = found + (at,)
                         else:
-                            _union(found, at, 1)
+                            _add(found, at, 1)
                 continue
-            low, bits = _packed(front) if type(front) is tuple else front
-            for _, dst, update in out[state]:
-                pin = pinned.get(dst)
-                if pin is None:
-                    at, new = low + update, bits
-                    if at < 0:
-                        at, new = 0, new >> -at
-                    avoid = blocked[dst] - at
-                    if avoid >= 0 and new >> avoid & 1:
-                        new ^= 1 << avoid
-                elif pin - update >= low and bits >> (pin - update - low) & 1:
-                    at, new = pin, 1
-                else:
-                    continue
-                had = seen.get(dst)
-                if had is None:
-                    had = seen[dst] = bytearray()
-                # Only the bytes the batch spans are read and written.
-                i, j, shift = at >> 3, (at + new.bit_length() + 7) >> 3, at & 7
-                old = int.from_bytes(had[i:j], "little")
-                new &= ~(old >> shift)
-                if not new:
-                    continue
-                keep = keeps.get(dst, keeps)
-                if keep is keeps:
-                    keep = keeps[dst] = None if restrict is None else restrict(dst)
-                if keep is not None:
-                    new = _admitted(at, new, keep)
-                    if not new:
+            if type(front) is tuple:
+                front = list(of(front))
+            for k in range(0, len(front), 2):
+                low, values = front[k], front[k + 1]
+                for _, dst, update in out[state]:
+                    at, bits = low + update, values
+                    pin = pinned.get(dst)
+                    if pin is None:
+                        if at < 0:
+                            at, bits = 0, bits >> -at
+                            if not bits:
+                                continue
+                        j = blocked[dst] - at
+                        if j >= 0 and bits >> j & 1:
+                            bits ^= 1 << j
+                            if not bits:
+                                continue
+                    elif pin >= at and bits >> (pin - at) & 1:
+                        at, bits = pin, 1
+                    else:
                         continue
-                if at + new.bit_length() > value_cap + 1:
-                    cap_hit = True
-                    new &= (1 << max(value_cap + 1 - at, 0)) - 1
-                    if not new:
+                    pages = seen.get(dst)
+                    if pages is None:
+                        pages = seen[dst] = {}
+                    top = at + bits.bit_length() - 1
+                    bits = unmarked(pages, at, bits)
+                    if not bits:
                         continue
-                size += new.bit_count()
-                if size > node_cap:
-                    raise ResourceExceeded(f"post_star exceeded {node_cap} configurations")
-                if j > len(had):
-                    had.extend(bytes(j - len(had)))
-                had[i:j] = (old | new << shift).to_bytes(j - i, "little")
-                found = nxt.get(dst)
-                if found is None:
-                    nxt[dst] = [at, new]
-                else:
-                    if type(found) is tuple:
-                        found = nxt[dst] = _packed(found)
-                    _union(found, at, new)
+                    keep = keeps.get(dst, keeps)
+                    if keep is keeps:
+                        keep = keeps[dst] = None if restrict is None else restrict(dst)
+                    if keep is not None:
+                        bits = admitted(at, bits, keep)
+                        if not bits:
+                            continue
+                    if top > value_cap and at + bits.bit_length() - 1 > value_cap:
+                        cap_hit = True
+                        bits &= (1 << max(value_cap + 1 - at, 0)) - 1
+                        if not bits:
+                            continue
+                    size += bits.bit_count()
+                    if size > node_cap:
+                        raise ResourceExceeded(f"post_star exceeded {node_cap} configurations")
+                    mark(pages, at, bits)
+                    found = nxt.get(dst)
+                    if found is None:
+                        nxt[dst] = [at, bits]
+                    else:
+                        if type(found) is tuple:
+                            found = nxt[dst] = list(of(found))
+                        _add(found, at, bits)
         frontier = nxt
-        if nxt:
-            fronts.append(nxt)
-    sets = {}
-    for state, marks in seen.items():
-        bits = int.from_bytes(marks, "little")
-        if bits:
-            sets[state] = bits
+        if len(nxt) == 1:
+            ((state, front),) = nxt.items()
+            fronts.append((state, front[0]) if type(front) is tuple and len(front) == 1 else (state, front))
+        elif nxt:
+            fronts.append(tuple(chain.from_iterable(nxt.items())))
+    sets = {state: from_pages(pages) for state, pages in seen.items() if pages}
     return PostStarResult(a, sets, fronts, cap_hit)
-
-
-_THIN = 8  # up to this many values, stepping each costs less than word operations
-_BIT = tuple(1 << j for j in range(8))
-
-
-def _packed(values: tuple[int, ...]) -> list[int]:
-    """A frontier of values as a bitset ``[low, bits]``."""
-    low, bits = min(values), 0
-    for v in values:
-        bits |= 1 << (v - low)
-    return [low, bits]
-
-
-def _has(marks: bytes | None, value: int) -> bool:
-    """Is ``value`` marked in ``marks``, a little-endian bitset?"""
-    i = value >> 3
-    return marks is not None and i < len(marks) and marks[i] & _BIT[value & 7] != 0
-
-
-def _mark(marks: bytearray, bits: int) -> None:
-    """Or the int bitset ``bits`` into ``marks``, a little-endian bitset,
-    growing it as needed."""
-    n = (bits.bit_length() + 7) >> 3
-    if n > len(marks):
-        marks.extend(bytes(n - len(marks)))
-    marks[:n] = (int.from_bytes(marks[:n], "little") | bits).to_bytes(n, "little")
-
-
-def _union(front: list[int], at: int, bits: int) -> None:
-    """Add the values ``at + j`` of ``bits`` to the frontier ``[low, bits]``."""
-    low, old = front
-    if at < low:
-        front[:] = at, bits | old << (low - at)
-    else:
-        front[1] = old | bits << (at - low)
-
-
-def _admitted(at: int, bits: int, keep) -> int:
-    """The values ``at + j`` of the bitset ``bits`` that the predicate
-    ``keep`` admits, each asked once, in increasing order, read relative
-    to the least of them."""
-    low = (bits & -bits).bit_length() - 1
-    digits = bytearray(bin(bits >> low), "ascii")  # bit j of the shifted set at index top - j
-    top = i = len(digits) - 1
-    while i > 1:
-        if not keep(at + low + top - i):
-            digits[i] = 48  # "0"
-        i = digits.rfind(49, 0, i)  # the next "1" up
-    return int(digits, 0) << low
 
 
 def reach_oracle(a: OCA, src: Config, trg: Config) -> Path | None:
@@ -414,12 +411,10 @@ def reach_oracle(a: OCA, src: Config, trg: Config) -> Path | None:
 
 
 @per_automaton
-def _labels(a: OCA) -> tuple[dict[str, bytearray], dict[str, bytearray]]:
-    """Boundedness labels of ``a``'s configurations, see
-    :func:`is_bounded`: per state, the values labeled bounded and the
-    values labeled unbounded, each a little-endian bitset in a
-    bytearray, marked in place."""
-    return {}, {}
+def _labels(a: OCA) -> dict[str, dict[int, bool]]:
+    """Boundedness labels of ``a``'s configurations, one value table per
+    state, see :func:`is_bounded`."""
+    return {}
 
 
 class _Unbounded(Exception):
@@ -441,9 +436,9 @@ def is_bounded(a: OCA, c: Config) -> bool:
     :class:`ResourceExceeded`.
 
     Verdicts go into the automaton's memo as labels: per state, one
-    bitset of values labeled bounded and one of values labeled
+    set of values labeled bounded and one of values labeled
     unbounded.  A closed probe labels every configuration it saw
-    bounded, one ``|`` per state: each one's closure lies inside the
+    bounded, one union per state: each one's closure lies inside the
     closed one.  Later probes stop at labels: one labeled bounded is
     neither expanded nor counted against the node cap, as it adds
     finitely many configurations; reaching one labeled unbounded makes
@@ -455,42 +450,39 @@ def is_bounded(a: OCA, c: Config) -> bool:
     strongly connected and climbing, a probe above every test plus
     ``(2|Q|+2)*(max_update+1)`` stops within |Q| levels.
     """
-    yes, no = _labels(a)
+    labels = _labels(a)
     state, value = c
-    if _has(yes.get(state), value):
-        return True
-    if _has(no.get(state), value):
-        return False
+    known = labels.get(state, {}).get(value)
+    if known is not None:
+        return known
     thresholds = sure_unbounded_thresholds(a)
 
     def admit(state: str):
-        bounded, unbounded, top = yes.get(state), no.get(state), thresholds.get(state)
-        if not bounded and not unbounded and top is None:
+        table, top = labels.get(state), thresholds.get(state)
+        if not table and top is None:
             return None
-        return _admit(bounded or b"", unbounded or b"", top)
+        return _admit(table or {}, top)
 
     try:
         res = post_star(a, [c], 2_000_000, restrict=admit)
     except _Unbounded:
-        _mark(no.setdefault(state, bytearray()), 1 << value)
+        labels.setdefault(state, {})[value] = False
         return False
-    for state, bits in res.sets.items():
-        _mark(yes.setdefault(state, bytearray()), bits)
+    for state, found in res.sets.items():
+        labels.setdefault(state, {}).update(dict.fromkeys(iterate(found), True))
     return True
 
 
-def _admit(bounded: bytes, unbounded: bytes, top: int | None):
-    """:func:`is_bounded`'s probe restriction at one state, from its
-    labels: values labeled bounded are not expanded, and one labeled
-    unbounded, or unlabeled at or above the threshold ``top``, ends the
-    probe."""
+def _admit(labels: dict[int, bool], top: int | None):
+    """:func:`is_bounded`'s probe restriction at one state: values
+    labeled bounded are not expanded, and one labeled unbounded, or
+    unlabeled at or above the threshold ``top``, ends the probe."""
 
     def keep(v: int) -> bool:
-        i, bit = v >> 3, _BIT[v & 7]
-        known = i < len(bounded) and bounded[i] & bit
-        if i < len(unbounded) and unbounded[i] & bit or (top is not None and v >= top and not known):
+        label = labels.get(v)
+        if label is False or (label is None and top is not None and v >= top):
             raise _Unbounded
-        return not known
+        return label is None
 
     return keep
 
@@ -534,14 +526,11 @@ def locally_bounded(a: OCA):
 def _bounded_at(sub: OCA, state: str):
     """:func:`is_bounded` in ``sub`` on the values at ``state``, read from
     its labels for ``state`` first."""
-    yes, no = _labels(sub)
-    good, bad = yes.setdefault(state, bytearray()), no.setdefault(state, bytearray())
+    labels = _labels(sub).setdefault(state, {})
 
     def bounded(v: int) -> bool:
-        i, bit = v >> 3, _BIT[v & 7]
-        if i < len(good) and good[i] & bit:
-            return True
-        return not (i < len(bad) and bad[i] & bit) and is_bounded(sub, Config(state, v))
+        known = labels.get(v)
+        return is_bounded(sub, Config(state, v)) if known is None else known
 
     return bounded
 

@@ -51,7 +51,6 @@ from .automaton import (
     InternalError,
     Transition,
     batch_steps,
-    bit_values,
     content_lines,
     require_valid,
     reverse,
@@ -66,6 +65,7 @@ from .exploration import (
     post_star,
 )
 from .pessimistic import pessimistic_extension, pessimistic_post_star
+from .values import Values, at_least, inter, iterate, least, minus, of, union
 
 
 @dataclass(frozen=True)
@@ -234,9 +234,9 @@ def _core(a: OCA, root: Config, avoid: Config | None = None) -> APSet | None:
         a,
         {
             Config(state, v)
-            for state, bits in closure.sets.items()
+            for state, found in closure.sets.items()
             if state in drops
-            for v in bit_values(bits >> drops[state] << drops[state])
+            for v in iterate(at_least(found, drops[state]))
         },
     )
 
@@ -252,7 +252,7 @@ def perfect_cores(a: OCA, src: Config, trg: Config) -> tuple[APSet, APSet]:
 
 
 _Step = tuple[Config, int, Config]
-_Values = dict[str, int]  # a configuration set as a bitset of values per state, bit v for value v
+_Values = dict[str, Values]  # a configuration set as a set of values per state
 
 
 def _closures(a: OCA, roots: list[Config]) -> tuple[Configs, Configs, list[_Step], _Values]:
@@ -272,11 +272,11 @@ def _closures(a: OCA, roots: list[Config]) -> tuple[Configs, Configs, list[_Step
     more = Configs({})
     if leaks:
         more = pessimistic_extension(a, roots, leaks, bounded)
-        for state, bits in more.sets.items():
-            induced[state] = induced.get(state, 0) | bits
-            for _, dst, _, targets in batch_steps(a, state, bits):
+        for state, found in more.sets.items():
+            induced[state] = union(induced.get(state, ()), found)
+            for _, dst, _, targets in batch_steps(a, state, found):
                 if targets:
-                    induced[dst] = induced.get(dst, 0) | targets
+                    induced[dst] = union(induced.get(dst, ()), targets)
     return bounded, more, escapes, induced
 
 
@@ -289,24 +289,27 @@ def _scan(a: OCA, roots: list[Config], bounded: Configs) -> tuple[list[_Step], l
     roots, and the locally unbounded successors outside the pumpable
     region, one per step that reaches them."""
     drops = pumpable_drops(a)
-    inside: _Values = {}
+    by_state: dict[str, list[int]] = {}
     for state, value in roots:
-        inside[state] = inside.get(state, 0) | 1 << value
+        by_state.setdefault(state, []).append(value)
+    inside = {state: of(found) for state, found in by_state.items()}
     escapes: list[_Step] = []
     leaks = [c for c in roots if c not in bounded]
     sets = bounded.sets
     induced = dict(sets)
-    for state, bits in sets.items():
-        for i, dst, update, targets in batch_steps(a, state, bits):
+    for state, found in sets.items():
+        for i, dst, update, targets in batch_steps(a, state, found):
             if not targets:
                 continue
-            drop, fresh = drops.get(dst), targets & ~sets.get(dst, 0)
+            drop, new = drops.get(dst), minus(targets, sets.get(dst, ()))
             if drop is not None:
-                out = targets >> drop << drop & ~inside.get(dst, 0)
-                escapes += [(Config(state, w - update), i, Config(dst, w)) for w in bit_values(out)]
-                fresh &= ~out
-            leaks += [Config(dst, w) for w in bit_values(fresh)]
-            induced[dst] = induced.get(dst, 0) | targets
+                out = minus(at_least(targets, drop), inside.get(dst, ()))
+                if out:
+                    escapes += [(Config(state, w - update), i, Config(dst, w)) for w in iterate(out)]
+                    new = minus(new, out)
+            if new:
+                leaks += [Config(dst, w) for w in iterate(new)]
+            induced[dst] = union(induced.get(dst, ()), targets)
     return escapes, leaks, induced
 
 
@@ -357,11 +360,11 @@ def _crossing(a: OCA, fwd_side: _Values, bwd_side: _Values) -> _Step | None:
     least value crosses first."""
     order = a.state_index
     crossing = None
-    for state, values in fwd_side.items():
-        for i, dst, update, targets in batch_steps(a, state, values):
-            hit = targets & bwd_side.get(dst, 0)
+    for state, found in fwd_side.items():
+        for i, dst, update, targets in batch_steps(a, state, found):
+            hit = inter(targets, bwd_side.get(dst, ()))
             if hit:
-                w = (hit & -hit).bit_length() - 1
+                w = least(hit)
                 step = (order[state], w - update, i, dst, w)
                 if crossing is None or step < crossing:
                     crossing = step
@@ -379,7 +382,7 @@ def _loose(a: OCA, side: _Values) -> list[Config]:
     for state in sorted(side, key=a.state_index.__getitem__):
         keep = at(state)
         if keep is not None:
-            loose.extend(Config(state, v) for v in bit_values(side[state]) if not keep(v))
+            loose.extend(Config(state, v) for v in iterate(side[state]) if not keep(v))
     return loose
 
 

@@ -40,6 +40,7 @@ from .automaton import (
 from .exploration import Configs, PostStarResult, post_star
 from .exploration import locally_bounded as locally_bounded_in
 from .flows import Flow, FlowError, check_flow, flow_has_positive_cycle, flow_of_path, path_from_flow
+from .values import Values, has
 
 
 def _closure(a: OCA, roots, locally_bounded: bool, start=None, known=None) -> PostStarResult:
@@ -92,11 +93,11 @@ def _pessimistic_at(drop: int, free, then):
     return lambda v: (v < drop or v in free) and then(v)
 
 
-def _outside(old: int, then):
-    """Values not in the bitset ``old``, and admitted by ``then``."""
+def _outside(old: Values, then):
+    """Values not in ``old``, and admitted by ``then``."""
     if then is None:
-        return lambda v: not old >> v & 1
-    return lambda v: not old >> v & 1 and then(v)
+        return lambda v: not has(old, v)
+    return lambda v: not has(old, v) and then(v)
 
 
 def pessimistic_post_star(a: OCA, configs, locally_bounded: bool = False) -> Configs:

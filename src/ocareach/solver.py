@@ -39,6 +39,7 @@ from .exploration import (
     reach_oracle,
 )
 from .invariants import NonReachabilityWitness, normalize_endpoints, synthesize_witness
+from .values import least_above
 
 REACHABLE = "reachable"
 UNREACHABLE = "unreachable"
@@ -80,11 +81,9 @@ def _pumping_cycle(a: OCA, c: Config) -> tuple[Path, int]:
     res = post_star(sub, [c], NODE_CAP, _value_cap(sub, c.value, goal))
     high = None
     for state in sub.states:  # the least value above goal, ties to the lower state index
-        above = res.sets.get(state, 0) >> (goal + 1)
-        if above:
-            value = goal + (above & -above).bit_length()
-            if high is None or value < high.value:
-                high = Config(state, value)
+        value = least_above(res.sets.get(state, ()), goal)
+        if value is not None and (high is None or value < high.value):
+            high = Config(state, value)
     if high is None:
         raise ValueError(f"{c} is locally bounded; nothing to pump")
     climb = res.run_to(high)

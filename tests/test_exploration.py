@@ -1,5 +1,6 @@
 import gc
 import random
+import tracemalloc
 import weakref
 
 import pytest
@@ -31,6 +32,7 @@ from ocareach.exploration import (
     _value_cap,
 )
 from ocareach.generators import FuzzSpec, gen_subset_sum, instances
+from ocareach.values import iterate
 from ocareach.solver import decide_full
 
 from _oracles import (
@@ -224,9 +226,9 @@ def test_post_star_matches_a_sorted_bfs_on_multiword_sets():
         assert res.cap_hit == hit, format_oca(a)
         for c in rng.sample(sorted(parents), min(len(parents), 40)):
             assert res.run_to(c) == parent_run(parents, c), (format_oca(a), c)
-        wide = any(type(f) is tuple for front in res.fronts for f in front.values())
+        wide = any(type(f) is list for level in res.fronts for f in level[1::2])
         seen["automata"] += 1
-        seen["wide"] += wide and max(res.sets.values(), default=0).bit_length() > 640
+        seen["wide"] += wide and max(max(iterate(found)) for found in res.sets.values()) > 640
         seen["eq_pin"] += any(g.kind == "eq" and g.value > 64 and q in res.sets for q, g in a.guards.items())
         seen["restrict"] += restrict is not None
         seen["cap_hit"] += hit
@@ -247,6 +249,86 @@ def test_post_star_cap_is_not_hit_by_what_the_restriction_refuses():
         assert set(res.configs) == set(start) and not res.cap_hit
     res = post_star(a, [Config("q", v) for v in range(20)], 1000, 50)
     assert set(res.configs) == {Config("q", v) for v in range(20)} and res.cap_hit
+
+
+def _sparse_oca(rng, num_states):
+    """States whose tests sit in clusters a million apart, and
+    transitions mixing small updates with jumps of whole millions."""
+    states = tuple(f"q{i}" for i in range(num_states))
+    guards = {}
+    for q in states:
+        roll, at = rng.random(), rng.randint(0, 5) * 10**6 + rng.randint(0, 40)
+        if roll < 0.2:
+            guards[q] = Guard("eq", at)
+        elif roll < 0.6:
+            guards[q] = Guard("ne", at)
+    transitions = []
+    for _ in range(rng.randint(num_states, 2 * num_states + 1)):
+        jump = rng.choice((-1, 1)) * rng.randint(1, 4) * 10**6 if rng.random() < 0.4 else 0
+        transitions.append(Transition(rng.choice(states), jump + rng.randint(-3, 3), rng.choice(states)))
+    return OCA(states, tuple(transitions), guards)
+
+
+def test_post_star_matches_a_sorted_bfs_on_sparse_sets():
+    """As the tests above, with values in clusters a million apart, so
+    that a state's values are far apart and a frontier holds several
+    clusters; every state keeps only the first 60 values of each
+    million, so closures stay small."""
+    rng = random.Random(1819)
+    keys = ("automata", "spread", "cap_hit", "stopped")
+    seen = dict.fromkeys(keys, 0)
+    keep = lambda v: v % 10**6 < 60
+    while seen["automata"] < 120:
+        a = _sparse_oca(rng, rng.randint(1, 3))
+        pool = [
+            c
+            for q in a.states
+            for c in (Config(q, rng.randint(0, 3) * 10**6 + rng.randint(0, 50)), Config(q, a.guards[q].value or 0))
+            if a.is_valid(c) and keep(c.value)
+        ]
+        if not pool:
+            continue
+        start = rng.sample(pool, rng.randint(1, min(3, len(pool))))
+        value_cap = max(c.value for c in start) + rng.randint(0, 5) * 10**6 + rng.randint(0, 60)
+        restrict = dict.fromkeys(a.states, keep).__getitem__
+        stop_at = None
+        if rng.random() < 0.3:
+            full, _ = sorted_bfs(a, start, value_cap, restrict)
+            stop_at = rng.choice(sorted(full))
+        parents, hit = sorted_bfs(a, start, value_cap, restrict, stop_at)
+        res = post_star(a, start, 50_000, value_cap, restrict=restrict, stop_at=stop_at)
+        assert set(res.configs) == set(parents), format_oca(a)
+        assert len(res.configs) == len(parents) and res.cap_hit == hit, format_oca(a)
+        for c in rng.sample(sorted(parents), min(len(parents), 30)):
+            assert res.run_to(c) == parent_run(parents, c), (format_oca(a), c)
+            far = Config(c.state, c.value + 10**6)
+            assert (far in res.configs) == (far in parents)
+        seen["automata"] += 1
+        seen["spread"] += any(max(iterate(found)) - min(iterate(found)) > 10**6 for found in res.sets.values())
+        seen["cap_hit"] += hit
+        seen["stopped"] += stop_at in parents
+    assert min(seen.values()) >= 15, seen
+
+
+def test_sparse_values_cost_what_they_hold():
+    """A few values near 10**8: a closure, its runs, boundedness and a
+    decision cost what the values are, not how high they are, well
+    under the 12 MB that one bit per value from 0 would take."""
+    a = parse_oca("states: p q\nguard q == 123456789\ntrans p +123456789 q\ntrans q +1 p\n")
+    b = parse_oca("states: p q r\nguard q != 100000001\ntrans p +100000000 q\ntrans q -100000000 r\ntrans r +1 r\n")
+    top = Config("p", 123456790)
+    tracemalloc.start()
+    try:
+        res = post_star(a, [Config("p", 0)], 1000)
+        assert set(res.configs) == {Config("p", 0), Config("q", 123456789), top}
+        assert res.run_to(top) == (0, 1) and Config("p", 123456789) not in res.configs
+        assert is_bounded(a, Config("p", 0)) and is_bounded(a, top)
+        assert is_locally_bounded(a, Config("q", 123456789))
+        assert decide_full(b, Config("p", 0), Config("r", 5)).kind == "reachable"
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000, peak
 
 
 def test_post_star_configs_view_refuses_what_is_not_a_configuration():
