@@ -168,27 +168,35 @@ class PostStarResult:
 
 # A state's frontier at one level: a tuple of values, or a list of
 # disjoint segments ``[at, bits, at, bits, ...]`` for the values
-# ``at + j`` of each ``bits``.  A level keeps its frontiers flat, as
-# ``(state, front, state, front, ...)``, and a lone state's lone value as
-# ``(state, value)``: a long thin search keeps one small tuple per level.
+# ``at + j`` of each ``bits``.  A search keeps each level's frontiers as
+# a dict, and every _PACK levels packs the last _PACK flat: ``(state,
+# front, state, front, ...)``, a lone state's lone value as ``(state,
+# value)``.  So a long thin search keeps one small tuple per level,
+# where a dict takes several times as much.
 Front = dict[str, "tuple[int, ...] | list[int]"]
-Level = tuple
+Level = "Front | tuple"
+_PACK = 4096
+
+
+def _packed(level: Front) -> tuple:
+    if len(level) == 1:
+        ((state, front),) = level.items()
+        return (state, front[0]) if type(front) is tuple and len(front) == 1 else (state, front)
+    return tuple(chain.from_iterable(level.items()))
 
 
 def _holds(level: Level, state: str, value: int) -> bool:
-    for k in range(0, len(level), 2):
-        if level[k] == state:
-            got = level[k + 1]
-            if type(got) is int:
-                return value == got
-            if type(got) is tuple:
-                return value in got
-            for j in range(0, len(got), 2):
-                d = value - got[j]
-                if d >= 0 and got[j + 1] >> d & 1:
-                    return True
-            return False
-    return False
+    if type(level) is dict:
+        got = level.get(state)
+    else:
+        got = next((level[k + 1] for k in range(0, len(level), 2) if level[k] == state), None)
+    if got is None:
+        return False
+    if type(got) is int:
+        return value == got
+    if type(got) is tuple:
+        return value in got
+    return any(got[j + 1] >> d & 1 for j in range(0, len(got), 2) if (d := value - got[j]) >= 0)
 
 
 _THIN = 8  # up to this many values, stepping each costs less than stepping a segment
@@ -266,7 +274,7 @@ def post_star(a, start, node_cap, value_cap=None, restrict=None, stop_at=None) -
         new = of(found)
         mark_all(seen.setdefault(state, {}), new)
         frontier[state] = tuple(found) if len(found) <= _THIN else list(new)
-    fronts = [tuple(chain.from_iterable(frontier.items()))]
+    fronts: list[Level] = [frontier]
     out, blocked, pinned = a.step_table
     while frontier:
         if stop_at is not None and marked(seen.get(stop_at[0], {}), stop_at[1]):
@@ -360,11 +368,10 @@ def post_star(a, start, node_cap, value_cap=None, restrict=None, stop_at=None) -
                             found = nxt[dst] = list(of(found))
                         _add(found, at, bits)
         frontier = nxt
-        if len(nxt) == 1:
-            ((state, front),) = nxt.items()
-            fronts.append((state, front[0]) if type(front) is tuple and len(front) == 1 else (state, front))
-        elif nxt:
-            fronts.append(tuple(chain.from_iterable(nxt.items())))
+        if nxt:
+            fronts.append(nxt)
+            if not len(fronts) % _PACK:
+                fronts[-_PACK:] = map(_packed, fronts[-_PACK:])
     sets = {state: from_pages(pages) for state, pages in seen.items() if pages}
     return PostStarResult(a, sets, fronts, cap_hit)
 

@@ -300,6 +300,9 @@ def mark_all(pages: Pages, s: Values) -> None:
 def from_pages(pages: Pages) -> Values:
     """The set of the values marked in ``pages``: one segment per run of
     consecutive pages."""
+    if len(pages) == 1:
+        ((p, page),) = pages.items()
+        return _segment(p << PAGE_SHIFT, int.from_bytes(page, "little"))
     out: list[int] = []
     run: list[int] = []
     for p in sorted(pages):

@@ -226,7 +226,7 @@ def test_post_star_matches_a_sorted_bfs_on_multiword_sets():
         assert res.cap_hit == hit, format_oca(a)
         for c in rng.sample(sorted(parents), min(len(parents), 40)):
             assert res.run_to(c) == parent_run(parents, c), (format_oca(a), c)
-        wide = any(type(f) is list for level in res.fronts for f in level[1::2])
+        wide = any(type(f) is list for level in res.fronts if type(level) is dict for f in level.values())
         seen["automata"] += 1
         seen["wide"] += wide and max(max(iterate(found)) for found in res.sets.values()) > 640
         seen["eq_pin"] += any(g.kind == "eq" and g.value > 64 and q in res.sets for q, g in a.guards.items())
@@ -329,6 +329,20 @@ def test_sparse_values_cost_what_they_hold():
     finally:
         tracemalloc.stop()
     assert peak < 2_000_000, peak
+
+
+def test_post_star_reads_runs_back_through_packed_levels():
+    """A search of over 4,096 levels keeps its older levels packed; runs
+    read back through them as through the levels kept whole, for a lone
+    value per level, two states per level and a wide frontier."""
+    a = parse_oca("states: p q r\ntrans p +1 p\ntrans p +0 q\ntrans r +1 r\ntrans r +2 r\n")
+    for start, cap in (([Config("p", 0)], 9_000), ([Config("r", v) for v in range(0, 40, 3)], 12_000)):
+        res = post_star(a, start, 50_000, cap)
+        parents, hit = sorted_bfs(a, start, cap)
+        assert set(res.configs) == set(parents) and res.cap_hit == hit
+        assert any(type(level) is tuple for level in res.fronts)
+        for c in sorted(parents, key=lambda c: c.value)[::997] + [max(parents, key=lambda c: c.value)]:
+            assert res.run_to(c) == parent_run(parents, c), c
 
 
 def test_post_star_configs_view_refuses_what_is_not_a_configuration():
