@@ -140,17 +140,23 @@ def _lex_least_cycle(a: OCA, q: str, d: int, comp) -> Path:
             raise InternalError("feasible climbing cycle vanished during reconstruction")
 
 
+def lone_state(a: OCA, q: str, comp: frozenset[str]) -> bool:
+    """Is ``q`` alone in its strongly connected component ``comp``,
+    without a positive self-loop?  Then no positive cycle passes q: it
+    has no climbing cycle to search for, nor a component to build."""
+    return len(comp) == 1 and not any(dst == q and u > 0 for _, dst, u in a.step_table[0][q])
+
+
 @per_automaton
 def climbing_cycles(a: OCA) -> dict[str, CanonicalCycle]:
     """Canonical climbing cycle per pumpable state, in state order, each
     searched inside its strongly connected component by
     :func:`_least_drop` (drop 0 first, then gallop and bisect)."""
     result: dict[str, CanonicalCycle] = {}
-    out = a.step_table[0]
     components = scc_of(a) if len(a.states) > 1 else dict.fromkeys(a.states, a.states)
     for q in a.states:
         comp = components[q]
-        if len(comp) == 1 and not any(dst == q and u > 0 for _, dst, u in out[q]):
+        if lone_state(a, q, comp):
             continue
         drop = _least_drop(a, q, comp)
         if drop is None:

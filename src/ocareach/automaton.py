@@ -87,9 +87,11 @@ class OCA:
     """Automaton container.
 
     ``memo`` holds every analysis derived from this automaton, one entry
-    per :func:`per_automaton` function, and is freed with it.  Instances
-    compare by identity on purpose: two parses of the same file are two
-    automata with two memos, never a shared or stale one.
+    per :func:`per_automaton` function, and is freed with it; an
+    automaton built by :func:`extend` also keeps its link to its base
+    there.  Instances compare by identity on purpose: two parses of the
+    same file are two automata with two memos, never a shared or stale
+    one.
     """
 
     states: tuple[str, ...]
@@ -320,15 +322,54 @@ def format_oca(a: OCA) -> str:
     return "\n".join(lines) + "\n"
 
 
+def extend(
+    a: OCA, states: tuple[str, ...], transitions: tuple[Transition, ...], guards: dict[str, Guard]
+) -> OCA:
+    """``a`` with ``states``, ``transitions`` and the new states' ``guards``
+    appended: ``a``'s states and transitions come first, with the same
+    indices and tests.
+
+    Each new state must be a strongly connected component of its own:
+    every new transition links a new state to itself, or to ``a`` in one
+    direction only (ValueError otherwise).  Then every component of an
+    old state is the same as in ``a``, so the result answers
+    :func:`scc_of` from ``a``'s table and :func:`component` for an old
+    state with ``a``'s own sub-automaton, its analyses included; its
+    :func:`reverse` does the same from ``reverse(a)``, built only when
+    such a component is asked for.  The result holds ``a``, and ``a``
+    holds nothing of it.
+    """
+    new = frozenset(states)
+    for t in transitions:
+        if (t.src in new) + (t.dst in new) != (2 if t.src == t.dst else 1):
+            raise ValueError(f"transition {t} links no new state to itself or to the base")
+    entered = {t.dst for t in transitions if t.src not in new}
+    if not entered.isdisjoint(t.src for t in transitions if t.dst not in new):
+        raise ValueError("a new state has steps both into and out of the base")
+    if not new.issuperset(guards):
+        raise ValueError("only new states take guards")
+    n = OCA(a.states + states, a.transitions + transitions, {**a.guards, **guards})
+    n.memo[extend] = (a, False)
+    return n
+
+
 @per_automaton
 def reverse(a: OCA) -> OCA:
     """The reversed automaton: arrows flipped, updates negated, tests kept.
 
     Transition ``i`` of the result mirrors transition ``i`` of ``a``, so
-    a path reversed index-wise replays there.
+    a path reversed index-wise replays there.  The components are the
+    same, so the result keeps ``a``'s :func:`scc_of` table if there is
+    one, and an :func:`extend`-ed ``a``'s link to its base, flipped.
     """
     flipped = tuple(Transition(t.dst, -t.update, t.src) for t in a.transitions)
-    return OCA(a.states, flipped, dict(a.guards))
+    r = OCA(a.states, flipped, dict(a.guards))
+    if scc_of.__wrapped__ in a.memo:
+        r.memo[scc_of.__wrapped__] = a.memo[scc_of.__wrapped__]
+    if extend in a.memo:
+        base, reversed_base = a.memo[extend]
+        r.memo[extend] = (base, not reversed_base)
+    return r
 
 
 @per_automaton
@@ -398,8 +439,15 @@ def scc_decompose(a: OCA) -> tuple[frozenset[str], ...]:
 
 @per_automaton
 def scc_of(a: OCA) -> dict[str, frozenset[str]]:
-    """State -> its strongly connected component."""
-    table: dict[str, frozenset[str]] = {}
+    """State -> its strongly connected component.  An :func:`extend`-ed
+    automaton copies its base's table, reversed or not, and adds each
+    new state as its own component, without a search."""
+    if extend in a.memo:
+        table = dict(scc_of(a.memo[extend][0]))
+        for q in a.states[len(table) :]:
+            table[q] = frozenset((q,))
+        return table
+    table = {}
     for component in scc_decompose(a):
         for q in component:
             table[q] = component
@@ -410,7 +458,15 @@ def component(a: OCA, q: str) -> tuple[OCA, tuple[int, ...]]:
     """q's strongly connected component as a sub-automaton, with the map
     back to ``a``'s transition indices, as :func:`restrict` gives them.
     The sub-automaton is one component by construction, so its
-    :func:`scc_of` table is filled in here rather than searched for."""
+    :func:`scc_of` table is filled in here rather than searched for.
+    For an old state of an :func:`extend`-ed automaton it is the base's
+    component, the very same object: indices and tests agree, and so
+    do its analyses.  A reversed extension resolves ``reverse`` of the
+    base only here."""
+    if extend in a.memo:
+        base, flipped = a.memo[extend]
+        if q in base.state_index:
+            return component(reverse(base) if flipped else base, q)
     states = scc_of(a)[q]
     sub, back = restrict(a, states)
     sub.memo.setdefault(scc_of.__wrapped__, dict.fromkeys(sub.states, states))

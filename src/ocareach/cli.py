@@ -30,11 +30,19 @@ class CliError(Exception):
     """Anything that should end the process with exit code 2."""
 
 
-def _load_oca(path: str) -> OCA:
+def _read(path: str) -> str:
+    """The text of an input file; one that cannot be read or decoded is
+    a usage error, never an internal one."""
     try:
-        return parse_oca(FsPath(path).read_text())
-    except OSError as exc:
+        return FsPath(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {path}: {exc}") from None
+
+
+def _load_oca(path: str) -> OCA:
+    text = _read(path)
+    try:
+        return parse_oca(text)
     except ValueError as exc:
         raise CliError(f"{path}: {exc}") from None
 
@@ -84,10 +92,7 @@ def cmd_decide(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     a = _load_oca(args.file)
     src, trg = _endpoints(a, args)
-    try:
-        text = FsPath(args.evidence).read_text()
-    except OSError as exc:
-        raise CliError(f"cannot read {args.evidence}: {exc}") from None
+    text = _read(args.evidence)
     try:
         report = verify_evidence(a, src, trg, text)
     except ValueError as exc:

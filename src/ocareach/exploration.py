@@ -29,7 +29,7 @@ from collections.abc import Iterator, Set
 from dataclasses import dataclass, field
 from math import gcd
 
-from .analysis import climbing_cycles, sure_unbounded_thresholds
+from .analysis import climbing_cycles, lone_state, sure_unbounded_thresholds
 from .automaton import (
     OCA,
     Config,
@@ -497,7 +497,12 @@ def _admit(labels: dict[int, bool], top: int | None):
 def _component(a: OCA, q: str) -> OCA | None:
     """q's strongly connected component as a sub-automaton, or None when
     it has no climbing cycle, hence no positive cycle: no run in it then
-    climbs over ``(|Q|-1)*max_update`` above its start, so closures end."""
+    climbs over ``(|Q|-1)*max_update`` above its start, so closures end.
+    A :func:`~ocareach.analysis.lone_state` is None without building a
+    sub-automaton; :func:`~ocareach.automaton.component` shares an
+    extended automaton's old components with its base."""
+    if lone_state(a, q, scc_of(a)[q]):
+        return None
     sub, _ = component(a, q)
     return sub if climbing_cycles(sub) else None
 

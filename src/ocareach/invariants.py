@@ -52,6 +52,7 @@ from .automaton import (
     Transition,
     batch_steps,
     content_lines,
+    extend,
     require_valid,
     reverse,
 )
@@ -496,22 +497,27 @@ def normalize_endpoints(a: OCA, src: Config, trg: Config) -> tuple[OCA, Config, 
     The only way out of the new source is a zero-effect step onto the
     old one, and the only way into the new target at its own value is a
     zero-effect step off the old one, so runs correspond one to one.
+
+    The gadget is ``a`` :func:`~ocareach.automaton.extend`-ed by the two
+    fenced states, each a component of its own.  So the gadget and its
+    reversal share ``a``'s components, and theirs: their boundedness
+    labels and climbing cycles are the ones earlier queries on ``a``
+    filled.  The gadget's own climbing cycles are still searched under
+    its own state count.
     """
     require_valid(a, src, trg)
     taken = set(a.states)
     sp = _fresh_state(taken, src.state)
     taken.add(sp)
     tp = _fresh_state(taken, trg.state)
-    transitions = a.transitions + (
+    transitions = (
         Transition(sp, 0, src.state),
         Transition(sp, 1, sp),
         Transition(trg.state, 0, tp),
         Transition(tp, -1, tp),
     )
-    guards = dict(a.guards)
-    guards[sp] = Guard("ne", src.value + 1)
-    guards[tp] = Guard("ne", trg.value + 1)
-    n = OCA(a.states + (sp, tp), transitions, guards)
+    guards = {sp: Guard("ne", src.value + 1), tp: Guard("ne", trg.value + 1)}
+    n = extend(a, (sp, tp), transitions, guards)
     src2 = Config(sp, src.value)
     trg2 = Config(tp, trg.value)
     if not (in_pumpable_region(n, src2) and is_locally_bounded(n, src2)):

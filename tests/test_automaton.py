@@ -15,6 +15,7 @@ from ocareach.automaton import (
     ReplayError,
     Transition,
     apply_path,
+    extend,
     format_oca,
     parse_config,
     parse_oca,
@@ -212,6 +213,26 @@ def test_scc_order_golden():
     # Predecessors are read off the transitions: no reversed automaton.
     scc_of(a)
     assert reverse.__wrapped__ not in a.memo
+
+
+def test_reverse_keeps_the_scc_table(loop3):
+    table = scc_of(loop3)
+    assert scc_of(reverse(loop3)) is table
+
+
+@pytest.mark.parametrize(
+    "trans, guards, reason",
+    [
+        ((Transition("q", 1, "q"),), {}, "links no new state"),
+        ((Transition("n", 0, "m"),), {}, "links no new state"),
+        ((Transition("n", 0, "q"), Transition("r", 0, "n")), {}, "both into and out"),
+        ((Transition("n", 0, "q"),), {"q": Guard("ne", 1)}, "only new states"),
+    ],
+    ids=["old-old", "new-new", "both-ways", "old-guard"],
+)
+def test_extend_keeps_old_components(loop3, trans, guards, reason):
+    with pytest.raises(ValueError, match=reason):
+        extend(loop3, ("n", "m"), trans, guards)
 
 
 def test_restrict_maps_indices(loop3):

@@ -189,6 +189,13 @@ def test_verify_oversized_witness_exceeds_resources(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("resource exceeded:")
 
 
+def test_verify_refuses_evidence_that_is_not_utf8(loop_file, tmp_path, capsys):
+    ev = tmp_path / "bad.ev"
+    ev.write_bytes(b"RUN\n\xff\n")
+    assert main(["verify", loop_file, "--src", "q:0", "--trg", "q:3", str(ev)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read {ev}:")
+
+
 def test_analyze_is_deterministic(loop_file, capsys):
     assert main(["analyze", loop_file]) == 0
     first = capsys.readouterr().out

@@ -12,6 +12,7 @@ from ocareach.automaton import (
     Guard,
     Transition,
     apply_path,
+    component,
     format_oca,
     parse_oca,
     reverse,
@@ -33,7 +34,7 @@ from ocareach.exploration import (
 )
 from ocareach.generators import FuzzSpec, gen_subset_sum, instances
 from ocareach.values import iterate
-from ocareach.solver import decide_full
+from ocareach.solver import decide_full, normalize_endpoints
 
 from _oracles import (
     naive_post_star,
@@ -747,6 +748,63 @@ def test_component_without_climbing_cycle_answers_without_a_probe(monkeypatch, l
         c = Config("q", v)
         if rev.is_valid(c):
             assert is_locally_bounded(rev, c)
+
+
+# The README loop between a lone state p without a self-loop and a lone
+# state t with a climbing one.
+TAILED_LOOP = """
+states: p q r s t
+guard q != 5
+guard r != 30
+guard s != 15
+trans q +2 r
+trans r +1 s
+trans s +2 q
+trans p +1 q
+trans s -1 t
+trans t +1 t
+"""
+
+
+def test_gadget_shares_its_base_components(monkeypatch):
+    a = parse_oca(TAILED_LOOP)
+    src, trg = Config("p", 0), Config("t", 3)
+    scc_of(a)  # the one search; the gadget and both reversals reuse it
+
+    def no_search(b):
+        raise AssertionError("strongly connected components searched again")
+
+    monkeypatch.setattr(automaton, "scc_decompose", no_search)
+    n, s2, t2 = normalize_endpoints(a, src, trg)
+    rn = reverse(n)
+    singles = {s2.state: frozenset({s2.state}), t2.state: frozenset({t2.state})}
+    assert scc_of(n) == scc_of(rn) == {**scc_of(a), **singles}
+    assert reverse.__wrapped__ not in a.memo  # resolved only when asked
+    for q in a.states:
+        for gadget, base in ((n, a), (rn, reverse(a))):
+            sub, back = component(gadget, q)
+            want, want_back = component(base, q)
+            assert sub is want and back == want_back
+    gone = weakref.ref(n), weakref.ref(rn)
+    del n, rn, gadget
+    assert all(ref() is None for ref in gone)  # a's memo holds no gadget
+
+
+def test_lone_state_builds_no_component(monkeypatch):
+    a = parse_oca(TAILED_LOOP)
+    asked = []
+    real = automaton.restrict
+
+    def counted(b, states):
+        asked.append(states)
+        return real(b, states)
+
+    monkeypatch.setattr(automaton, "restrict", counted)
+    assert exploration._component(a, "p") is None
+    assert is_locally_bounded(a, Config("p", 7))
+    assert not asked
+    assert exploration._component(a, "t") is not None  # a positive self-loop
+    assert asked == [frozenset({"t"})]
 
 
 def _reaches(a, x, y):

@@ -1,9 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ocareach import exploration, invariants
-from ocareach.analysis import climbing_cycles, in_pumpable_region
+from ocareach.analysis import climbing_cycles, in_pumpable_region, pumpable_drops
 from ocareach.automaton import (
     OCA,
     Config,
@@ -24,6 +25,7 @@ from ocareach.invariants import (
     check_inductive,
     check_separator,
     format_witness,
+    normalize_endpoints,
     parse_witness,
     perfect_cores,
     synthesize_witness,
@@ -727,3 +729,44 @@ def test_scans_match_the_value_table_scans():
         hits["crossings"] += crossing is not None
         hits["draws"] += 1
     assert min(hits.values()) >= 20, hits
+
+
+@st.composite
+def _gadget_cases(draw):
+    """An equality-free automaton of 1 to 4 states, updates -3..3, tests
+    != 0..6, and two valid endpoints below 7."""
+    states = tuple(f"q{i}" for i in range(draw(st.integers(1, 4))))
+    state = st.sampled_from(states)
+    transitions = tuple(
+        Transition(draw(state), draw(st.integers(-3, 3)), draw(state))
+        for _ in range(draw(st.integers(1, 2 * len(states) + 1)))
+    )
+    guards = {q: Guard("ne", draw(st.integers(0, 6))) for q in states if draw(st.booleans())}
+    a = OCA(states, transitions, guards)
+    valid = st.sampled_from([c for q in states for v in range(7) if a.is_valid(c := Config(q, v))])
+    return a, draw(valid), draw(valid)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_gadget_cases())
+def test_shared_gadget_answers_like_a_fresh_copy(case):
+    """A gadget that shares its base's components, labeled first the way
+    decide_disequality labels them, answers like a copy with an empty
+    memo."""
+    a, src, trg = case
+    is_locally_bounded(a, src)
+    is_locally_bounded(reverse(a), trg)
+    n, s2, t2 = normalize_endpoints(a, src, trg)
+    fresh = OCA(n.states, n.transitions, dict(n.guards))
+    for shared, copy in ((n, fresh), (reverse(n), reverse(fresh))):
+        assert climbing_cycles(shared) == climbing_cycles(copy)
+        assert pumpable_drops(shared) == pumpable_drops(copy)
+        for q in shared.states:
+            for v in range(12):
+                c = Config(q, v)
+                if shared.is_valid(c):
+                    assert is_locally_bounded(shared, c) == is_locally_bounded(copy, c), c
+    w = synthesize_witness(n, s2, t2)
+    assert w == synthesize_witness(fresh, s2, t2)
+    if w is not None:
+        assert verify_witness(n, s2, t2, w) == verify_witness(fresh, s2, t2, w)
