@@ -27,9 +27,10 @@ Verification runs three named stages after its shape checks:
 side, and :func:`check_separator` between the sides.  The inductive
 stage builds each side's pessimistic closure once, through locally
 bounded configurations, and returns the induced sets the separator
-reads; their unrestricted closure continues from what local boundedness
-alone kept out, almost always nothing.  The stages read the closures'
-per-state value sets directly, as bitsets: the escapes, the leaks, the
+reads.  Only a side whose closure leaks, holding something local
+boundedness alone kept out, also builds its unrestricted closure for
+the induced set; almost none does.  The stages read the closures'
+per-state value sets directly, as bitsets: the escapes, the leak test, the
 induced sets and the separator's crossings are shifts, ands and ors per
 state and transition, and a state neither pumpable nor in a climbing
 component costs no question per configuration.
@@ -65,7 +66,7 @@ from .exploration import (
     locally_bounded,
     post_star,
 )
-from .pessimistic import pessimistic_extension, pessimistic_post_star
+from .pessimistic import pessimistic_post_star
 from .values import Values, at_least, inter, iterate, least, minus, of, union
 
 
@@ -256,47 +257,38 @@ _Step = tuple[Config, int, Config]
 _Values = dict[str, Values]  # a configuration set as a set of values per state
 
 
-def _closures(a: OCA, roots: list[Config]) -> tuple[Configs, Configs, list[_Step], _Values]:
-    """The pessimistic closures of ``roots``, each built once.
-
-    Returns the closure through locally bounded configurations, what the
-    unrestricted closure adds to it, the inductive escape candidates
-    (steps out of the first into the pumpable region, outside ``roots``)
-    and the induced set (the unrestricted closure plus its one-step
-    boundary) as the values at each state.  :func:`_scan` finds the
-    candidates, the first closure's boundary and its leaks; the
-    unrestricted closure is the first one plus the leaks' closure, and
-    leaks are rare.
+def _closures(a: OCA, roots: list[Config]) -> tuple[list[_Step], _Values]:
+    """The inductive escape candidates of ``roots`` (steps out of their
+    closure through locally bounded configurations into the pumpable
+    region, outside ``roots``) and the induced set (their unrestricted
+    pessimistic closure plus its one-step boundary) as the values at
+    each state.  Both come from one :func:`_scan` of the first closure.
+    Only when that closure leaks is the unrestricted one built, and the
+    induced set scanned from it instead; leaks are rare.
     """
     bounded = pessimistic_post_star(a, roots, locally_bounded=True)
     escapes, leaks, induced = _scan(a, roots, bounded)
-    more = Configs({})
     if leaks:
-        more = pessimistic_extension(a, roots, leaks, bounded)
-        for state, found in more.sets.items():
-            induced[state] = union(induced.get(state, ()), found)
-            for _, dst, _, targets in batch_steps(a, state, found):
-                if targets:
-                    induced[dst] = union(induced.get(dst, ()), targets)
-    return bounded, more, escapes, induced
+        _, _, induced = _scan(a, roots, pessimistic_post_star(a, roots))
+    return escapes, induced
 
 
-def _scan(a: OCA, roots: list[Config], bounded: Configs) -> tuple[list[_Step], list[Config], _Values]:
-    """One pass over ``bounded``, the closure of ``roots`` through locally
-    bounded configurations, a few shifts and masks per state and
-    transition.  Returns the inductive escape candidates, the leaks and
-    the closure plus its one-step boundary.  The leaks are what only
-    local boundedness kept out of the closure: the locally unbounded
-    roots, and the locally unbounded successors outside the pumpable
-    region, one per step that reaches them."""
+def _scan(a: OCA, roots: list[Config], closure: Configs) -> tuple[list[_Step], bool, _Values]:
+    """One pass over ``closure``, a pessimistic closure of ``roots``, a
+    few shifts and masks per state and transition.  Returns the
+    inductive escape candidates, whether the closure leaks and the
+    closure plus its one-step boundary.  A closure through locally
+    bounded configurations leaks when local boundedness alone kept
+    something out of it: a locally unbounded root, or a locally
+    unbounded successor outside the pumpable region."""
     drops = pumpable_drops(a)
     by_state: dict[str, list[int]] = {}
     for state, value in roots:
         by_state.setdefault(state, []).append(value)
     inside = {state: of(found) for state, found in by_state.items()}
     escapes: list[_Step] = []
-    leaks = [c for c in roots if c not in bounded]
-    sets = bounded.sets
+    leaks = any(c not in closure for c in roots)
+    sets = closure.sets
     induced = dict(sets)
     for state, found in sets.items():
         for i, dst, update, targets in batch_steps(a, state, found):
@@ -308,8 +300,7 @@ def _scan(a: OCA, roots: list[Config], bounded: Configs) -> tuple[list[_Step], l
                 if out:
                     escapes += [(Config(state, w - update), i, Config(dst, w)) for w in iterate(out)]
                     new = minus(new, out)
-            if new:
-                leaks += [Config(dst, w) for w in iterate(new)]
+            leaks = leaks or bool(new)
             induced[dst] = union(induced.get(dst, ()), targets)
     return escapes, leaks, induced
 
@@ -325,7 +316,7 @@ def check_inductive(a: OCA, w: NonReachabilityWitness) -> tuple[CheckResult, lis
     """
     induced = []
     for condition, machine, aps in (("forward", a, w.fwd), ("backward", reverse(a), w.bwd)):
-        _, _, escapes, side = _closures(machine, list(aps.members()))
+        escapes, side = _closures(machine, list(aps.members()))
         for escape in sorted(escapes, key=_step_order(machine)):
             if is_locally_bounded(machine, escape[2]):
                 return CheckResult(False, condition, escape), induced

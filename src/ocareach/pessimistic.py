@@ -40,21 +40,18 @@ from .automaton import (
 from .exploration import Configs, PostStarResult, post_star
 from .exploration import locally_bounded as locally_bounded_in
 from .flows import Flow, FlowError, check_flow, flow_has_positive_cycle, flow_of_path, path_from_flow
-from .values import Values, has
 
 
-def _closure(a: OCA, roots, locally_bounded: bool, start=None, known=None) -> PostStarResult:
+def _closure(a: OCA, roots, locally_bounded: bool) -> PostStarResult:
     """Pessimistic closure on :func:`post_star`; roots are exempt from the
     pumpable-region restriction but not from local boundedness.  Values
     stay at or below ``ceiling``, so at most ``|Q|`` configurations each.
-    The search starts from ``start`` (default: the roots) and enters no
-    configuration of ``known``; ceiling and exemption come from the roots.
 
-    The restriction is built once per state.  It is None, admitting every
-    value unasked, at a state that is not pumpable, holds nothing of
-    ``known`` and, for ``locally_bounded``, lies in a component without
-    a climbing cycle.  Elsewhere it asks per value: outside ``known``,
-    below the state's drop or a root's own value, and locally bounded."""
+    The restriction at a state is None, admitting every value unasked,
+    when the state is not pumpable and, for ``locally_bounded``, lies in
+    a component without a climbing cycle.  Elsewhere it asks per value:
+    below the state's drop or a root's own value, and locally bounded.
+    :func:`post_star` looks it up at most once per state."""
     roots = frozenset(roots)
     ceiling = max((c.value for c in roots), default=0)
     ceiling += (len(a.states) - 1) * a.max_update
@@ -64,23 +61,14 @@ def _closure(a: OCA, roots, locally_bounded: bool, start=None, known=None) -> Po
     exempt: dict[str, set[int]] = {}
     for state, value in roots:
         exempt.setdefault(state, set()).add(value)
-    seen = {} if known is None else known.sets
-    admits: dict[str, object] = {}
 
     def admit(state: str):
-        try:
-            return admits[state]
-        except KeyError:
-            pass
         keep = None if stay is None else stay(state)
         if state in drops:
             keep = _pessimistic_at(drops[state], exempt.get(state, ()), keep)
-        if state in seen:
-            keep = _outside(seen[state], keep)
-        admits[state] = keep
         return keep
 
-    res = post_star(a, roots if start is None else start, nodes, ceiling, restrict=admit)
+    res = post_star(a, roots, nodes, ceiling, restrict=admit)
     if res.cap_hit:
         raise InternalError(f"pessimistic closure climbed above {ceiling}")
     return res
@@ -93,13 +81,6 @@ def _pessimistic_at(drop: int, free, then):
     return lambda v: (v < drop or v in free) and then(v)
 
 
-def _outside(old: Values, then):
-    """Values not in ``old``, and admitted by ``then``."""
-    if then is None:
-        return lambda v: not has(old, v)
-    return lambda v: not has(old, v) and then(v)
-
-
 def pessimistic_post_star(a: OCA, configs, locally_bounded: bool = False) -> Configs:
     """All configurations reachable by pessimistic runs from ``configs``.
 
@@ -107,17 +88,6 @@ def pessimistic_post_star(a: OCA, configs, locally_bounded: bool = False) -> Con
     locally bounded configurations throughout, start included.
     """
     return _closure(a, configs, locally_bounded).configs
-
-
-def pessimistic_extension(a: OCA, configs, start, known: Configs) -> Configs:
-    """What :func:`pessimistic_post_star` of ``configs`` adds to ``known``.
-
-    ``known`` is a part of that closure holding every root and every
-    configuration one pessimistic step from it, save those in ``start``;
-    the search goes on from ``start`` alone, without entering ``known``,
-    under the ceiling of ``configs``.
-    """
-    return _closure(a, configs, False, start, known).configs
 
 
 def decide_pessimistic_reach(a: OCA, src: Config, trg: Config) -> Path | None:

@@ -203,17 +203,10 @@ def minus(s: Values, t: Values) -> Values:
 
 
 def admitted(at: int, bits: int, keep: Callable[[int], bool]) -> int:
-    """The bits of ``bits`` whose values ``at + j`` the predicate
-    ``keep`` admits, each asked once, in increasing order."""
-    if bits.bit_length() <= 64:  # a word or two: bit by bit
-        out = rest = bits
-        while rest:
-            bit = rest & -rest
-            if not keep(at + bit.bit_length() - 1):
-                out ^= bit
-            rest ^= bit
-        return out
-    low = (bits & -bits).bit_length() - 1  # else read from the least value as a string
+    """The bits of ``bits``, which is nonzero, whose values ``at + j`` the
+    predicate ``keep`` admits, each asked once, in increasing order:
+    the bits are read as a string, from the least value up."""
+    low = (bits & -bits).bit_length() - 1
     digits = bytearray(bin(bits >> low), "ascii")  # bit j of the shifted bits at index top - j
     top = i = len(digits) - 1
     while i > 1:

@@ -23,7 +23,7 @@ from ocareach.automaton import (
     scc_of,
     source_replay,
 )
-from ocareach.pessimistic import pessimistic_extension, pessimistic_post_star
+from ocareach.pessimistic import pessimistic_post_star
 
 
 def naive_successors(a: OCA, c: Config) -> list[tuple[Config, int]]:
@@ -454,8 +454,8 @@ def _value_tables(configs) -> dict[str, set[int]]:
 
 def reference_closures(a: OCA, roots: list[Config]):
     """``invariants._closures`` over value tables: the closure through
-    locally bounded configurations, what the unrestricted closure adds,
-    the escape candidates, the leaks and the induced set."""
+    locally bounded configurations, the escape candidates, the leaks and
+    the induced set, which holds what the unrestricted closure adds."""
     bounded = pessimistic_post_star(a, roots, locally_bounded=True)
     drops = pumpable_drops(a)
     inside: dict[str, set[int]] = {}
@@ -482,12 +482,12 @@ def reference_closures(a: OCA, roots: list[Config]):
             _add(induced, dst, targets)
     more = set()
     if leaks:
-        more = set(pessimistic_extension(a, roots, leaks, bounded))
+        more = set(pessimistic_post_star(a, roots)) - set(bounded)
         for state, table in _value_tables(more).items():
             _add(induced, state, table)
             for _, dst, _, targets in reference_batch_steps(a, state, table):
                 _add(induced, dst, targets)
-    return bounded, more, escapes, leaks, induced
+    return bounded, escapes, leaks, induced
 
 
 def _add(values: dict[str, set[int]], state: str, new) -> None:

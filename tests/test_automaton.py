@@ -2,6 +2,7 @@ import ast
 import gc
 import random
 import weakref
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -439,3 +440,51 @@ def test_no_assert_in_the_package():
             ):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"assert left in the package at {', '.join(found)}"
+
+
+def _reads(node) -> Counter:
+    """The names ``node`` reads, as plain names or attributes."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) or isinstance(n, ast.Attribute)
+    )
+
+
+def test_no_unused_import_or_private_name_in_the_package():
+    """Each module uses every name it imports (``__init__`` re-exports
+    them), and each module-level ``_private`` function, class or constant
+    is read somewhere in the package outside its own definition."""
+    trees = {
+        path: ast.parse(path.read_text(), str(path))
+        for path in sorted(Path(ocareach.__file__).parent.rglob("*.py"))
+    }
+    everywhere = sum((_reads(tree) for tree in trees.values()), Counter())
+    for tree in trees.values():
+        everywhere.update(
+            alias.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for alias in n.names
+        )
+    found = []
+    for path, tree in trees.items():
+        used = _reads(tree)
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and path.name != "__init__.py":
+                if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                    continue
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if not used[name]:
+                        found.append(f"{path.name}: import {name}")
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            own = _reads(node)
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    if everywhere[name] <= own[name]:
+                        found.append(f"{path.name}: {name}")
+    assert not found, f"unused in the package: {', '.join(found)}"

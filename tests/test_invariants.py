@@ -614,7 +614,7 @@ def test_refutation_details_match_a_sorted_scan():
             sides.append(closure | {d for c in closure for d, _ in naive_successors(machine, c)})
         crossing = naive_first_step(b, sides[0], lambda d: d in sides[1])
         induced = [
-            invariants._closures(m, list(aps.members()))[3] for m, aps in ((b, w.fwd), (rev, w.bwd))
+            invariants._closures(m, list(aps.members()))[1] for m, aps in ((b, w.fwd), (rev, w.bwd))
         ]
         res = check_separator(b, *induced)
         if crossing is not None:
@@ -630,12 +630,11 @@ def test_refutation_details_match_a_sorted_scan():
 
 
 def _assert_shared_closures(a, roots):
-    """One side's closures, built once, against the independent ones;
-    True when the unrestricted closure is strictly larger."""
-    bounded, more, escapes, induced = invariants._closures(a, roots)
-    assert bounded == pessimistic_post_star(a, roots, locally_bounded=True)
+    """One side's escapes and induced set against the independent
+    closures; True when the unrestricted closure is strictly larger."""
+    escapes, induced = invariants._closures(a, roots)
+    bounded = pessimistic_post_star(a, roots, locally_bounded=True)
     full = pessimistic_post_star(a, roots)
-    assert bounded | set(more) == full
     expected: dict[str, set[int]] = {}
     for c in full | {d for _, _, d in valid_steps(a, full)}:
         expected.setdefault(c.state, set()).add(c.value)
@@ -679,7 +678,33 @@ def test_shared_closures_continue_from_a_successor():
     assert not is_locally_bounded(a, Config("r", 10))
     assert not in_pumpable_region(a, Config("r", 10))
     assert _assert_shared_closures(a, [root])
-    assert set(invariants._closures(a, [root])[1]) == {Config("r", 10)}
+    bounded = pessimistic_post_star(a, [root], locally_bounded=True)
+    assert invariants._scan(a, [root], bounded)[1]
+    assert set(pessimistic_post_star(a, [root])) - set(bounded) == {Config("r", 10)}
+
+
+def test_only_a_leaking_side_builds_the_unrestricted_closure(monkeypatch, loop3):
+    """The unrestricted closure is built for a side whose closure through
+    locally bounded configurations leaks, and for no other side."""
+    unrestricted = []
+    real = invariants.pessimistic_post_star
+
+    def counting(a, configs, locally_bounded=False):
+        unrestricted.append(not locally_bounded)
+        return real(a, configs, locally_bounded)
+
+    monkeypatch.setattr(invariants, "pessimistic_post_star", counting)
+    a = parse_oca("states: x r q\ntrans x +0 r\ntrans r -3 q\ntrans q +1 q\ntrans q -3 r\n")
+    root = APSet((Progression("x", 10, 1, 10, 10),))
+    assert check_inductive(a, NonReachabilityWitness(root, root))[0]
+    assert sum(unrestricted) == 1 and len(unrestricted) == 3
+
+    src, trg = Config("q", 0), Config("q", 10)
+    verdict = decide_full(loop3, src, trg)
+    n, s2, t2 = normalize_endpoints(loop3, src, trg)
+    unrestricted.clear()
+    assert verify_witness(n, s2, t2, verdict.witness)
+    assert sum(unrestricted) == 0 and len(unrestricted) == 2
 
 
 def _value_sets(side) -> dict[str, set[int]]:
@@ -713,12 +738,12 @@ def test_scans_match_the_value_table_scans():
                 if machine.is_valid(c):
                     roots.add(c)
             roots = sorted(roots, key=str)
-            bounded, more, escapes, induced = invariants._closures(machine, roots)
-            _, _, ref_escapes, ref_leaks, ref_induced = reference_closures(machine, roots)
+            escapes, induced = invariants._closures(machine, roots)
+            bounded, ref_escapes, ref_leaks, ref_induced = reference_closures(machine, roots)
             order = invariants._step_order(machine)
             assert sorted(escapes, key=order) == sorted(ref_escapes, key=order)
             _, leaks, _ = invariants._scan(machine, roots, bounded)
-            assert sorted(leaks) == sorted(ref_leaks)
+            assert leaks == bool(ref_leaks)
             assert _value_sets(induced) == ref_induced
             sides.append(induced)
             hits["escapes"] += bool(escapes)
