@@ -6,8 +6,9 @@ the values span where they are dense and a few words each where they
 are sparse.  :func:`post_star` runs a capped breadth-first closure that
 steps a few values one by one and a wider frontier a segment at a time,
 per transition with a shift, a cleared ``!=`` bit and a mask of what
-was seen, and keeps each level's frontiers; runs are read back from them
-on demand.  Closures are restricted per state too: a restriction names,
+was seen.  A closure is a set: only a search given a target keeps each
+level's frontiers, and it reads the shortest run to the target back
+from them.  Closures are restricted per state too: a restriction names,
 for each state, either nothing (every valid value is admitted) or a
 predicate on values.  Local boundedness (:func:`locally_bounded`) and
 the boundedness labels behind it take the same per-state form.
@@ -26,7 +27,7 @@ import weakref
 from collections import Counter, deque
 from itertools import chain
 from collections.abc import Iterator, Set
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
 
 from .analysis import climbing_cycles, lone_state, sure_unbounded_thresholds
@@ -120,16 +121,14 @@ class Configs(Set):
 @dataclass
 class PostStarResult:
     """A closure: ``sets`` maps each state to the :mod:`ocareach.values`
-    set of values found there, and ``fronts[k]`` holds, per state, the
-    values first found there at breadth-first level ``k``, 0 at a start,
-    as a :data:`Level`.  ``configs`` is a set view over ``sets``, not a
-    copy.  No run is stored: :meth:`run_to` reads one back on demand
-    through the automaton."""
+    set of values found there, and ``configs`` is a set view over it, not
+    a copy.  ``run`` is, for a search given ``stop_at``, the transition
+    indices of a shortest run to it; None when the search did not find
+    it or was given no target."""
 
-    automaton: OCA = field(repr=False)
     sets: dict[str, Values]
-    fronts: list[Level] = field(repr=False)
     cap_hit: bool
+    run: Path | None = None
 
     @property
     def configs(self) -> Configs:
@@ -138,65 +137,57 @@ class PostStarResult:
     def __contains__(self, c: Config) -> bool:
         return c in Configs(self.sets)
 
-    def run_to(self, c: Config) -> Path:
-        """Transition indices of a shortest discovered run ending at ``c``.
-
-        Read back one level at a time through the reversed automaton's
-        step table: the step into the current configuration is the least,
-        by (source state index, source value, transition index), of those
-        from a configuration one level up.  That is the step a search
-        scanning each level in that order meets first, so runs do not
-        depend on the order the closure was built in.
-        """
-        if c not in self:
-            raise KeyError(f"{c} was not discovered")
-        a, fronts = self.automaton, self.fronts
-        into, order = reverse(a).step_table[0], a.state_index
-        state, value = c
-        depth = next(k for k, front in enumerate(fronts) if _holds(front, state, value))
-        rev: list[int] = []
-        for front in reversed(fronts[:depth]):
-            rank, value, i = min(
-                (order[src], value + back, i)
-                for i, src, back in into[state]
-                if _holds(front, src, value + back)
-            )
-            state = a.states[rank]
-            rev.append(i)
-        return tuple(reversed(rev))
-
 
 # A state's frontier at one level: a tuple of values, or a list of
 # disjoint segments ``[at, bits, at, bits, ...]`` for the values
-# ``at + j`` of each ``bits``.  A search keeps each level's frontiers as
-# a dict, and every _PACK levels packs the last _PACK flat: ``(state,
-# front, state, front, ...)``, a lone state's lone value as ``(state,
-# value)``.  So a long thin search keeps one small tuple per level,
-# where a dict takes several times as much.
+# ``at + j`` of each ``bits``.  A search given a target keeps each level
+# flat, ``(state, front, state, front, ...)``, and a lone state's lone
+# value as ``(state, value)``: a long thin search keeps one small tuple
+# per level.
 Front = dict[str, "tuple[int, ...] | list[int]"]
-Level = "Front | tuple"
-_PACK = 4096
 
 
-def _packed(level: Front) -> tuple:
+def _flat(level: Front) -> tuple:
     if len(level) == 1:
         ((state, front),) = level.items()
         return (state, front[0]) if type(front) is tuple and len(front) == 1 else (state, front)
     return tuple(chain.from_iterable(level.items()))
 
 
-def _holds(level: Level, state: str, value: int) -> bool:
-    if type(level) is dict:
-        got = level.get(state)
-    else:
-        got = next((level[k + 1] for k in range(0, len(level), 2) if level[k] == state), None)
-    if got is None:
+def _holds(level: tuple, state: str, value: int) -> bool:
+    if state not in level:  # no front equals a state's name
         return False
+    got = level[level.index(state) + 1]
     if type(got) is int:
         return value == got
     if type(got) is tuple:
         return value in got
     return any(got[j + 1] >> d & 1 for j in range(0, len(got), 2) if (d := value - got[j]) >= 0)
+
+
+def _run_back(a: OCA, levels: list[tuple], c: Config) -> Path:
+    """Transition indices of a shortest run to ``c``, found one level
+    after the last of ``levels``.
+
+    Read back one level at a time through the reversed automaton's step
+    table: the step into the current configuration is the least, by
+    (source state index, source value, transition index), of those from
+    a configuration one level up.  That is the step a search scanning
+    each level in that order meets first, so runs do not depend on the
+    order the closure was built in.
+    """
+    into, order = reverse(a).step_table[0], a.state_index
+    state, value = c
+    rev: list[int] = []
+    for level in reversed(levels):
+        rank, value, i = min(
+            (order[src], value + back, i)
+            for i, src, back in into[state]
+            if _holds(level, src, value + back)
+        )
+        state = a.states[rank]
+        rev.append(i)
+    return tuple(reversed(rev))
 
 
 # Up to this many values, stepping each costs less than stepping a segment.
@@ -231,9 +222,9 @@ def post_star(a, start, node_cap, value_cap=None, restrict=None, stop_at=None) -
     ``value_cap`` cannot bind: it sits ``node_cap * max_update`` above
     the highest start.  Finding a configuration beyond the first
     ``node_cap`` raises :class:`ResourceExceeded` instead of returning
-    something wrong.  ``stop_at`` ends the search early once that
-    configuration is found (the level in progress is finished first,
-    keeping runs shortest).
+    something wrong.  ``stop_at`` ends the search at the level that
+    finds that configuration, and only such a search keeps its levels,
+    to read ``run`` back from them.
 
     Breadth first, one level at a time, reading the test at each
     destination from :attr:`ocareach.automaton.OCA.step_table`.  A
@@ -247,8 +238,8 @@ def post_star(a, start, node_cap, value_cap=None, restrict=None, stop_at=None) -
     new value.  Found values are marked in pages (see
     :mod:`ocareach.values`) once admitted and under the cap, so memory
     follows the values found, not how high they are.  No configuration
-    is built.  :meth:`PostStarResult.run_to` reads runs back from the
-    frontiers of the levels.
+    is built.  A search given ``stop_at`` keeps each level's frontiers
+    flat and reads the run back from them, see :func:`_run_back`.
     """
     roots = dict.fromkeys(start)
     for c in roots:
@@ -277,11 +268,15 @@ def post_star(a, start, node_cap, value_cap=None, restrict=None, stop_at=None) -
         new = of(found)
         mark_all(seen.setdefault(state, {}), new)
         frontier[state] = tuple(found) if len(found) <= _THIN else list(new)
-    fronts: list[Level] = [frontier]
+    levels: list[tuple] = []  # kept for a target only
+    run = None
     out, blocked, pinned = a.step_table
     while frontier:
-        if stop_at is not None and marked(seen.get(stop_at[0], {}), stop_at[1]):
-            break
+        if stop_at is not None:
+            if marked(seen.get(stop_at[0], {}), stop_at[1]):
+                run = _run_back(a, levels, stop_at)
+                break
+            levels.append(_flat(frontier))
         nxt: Front = {}
         for state, front in frontier.items():
             if type(front) is tuple and len(front) <= _THIN:
@@ -371,12 +366,8 @@ def post_star(a, start, node_cap, value_cap=None, restrict=None, stop_at=None) -
                             found = nxt[dst] = list(of(found))
                         _add(found, at, bits)
         frontier = nxt
-        if nxt:
-            fronts.append(nxt)
-            if not len(fronts) % _PACK:
-                fronts[-_PACK:] = map(_packed, fronts[-_PACK:])
     sets = {state: from_pages(pages) for state, pages in seen.items() if pages}
-    return PostStarResult(a, sets, fronts, cap_hit)
+    return PostStarResult(sets, cap_hit, run)
 
 
 def reach_oracle(a: OCA, src: Config, trg: Config) -> Path | None:
@@ -399,8 +390,8 @@ def reach_oracle(a: OCA, src: Config, trg: Config) -> Path | None:
             res = post_star(a, [src], NODE_CAP, cap, stop_at=trg)
         except ResourceExceeded:
             break
-        if trg in res:
-            return res.run_to(trg)
+        if res.run is not None:
+            return res.run
         if not res.cap_hit:
             return None
         try:

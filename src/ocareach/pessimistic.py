@@ -42,10 +42,12 @@ from .exploration import locally_bounded as locally_bounded_in
 from .flows import Flow, FlowError, check_flow, flow_has_positive_cycle, flow_of_path, path_from_flow
 
 
-def _closure(a: OCA, roots, locally_bounded: bool) -> PostStarResult:
+def _closure(a: OCA, roots, locally_bounded: bool, stop_at: Config | None = None) -> PostStarResult:
     """Pessimistic closure on :func:`post_star`; roots are exempt from the
     pumpable-region restriction but not from local boundedness.  Values
     stay at or below ``ceiling``, so at most ``|Q|`` configurations each.
+    Given ``stop_at``, the search ends at its level, with the shortest
+    run to it.
 
     The restriction at a state is None, admitting every value unasked,
     when the state is not pumpable and, for ``locally_bounded``, lies in
@@ -68,7 +70,7 @@ def _closure(a: OCA, roots, locally_bounded: bool) -> PostStarResult:
             keep = _pessimistic_at(drops[state], exempt.get(state, ()), keep)
         return keep
 
-    res = post_star(a, roots, nodes, ceiling, restrict=admit)
+    res = post_star(a, roots, nodes, ceiling, restrict=admit, stop_at=stop_at)
     if res.cap_hit:
         raise InternalError(f"pessimistic closure climbed above {ceiling}")
     return res
@@ -94,11 +96,11 @@ def decide_pessimistic_reach(a: OCA, src: Config, trg: Config) -> Path | None:
     """Shortest pessimistic run from src to trg, or None.
 
     Exact: pessimistic runs live in a finite slice of the configuration
-    space, so no cap cuts it short.  An invalid endpoint raises ValueError.
+    space, and the search ends at the target's level.  An invalid
+    endpoint raises ValueError.
     """
     require_valid(a, src, trg)
-    res = _closure(a, [src], locally_bounded=False)
-    return res.run_to(trg) if trg in res else None
+    return _closure(a, [src], locally_bounded=False, stop_at=trg).run
 
 
 # ------------------------------------------------------------- certificates

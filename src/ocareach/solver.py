@@ -68,25 +68,31 @@ class Verdict:
 def _pumping_cycle(a: OCA, c: Config) -> tuple[Path, int]:
     """Cycle on ``c.state`` that climbs from ``c`` and from anywhere above.
 
-    One search of c's component climbs past every test plus the worst a
-    return walk can drop (``goal``), and a shortest path back closes the
-    loop.  The first lap is valid by construction and every later lap
-    runs above the tests, so the cycle pumps freely.  Returns the cycle
-    and its (positive) effect.  The value cap exceeds ``goal`` plus any
-    update of the component, so it holds the first crossing of ``goal``;
-    exceeding :data:`NODE_CAP` raises ResourceExceeded.
+    A closure of c's component picks the least configuration past every
+    test plus the worst a return walk can drop (``goal``), a second
+    search given it as target climbs there, and a shortest path back
+    closes the loop.  The first lap is valid by construction and every
+    later lap runs above the tests, so the cycle pumps freely.  Returns
+    the cycle and its (positive) effect.  The value cap exceeds ``goal``
+    plus any update of the component, so it holds the first crossing of
+    ``goal``; exceeding :data:`NODE_CAP` raises ResourceExceeded.  The
+    caller has checked that ``c`` is locally unbounded, so finding no
+    value above ``goal``, or no climb to it, raises InternalError.
     """
     sub, back = component(a, c.state)
     goal = c.value + a.max_test + a.max_update * len(a.states) + 1
-    res = post_star(sub, [c], NODE_CAP, _value_cap(sub, c.value, goal))
+    cap = _value_cap(sub, c.value, goal)
+    res = post_star(sub, [c], NODE_CAP, cap)
     high = None
     for state in sub.states:  # the least value above goal, ties to the lower state index
         value = least_above(res.sets.get(state, ()), goal)
         if value is not None and (high is None or value < high.value):
             high = Config(state, value)
     if high is None:
-        raise ValueError(f"{c} is locally bounded; nothing to pump")
-    climb = res.run_to(high)
+        raise InternalError(f"{c} is locally unbounded, yet its closure stays at or below {goal}")
+    climb = post_star(sub, [c], NODE_CAP, cap, stop_at=high).run
+    if climb is None:
+        raise InternalError(f"no climb from {c} to {high}, which its closure holds")
     cycle = tuple(back[i] for i in climb + path_to(state_search(sub, high.state), c.state))
     end = _replay(a, c, cycle)
     effect = end.value - c.value

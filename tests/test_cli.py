@@ -119,22 +119,29 @@ def test_endpoint_failing_its_test_is_an_error(loop_file, capsys, command, src, 
 
 
 def test_readme_command_examples(tmp_path, monkeypatch, capsys):
-    """Each decide/verify line of the README's command-line block prints
-    the comment under it, on the loop automaton the block describes."""
+    """Each decide/verify/pessimistic line of the README's command-line
+    block prints the comment under it, on the automata the block
+    describes; the evidence each emits, the pessimistic CERT included,
+    verifies."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
     lines = block.splitlines()
     monkeypatch.chdir(tmp_path)
     (tmp_path / "loop.oca").write_text(LOOP)
-    ran = 0
+    (tmp_path / "descent.oca").write_text("states: a b\nguard a != 3\ntrans a -2 a\ntrans a +0 b\n")
+    ran = []
     for line, comment in zip(lines, lines[1:]):
-        argv = shlex.split(line)
-        if argv[:1] != ["ocareach"] or argv[1] not in ("decide", "verify"):
+        argv = shlex.split(line, comments=True)
+        if argv[:1] != ["ocareach"] or argv[1] not in ("decide", "verify", "pessimistic"):
             continue
         main(argv[1:])
         assert capsys.readouterr().out.splitlines()[0] == comment.removeprefix("# ")
-        ran += 1
-    assert ran == 3
+        ran.append(argv[1])
+        if "--emit" in argv:
+            evidence = argv[argv.index("--emit") + 1]
+            assert main(["verify", *argv[2:argv.index("--emit")], evidence]) == 0
+            assert capsys.readouterr().out.startswith("verified:")
+    assert ran == ["decide", "verify", "decide", "pessimistic", "verify"]
 
 
 def test_missing_evidence_file(loop_file, tmp_path, capsys):

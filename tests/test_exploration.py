@@ -55,9 +55,9 @@ BIG = {"node_cap": 200_000, "value_cap": 10_000}
 def test_post_star_loop3_golden(loop3):
     res = post_star(loop3, [Config("q", 0)], **BIG)
     assert res.configs == {Config("q", 0), Config("r", 2), Config("s", 3)}
-    assert not res.cap_hit
-    assert res.run_to(Config("s", 3)) == (0, 1)
-    assert res.run_to(Config("q", 0)) == ()
+    assert not res.cap_hit and res.run is None
+    assert post_star(loop3, [Config("q", 0)], **BIG, stop_at=Config("s", 3)).run == (0, 1)
+    assert post_star(loop3, [Config("q", 0)], **BIG, stop_at=Config("q", 0)).run == ()
 
 
 def test_post_star_empty_start(loop3):
@@ -105,15 +105,32 @@ def test_post_star_runs_replay_everywhere(loop3):
             continue
         res = post_star(a, [start], 10_000, 40)
         for c in res.configs:
-            assert apply_path(a, start, res.run_to(c)) == c
+            assert apply_path(a, start, post_star(a, [start], 10_000, 40, stop_at=c).run) == c
 
 
 def test_post_star_stop_at_short_circuits():
     a = parse_oca("states: q\ntrans q +1 q\n")
     res = post_star(a, [Config("q", 0)], **BIG, stop_at=Config("q", 5))
     assert Config("q", 5) in res.configs
-    assert res.run_to(Config("q", 5)) == (0,) * 5
+    assert res.run == (0,) * 5
     assert Config("q", 7) not in res.configs
+    res = post_star(a, [Config("q", 0)], 200_000, 4, stop_at=Config("q", 5))
+    assert res.run is None and res.cap_hit
+
+
+def test_a_thin_search_without_a_target_keeps_no_levels():
+    """Twenty thousand levels of one value each: a search given no
+    target keeps the values it found, a few kilobytes of bits, and no
+    record per level."""
+    a = parse_oca("states: q r\nguard r != 7\ntrans q +1 q\ntrans q +0 r\n")
+    tracemalloc.start()
+    try:
+        res = post_star(a, [Config("q", 0)], 100_000, 20_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(res.configs) == 40_001 and res.cap_hit
+    assert peak < 500_000, peak
 
 
 def _value_filter(top, shift):
@@ -159,8 +176,10 @@ def test_post_star_matches_a_sorted_bfs():
         res = post_star(a, start, 10_000, value_cap, restrict=restrict, stop_at=stop_at)
         assert set(res.configs) == set(parents), format_oca(a)
         assert res.cap_hit == hit, format_oca(a)
+        assert res.run == (parent_run(parents, stop_at) if stop_at in parents else None), format_oca(a)
         for c in parents:
-            assert res.run_to(c) == parent_run(parents, c), (format_oca(a), c)
+            run = post_star(a, start, 10_000, value_cap, restrict=restrict, stop_at=c).run
+            assert run == parent_run(parents, c), (format_oca(a), c)
         seen["automata"] += 1
         seen["eq"] += a.has_equality_tests()
         seen["restrict"] += restrict is not None
@@ -188,12 +207,21 @@ def _wide_oca(rng, num_states):
     return OCA(states, tuple(transitions), guards)
 
 
-def test_post_star_matches_a_sorted_bfs_on_multiword_sets():
+def test_post_star_matches_a_sorted_bfs_on_multiword_sets(monkeypatch):
     """As the test above, with values, tests and ``==`` pins into the
     thousands and updates up to +-1,000, so that value sets span many
     machine words and frontiers are both short lists and bitsets;
     restrictions, binding and non-binding value caps and stop_at.  Runs
-    are compared on a sample of each closure."""
+    are compared on a sample of each closure, each through a search
+    given it as target."""
+    segments = []  # of the search under test; only the segment branch calls ``mark``
+    mark = exploration.mark
+
+    def counted(pages, at, bits):
+        segments.append(at)
+        mark(pages, at, bits)
+
+    monkeypatch.setattr(exploration, "mark", counted)
     rng = random.Random(1818)
     keys = ("automata", "wide", "eq_pin", "restrict", "cap_hit", "cap_free", "stopped")
     seen = dict.fromkeys(keys, 0)
@@ -221,13 +249,16 @@ def test_post_star_matches_a_sorted_bfs_on_multiword_sets():
             full, _ = sorted_bfs(a, start, value_cap, restrict)
             stop_at = rng.choice(sorted(full) if full and rng.random() < 0.8 else pool)
         parents, hit = sorted_bfs(a, start, value_cap, restrict, stop_at)
+        segments.clear()
         res = post_star(a, start, 50_000, value_cap, restrict=restrict, stop_at=stop_at)
+        wide = bool(segments)
         assert set(res.configs) == set(parents), format_oca(a)
         assert len(res.configs) == len(parents), format_oca(a)
         assert res.cap_hit == hit, format_oca(a)
+        assert res.run == (parent_run(parents, stop_at) if stop_at in parents else None), format_oca(a)
         for c in rng.sample(sorted(parents), min(len(parents), 40)):
-            assert res.run_to(c) == parent_run(parents, c), (format_oca(a), c)
-        wide = any(type(f) is list for level in res.fronts if type(level) is dict for f in level.values())
+            run = post_star(a, start, 50_000, value_cap, restrict=restrict, stop_at=c).run
+            assert run == parent_run(parents, c), (format_oca(a), c)
         seen["automata"] += 1
         seen["wide"] += wide and max(max(iterate(found)) for found in res.sets.values()) > 640
         seen["eq_pin"] += any(g.kind == "eq" and g.value > 64 and q in res.sets for q, g in a.guards.items())
@@ -300,8 +331,10 @@ def test_post_star_matches_a_sorted_bfs_on_sparse_sets():
         res = post_star(a, start, 50_000, value_cap, restrict=restrict, stop_at=stop_at)
         assert set(res.configs) == set(parents), format_oca(a)
         assert len(res.configs) == len(parents) and res.cap_hit == hit, format_oca(a)
+        assert res.run == (parent_run(parents, stop_at) if stop_at in parents else None), format_oca(a)
         for c in rng.sample(sorted(parents), min(len(parents), 30)):
-            assert res.run_to(c) == parent_run(parents, c), (format_oca(a), c)
+            run = post_star(a, start, 50_000, value_cap, restrict=restrict, stop_at=c).run
+            assert run == parent_run(parents, c), (format_oca(a), c)
             far = Config(c.state, c.value + 10**6)
             assert (far in res.configs) == (far in parents)
         seen["automata"] += 1
@@ -322,7 +355,8 @@ def test_sparse_values_cost_what_they_hold():
     try:
         res = post_star(a, [Config("p", 0)], 1000)
         assert set(res.configs) == {Config("p", 0), Config("q", 123456789), top}
-        assert res.run_to(top) == (0, 1) and Config("p", 123456789) not in res.configs
+        assert Config("p", 123456789) not in res.configs
+        assert post_star(a, [Config("p", 0)], 1000, stop_at=top).run == (0, 1)
         assert is_bounded(a, Config("p", 0)) and is_bounded(a, top)
         assert is_locally_bounded(a, Config("q", 123456789))
         assert decide_full(b, Config("p", 0), Config("r", 5)).kind == "reachable"
@@ -333,17 +367,18 @@ def test_sparse_values_cost_what_they_hold():
 
 
 def test_post_star_reads_runs_back_through_packed_levels():
-    """A search of over 4,096 levels keeps its older levels packed; runs
-    read back through them as through the levels kept whole, for a lone
-    value per level, two states per level and a wide frontier."""
+    """A search given a target keeps its levels packed flat; runs of
+    over 4,096 levels read back through them, for a lone value per
+    level, two states per level and a wide frontier."""
     a = parse_oca("states: p q r\ntrans p +1 p\ntrans p +0 q\ntrans r +1 r\ntrans r +2 r\n")
     for start, cap in (([Config("p", 0)], 9_000), ([Config("r", v) for v in range(0, 40, 3)], 12_000)):
         res = post_star(a, start, 50_000, cap)
         parents, hit = sorted_bfs(a, start, cap)
         assert set(res.configs) == set(parents) and res.cap_hit == hit
-        assert any(type(level) is tuple for level in res.fronts)
-        for c in sorted(parents, key=lambda c: c.value)[::997] + [max(parents, key=lambda c: c.value)]:
-            assert res.run_to(c) == parent_run(parents, c), c
+        top = max(parents, key=lambda c: c.value)
+        assert len(parent_run(parents, top)) > 4096
+        for c in sorted(parents, key=lambda c: c.value)[::997] + [top]:
+            assert post_star(a, start, 50_000, cap, stop_at=c).run == parent_run(parents, c), c
 
 
 def test_post_star_configs_view_refuses_what_is_not_a_configuration():

@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 
 from ocareach.analysis import in_pumpable_region
-from ocareach.automaton import Config, apply_path, parse_oca, path_configs
+from ocareach.automaton import Config, apply_path, format_oca, parse_oca, path_configs
 from ocareach.exploration import is_locally_bounded
 from ocareach.flows import Flow, flow_has_positive_cycle, flow_of_path
 from ocareach.pessimistic import (
@@ -17,17 +17,23 @@ from ocareach.pessimistic import (
     verify_pessimistic_certificate,
 )
 
-from _oracles import naive_climbing_cycle, naive_successors
+from _oracles import naive_climbing_cycle, naive_successors, parent_run, sorted_bfs
 from conftest import random_oca
 
 
-def brute_pessimistic(a, roots, locally_bounded=False):
-    """Independent closure: pumpable region derived from exhaustive cycles."""
+def naive_drops(a):
+    """Each pumpable state's least drop, from exhaustive cycles."""
     drops = {}
     for q in a.states:
         found = naive_climbing_cycle(a, q)
         if found is not None:
             drops[q] = found[2]
+    return drops
+
+
+def brute_pessimistic(a, roots, locally_bounded=False):
+    """Independent closure: pumpable region derived from exhaustive cycles."""
+    drops = naive_drops(a)
 
     def pumpable(c):
         return c.state in drops and c.value >= drops[c.state]
@@ -93,6 +99,42 @@ def test_closures_match_brute_force():
         for flag in (False, True):
             got = pessimistic_post_star(a, roots, locally_bounded=flag)
             assert got == brute_pessimistic(a, roots, locally_bounded=flag)
+
+
+def test_decide_returns_the_sorted_bfs_run():
+    """The run is the one a level-sorted search finds that refuses every
+    pumpable configuration but the source, up to the closure's ceiling;
+    the search that ends at the target's level keeps it."""
+    rng = random.Random(406)
+    seen = Counter()
+    while min(seen[k] for k in ("reachable", "unreachable", "pumpable", "long")) < 40:
+        a = random_oca(
+            rng,
+            num_states=rng.randint(1, 5),
+            max_update=2,
+            max_guard=6,
+            equality_fraction=0.2,
+        )
+        src = Config(rng.choice(a.states), rng.randint(0, 5))
+        if not a.is_valid(src):
+            continue
+        drops = naive_drops(a)
+
+        def keep(q):
+            if q not in drops:
+                return None
+            return lambda v: v < drops[q] or (q, v) == src
+
+        ceiling = src.value + (len(a.states) - 1) * a.max_update
+        parents, hit = sorted_bfs(a, [src], ceiling, keep)
+        assert not hit, format_oca(a)
+        pool = [Config(q, v) for q in a.states for v in range(ceiling + 2) if a.is_valid(Config(q, v))]
+        trg = rng.choice(sorted(parents) if rng.random() < 0.5 else pool)
+        expected = parent_run(parents, trg) if trg in parents else None
+        assert decide_pessimistic_reach(a, src, trg) == expected, (format_oca(a), src, trg)
+        seen["reachable" if expected is not None else "unreachable"] += 1
+        seen["pumpable"] += bool(drops)
+        seen["long"] += expected is not None and len(expected) > 2
 
 
 def test_value_bound_holds_everywhere():

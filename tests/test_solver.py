@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 from collections import Counter
 
 import pytest
 
 from conftest import FIG_LOOP, random_oca
+from ocareach.cli import main
 from ocareach.automaton import (
     Config,
     InternalError,
@@ -414,6 +416,33 @@ def test_undecided_segment_is_never_a_refusal(monkeypatch):
 
 # Both endpoints locally unbounded, and every path has an even effect.
 EVEN_STEPS = "states: q r\ntrans q +2 q\ntrans q +0 r\ntrans r -2 r\n"
+
+
+def test_pumping_cycle_that_finds_no_climb_is_an_internal_error(monkeypatch, tmp_path):
+    """The lift leg asks for a pumping cycle only at a locally unbounded
+    configuration, so a closure with no value above the goal, or a
+    search that misses the configuration the closure found, is a bug:
+    InternalError and exit 3, never the input error ValueError."""
+    a, src, trg = parse_oca(EVEN_STEPS), Config("q", 0), Config("r", 2)
+    (tmp_path / "even.oca").write_text(EVEN_STEPS)
+    argv = ["decide", str(tmp_path / "even.oca"), "--src", "q:0", "--trg", "r:2"]
+    assert main(argv) == 0
+    post_star = solver.post_star
+
+    def below_goal(a, start, node_cap, value_cap=None, restrict=None, stop_at=None):
+        return post_star(a, start, node_cap, start[0].value + 2, restrict, stop_at)
+
+    def no_climb(a, start, node_cap, value_cap=None, restrict=None, stop_at=None):
+        res = post_star(a, start, node_cap, value_cap, restrict, stop_at)
+        return res if stop_at is None else dataclasses.replace(res, run=None)
+
+    for fake, says in ((below_goal, "stays at or below"), (no_climb, "no climb")):
+        monkeypatch.setattr(solver, "post_star", fake)
+        with pytest.raises(InternalError, match=says):
+            solver._pumping_cycle(a, src)
+        with pytest.raises(InternalError, match=says):
+            decide_full(a, src, trg)
+        assert main(argv) == 3
 
 
 def test_lift_leg_refuses_without_a_witness(monkeypatch):
