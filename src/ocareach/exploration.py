@@ -17,7 +17,9 @@ and never answers unless the answer is certain; it is the only search
 that escalates.
 :func:`candidate_reach` decides reachability under integer semantics
 (counter may go negative, tests are ignored) exactly, by decomposing
-walks into a simple path plus attached simple cycles.
+walks into a simple path plus attached simple cycles (an enumeration
+exponential in the state count) and then solving one coin problem over
+the free cycle effects with a walk over residues.
 """
 
 from __future__ import annotations
@@ -635,8 +637,8 @@ def _candidate_tables(a: OCA, u: str, v: str):
     hang together.  Entries are (support, base effect) pairs reachable
     by a path class plus cycle classes that each widened the support;
     cycles lying inside the support may then repeat freely.  Each entry
-    carries exemplars to materialize an actual path, plus the free
-    cycle effects available inside its support.
+    carries exemplars to materialize an actual path, plus an exemplar
+    cycle for each nonzero effect free inside its support.
     """
     rel = _walk_states(a, u, v)
     if u not in rel or v not in rel:
@@ -665,7 +667,7 @@ def _candidate_tables(a: OCA, u: str, v: str):
             if grown not in table:
                 table[grown] = (path_ex, cycle_exs + (exemplar,))
                 queue.append(grown)
-    free: dict[frozenset[str], tuple[tuple[int, ...], dict[int, Path]]] = {}
+    free: dict[frozenset[str], dict[int, Path]] = {}
     entries = []
     for (support, base), (path_ex, cycle_exs) in table.items():
         if support not in free:
@@ -673,133 +675,84 @@ def _candidate_tables(a: OCA, u: str, v: str):
             for (states, eff), exemplar in cycle_items:
                 if eff != 0 and states <= support:
                     by_effect.setdefault(eff, exemplar)
-            free[support] = (tuple(sorted(by_effect)), by_effect)
-        effects, by_effect = free[support]
-        entries.append((support, base, path_ex, cycle_exs, effects, by_effect))
+            free[support] = by_effect
+        entries.append((support, base, path_ex, cycle_exs, free[support]))
     return tuple(entries)
 
 
-def _ext_gcd(x: int, y: int) -> tuple[int, int, int]:
-    if y == 0:
-        return x, 1, 0
-    d, p, q = _ext_gcd(y, x % y)
-    return d, q, p - (x // y) * q
+def _semigroup_member(effects, r: int) -> dict[int, int] | None:
+    """Nonnegative counts k_e of the effects with sum(k_e * e) = r, or None.
 
-
-def _ceil_div(x: int, y: int) -> int:
-    return -(-x // y)
-
-
-def _mixed_coeffs(effs: list[int], r: int) -> dict[int, int]:
-    d = abs(effs[0])
-    coeff = {effs[0]: 1 if effs[0] > 0 else -1}
-    for e in effs[1:]:
-        d2, x, y = _ext_gcd(d, abs(e))
-        coeff = {f: c * x for f, c in coeff.items()}
-        coeff[e] = coeff.get(e, 0) + (y if e > 0 else -y)
-        d = d2
-    scale = r // d
-    k = {e: c * scale for e, c in coeff.items()}
-    p = min(e for e in effs if e > 0)
-    n = max(e for e in effs if e < 0)
-    # Opposite-sign pairs admit all-positive zero combinations, so any
-    # negative coefficient can be bought off without touching the sum.
-    for e in sorted(k):
-        if k[e] >= 0 or e in (p, n):
-            continue
-        if e > 0:
-            d2 = gcd(e, -n)
-            t = _ceil_div(-k[e], -n // d2)
-            k[e] += t * (-n // d2)
-            k[n] = k.get(n, 0) + t * (e // d2)
-        else:
-            d2 = gcd(-e, p)
-            t = _ceil_div(-k[e], p // d2)
-            k[e] += t * (p // d2)
-            k[p] = k.get(p, 0) + t * (-e // d2)
-    d2 = gcd(p, -n)
-    cp, cn = -n // d2, p // d2
-    t = max(0, _ceil_div(-k.get(p, 0), cp), _ceil_div(-k.get(n, 0), cn))
-    k[p] = k.get(p, 0) + t * cp
-    k[n] = k.get(n, 0) + t * cn
-    if any(c < 0 for c in k.values()):
-        raise InternalError(f"negative cycle coefficient in {k}")
-    if sum(e * c for e, c in k.items()) != r:
-        raise InternalError(f"cycle coefficients {k} do not sum to {r}")
-    return {e: c for e, c in k.items() if c > 0}
-
-
-def _positive_coeffs(pos: list[int], r: int, g: int) -> dict[int, int] | None:
-    coins = sorted(e // g for e in pos)
-    goal = r // g
-    a0 = coins[0]
-    # Walk residues mod the smallest coin for the cheapest representative
-    # of each class (its Apery set).  The goal is representable exactly
-    # when its class's representative is at most the goal; pad with a0.
+    The effects are scaled to r's sign and divided by their gcd.  A
+    Dijkstra walk over residues mod b, the least effect of r's sign,
+    with each effect costing its magnitude, finds for each residue the
+    combination of least total magnitude.  The goal's residue gives the
+    counts.  A combination that overshoots the goal takes b-fold repeats
+    of the smallest effect of the other sign, or fails when there is
+    none; what is left below the goal is padded with copies of b.  With
+    effects of one sign a magnitude is a sum, so this is the Apery-set
+    walk of the numerical semigroup (Ramirez Alfonsin, The Diophantine
+    Frobenius Problem, 2005): the same counts, and an overshoot means
+    the goal lies outside the semigroup.
+    """
+    if r == 0:
+        return {}
+    g = 0
+    for e in effects:
+        g = gcd(g, e)
+    if g == 0 or r % g:
+        return None
+    sign = 1 if r > 0 else -1
+    coins = sorted(sign * e // g for e in effects)
+    goal = abs(r) // g
+    ups = [c for c in coins if c > 0]
+    if not ups:
+        return None
+    b = ups[0]
     dist = {0: 0}
-    parent_coin: dict[int, int] = {}
+    step: dict[int, int] = {}
     heap = [(0, 0)]
     while heap:
         cost, res = heapq.heappop(heap)
-        if cost > dist.get(res, cost):
+        if cost > dist[res]:
             continue
-        for coin in coins[1:]:
-            nres, ncost = (res + coin) % a0, cost + coin
-            if ncost < dist.get(nres, ncost + 1):
+        for coin in coins:
+            nres, ncost = (res + coin) % b, cost + abs(coin)
+            if coin != b and ncost < dist.get(nres, ncost + 1):
                 dist[nres] = ncost
-                parent_coin[nres] = coin
+                step[nres] = coin
                 heapq.heappush(heap, (ncost, nres))
-    res = goal % a0
-    if res not in dist or dist[res] > goal:
-        return None
     out: Counter[int] = Counter()
+    res = goal % b
     while res:
-        coin = parent_coin[res]
-        out[coin * g] += 1
-        res = (res - coin) % a0
-    used = sum(coin * mult for coin, mult in out.items()) // g
-    out[a0 * g] += (goal - used) // a0
-    return {e: c for e, c in out.items() if c > 0}
-
-
-def _semigroup_member(effects, r: int) -> dict[int, int] | None:
-    """Nonnegative coefficients with sum(k_e * e) = r, or None."""
-    effs = sorted({e for e in effects if e != 0})
-    if r == 0:
-        return {}
-    if not effs:
-        return None
-    g = 0
-    for e in effs:
-        g = gcd(g, e)
-    if r % g:
-        return None
-    pos = [e for e in effs if e > 0]
-    neg = [e for e in effs if e < 0]
-    if pos and neg:
-        return _mixed_coeffs(effs, r)
-    if pos:
-        return _positive_coeffs(pos, r, g) if r > 0 else None
-    if r > 0:
-        return None
-    flipped = _positive_coeffs([-e for e in neg], -r, g)
-    if flipped is None:
-        return None
-    return {-e: c for e, c in flipped.items()}
+        out[step[res]] += 1
+        res = (res - step[res]) % b
+    left = goal - sum(coin * k for coin, k in out.items())
+    if left < 0:
+        if coins[0] > 0:
+            return None
+        down = max(c for c in coins if c < 0)
+        laps = -(-left // (b * down))
+        out[down] += b * laps
+        left -= b * down * laps
+    out[b] += left // b
+    return {sign * g * coin: k for coin, k in out.items() if k > 0}
 
 
 def candidate_reach(a: OCA, src: Config, trg: Config) -> Path | None:
     """Exact reachability when the counter ranges over all integers.
 
     Tests and nonnegativity are ignored; only the additive structure
-    matters.  Returns a path with effect trg.value - src.value, found
-    by searching (support, base effect) skeletons and then solving for
-    free cycle repetitions, or None when no such path exists.
+    matters.  Returns a path with effect trg.value - src.value, or None
+    when no such path exists.  The path takes the first (support, base
+    effect) skeleton whose remaining effect the free cycles can make,
+    repeated as :func:`_semigroup_member` counts them.  Multiplying every
+    update and both values by one factor leaves the path unchanged.
     """
     target = trg.value - src.value
     for entry in _candidate_tables(a, src.state, trg.state):
-        _, base, path_ex, cycle_exs, effects, by_effect = entry
-        coeffs = _semigroup_member(effects, target - base)
+        _, base, path_ex, cycle_exs, by_effect = entry
+        coeffs = _semigroup_member(by_effect, target - base)
         if coeffs is None:
             continue
         counts: Counter[int] = Counter(path_ex)

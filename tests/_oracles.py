@@ -181,6 +181,26 @@ def naive_z_reach(a: OCA, src: Config, trg: Config, lo: int, hi: int):
     return None if clipped else False
 
 
+def naive_sums(effects, lo: int, hi: int) -> set[int]:
+    """Sums of nonnegative counts of ``effects`` reachable from 0 by
+    adding one effect at a time without leaving [lo, hi].
+
+    Exact for sums s with lo + m <= min(0, s) and max(0, s) <= hi - m,
+    where m is the largest magnitude: any combination can be ordered to
+    add a positive effect while below s and a negative one otherwise,
+    so its partial sums stay within m of the segment from 0 to s."""
+    seen = {0}
+    queue = deque([0])
+    while queue:
+        cur = queue.popleft()
+        for e in effects:
+            nxt = cur + e
+            if lo <= nxt <= hi and nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return seen
+
+
 def naive_cycles_through(a: OCA, q: str, max_len: int) -> list[Path]:
     """Every transition sequence q -> q of length 1..max_len, as index tuples."""
     found: list[Path] = []

@@ -8,7 +8,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from ocareach.automaton import OCA, Guard, Transition, parse_oca
+from ocareach.automaton import OCA, Config, Guard, Transition, parse_oca
 
 # Three states on a positive loop, one disequality test each.  The
 # running example for most golden expectations in this suite.
@@ -54,6 +54,18 @@ def random_oca(
             kind = "eq" if rng.random() < equality_fraction else "ne"
             guards[q] = Guard(kind, rng.randint(0, max_guard))
     return OCA(states, transitions, guards)
+
+
+def scaled(a: OCA, src: Config, trg: Config, c: int) -> tuple[OCA, Config, Config]:
+    """The instance with every update, test value and endpoint value
+    times ``c``: reachability and the shape of every run are unchanged."""
+    guards = {q: g if g.value is None else Guard(g.kind, g.value * c) for q, g in a.guards.items()}
+    transitions = tuple(Transition(t.src, t.update * c, t.dst) for t in a.transitions)
+    return (
+        OCA(a.states, transitions, guards),
+        Config(src.state, src.value * c),
+        Config(trg.state, trg.value * c),
+    )
 
 
 def random_walk(a: OCA, rng: random.Random, length: int, start: str | None = None):

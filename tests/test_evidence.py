@@ -1,12 +1,13 @@
 from __future__ import annotations
 
 import hashlib
+import re
 import sys
 from dataclasses import replace
 
 import pytest
 
-from conftest import random_oca
+from conftest import random_oca, scaled
 from ocareach.automaton import Config, parse_oca
 from ocareach.exploration import ResourceExceeded
 from ocareach.generators import FuzzSpec, gen_subset_sum, instances
@@ -17,7 +18,7 @@ from ocareach.evidence import (
     parse_run,
     verify_evidence,
 )
-from ocareach.invariants import format_witness, parse_witness, synthesize_witness
+from ocareach.invariants import format_witness, parse_witness, synthesize_witness, verify_witness
 from ocareach.pessimistic import decide_pessimistic_reach, format_certificate, make_certificate
 from ocareach.solver import decide_disequality, decide_full, normalize_endpoints
 
@@ -179,8 +180,37 @@ def test_evidence_is_stable():
         "62565462993477a3265881388b8d7eeac070e3d15de21392ad2a7c7e767b3fb3"
     )
     assert _evidence_digest(fuzz) == (
-        "272ef5a9ed73260d4c67ddd73e0bc6214ca9fab69a4c48e73adf836e5d4c806f"
+        "fe8dcb5fa52e6dda1f77e5b2875beee40d5bfc1aad6c08ad45ab9b2dbaa63381"
     )
+
+
+def _witness_texts(verdict) -> list[str]:
+    parts = [part.witness for _, _, part in verdict.parts]
+    return [
+        format_witness(w, normalized=True) for w in (verdict.witness, *parts) if w is not None
+    ]
+
+
+def test_scaled_instances_keep_verdicts_and_evidence():
+    """Every update, test value and endpoint times 1,000: reachability is
+    unchanged, the scaled evidence verifies, and each witness grows by
+    at most the 3 digits per number that the scaling adds."""
+    for index, (a, src, trg) in instances(_FUZZ_MIXED):
+        verdict = decide_full(a, src, trg)
+        b, bsrc, btrg = scaled(a, src, trg, 1000)
+        big = decide_full(b, bsrc, btrg)
+        assert big.kind == verdict.kind, index
+        if big.run is not None:
+            assert verify_evidence(b, bsrc, btrg, format_run(bsrc, btrg, big.run)), index
+        if big.witness is not None:
+            assert verify_evidence(b, bsrc, btrg, format_witness(big.witness, normalized=True)), index
+        for _, _, part in big.parts:
+            if part.witness is not None:
+                assert verify_witness(*part.certified, part.witness).verified, index
+        small, large = _witness_texts(verdict), _witness_texts(big)
+        assert len(small) == len(large), index
+        for x, y in zip(small, large):
+            assert len(y) - len(x) <= 3 * len(re.findall(r"-?\d+", x)), index
 
 
 # ------------------------------------------------------------ trusted base

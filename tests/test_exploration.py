@@ -2,6 +2,7 @@ import gc
 import random
 import tracemalloc
 import weakref
+from itertools import combinations
 
 import pytest
 
@@ -28,6 +29,7 @@ from ocareach.exploration import (
     post_star,
     reach_oracle,
     _candidate_tables,
+    _semigroup_member,
     _simple_cycles,
     _simple_paths,
     _value_cap,
@@ -40,11 +42,12 @@ from _oracles import (
     naive_post_star,
     naive_reach,
     naive_successors,
+    naive_sums,
     naive_z_reach,
     parent_run,
     sorted_bfs,
 )
-from conftest import FIG_LOOP, random_oca
+from conftest import FIG_LOOP, random_oca, scaled
 
 BIG = {"node_cap": 200_000, "value_cap": 10_000}
 
@@ -980,6 +983,49 @@ def test_candidate_deterministic():
     two = candidate_reach(a, Config("a", 0), Config("a", 9))
     assert one == two
 
+
+
+@pytest.mark.parametrize("c", [7, 1000])
+def test_candidate_reach_ignores_a_common_factor(c):
+    # Scaling every update and both endpoints by c scales every cycle
+    # effect and the target alike, so the counts, and the path, stay.
+    rng = random.Random(1729)
+    solved = 0
+    for _ in range(1200):
+        a = random_oca(rng, num_states=rng.randint(1, 4), max_update=4)
+        src = Config(rng.choice(a.states), rng.randint(-3, 3))
+        trg = Config(rng.choice(a.states), rng.randint(-12, 12))
+        p = candidate_reach(a, src, trg)
+        assert candidate_reach(*scaled(a, src, trg, c)) == p, format_oca(a)
+        solved += p is not None
+    assert solved >= 300
+
+
+def test_semigroup_member_matches_bounded_sums():
+    """Every set of at most 3 nonzero effects in [-12, 12] and every
+    target in [-60, 60]: counts exist exactly when the bounded search
+    reaches the target, and they are positive and sum to it."""
+    values = [e for e in range(-12, 13) if e]
+    for size in range(4):
+        for effects in combinations(values, size):
+            sums = naive_sums(effects, -72, 72)
+            for r in range(-60, 61):
+                counts = _semigroup_member(effects, r)
+                assert (counts is not None) == (r in sums), (effects, r)
+                if counts is not None:
+                    assert set(counts) <= set(effects), (effects, r, counts)
+                    assert all(k > 0 for k in counts.values()), (effects, r, counts)
+                    assert sum(e * k for e, k in counts.items()) == r, (effects, r, counts)
+
+
+@pytest.mark.parametrize(
+    "effects, r, most", [((5, -3), -10, 6), ((-7, -2, 3), 6, 2)], ids=["5,-3", "-7,-2,3"]
+)
+def test_semigroup_member_mixed_signs_stay_small(effects, r, most):
+    # an extended-gcd construction with sign fix-ups used 30 and 32 cycles
+    counts = _semigroup_member(effects, r)
+    assert sum(e * k for e, k in counts.items()) == r
+    assert sum(counts.values()) <= most, counts
 
 def test_value_cap_formula(loop3):
     # max test 30, positive values 10, (|Q|+2) * (max update + 1) = 15

@@ -262,6 +262,15 @@ def test_lifted_run_grows_linearly_in_the_tests(k):
     assert len(v.run) <= 100 * k + 100
 
 
+def test_lift_loop_candidate_run_is_short():
+    # an extended-gcd construction of the cycle counts gave 278 transitions
+    a = scaled_lift_loop(10)
+    src, trg = Config("q", 51), Config("q", 1)
+    p = candidate_reach(a, src, trg)
+    assert apply_path(a, src, p, mode="candidate") == trg
+    assert len(p) <= 30
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [lambda run: run[:-1], lambda run: run + (0,), lambda run: (1,) + run],
