@@ -687,13 +687,14 @@ def _semigroup_member(effects, r: int) -> dict[int, int] | None:
     Dijkstra walk over residues mod b, the least effect of r's sign,
     with each effect costing its magnitude, finds for each residue the
     combination of least total magnitude.  The goal's residue gives the
-    counts.  A combination that overshoots the goal takes b-fold repeats
-    of the smallest effect of the other sign, or fails when there is
-    none; what is left below the goal is padded with copies of b.  With
-    effects of one sign a magnitude is a sum, so this is the Apery-set
-    walk of the numerical semigroup (Ramirez Alfonsin, The Diophantine
-    Frobenius Problem, 2005): the same counts, and an overshoot means
-    the goal lies outside the semigroup.
+    counts.  A combination that overshoots the goal takes repeats of the
+    smallest effect of the other sign, ``down``, in blocks of
+    b / gcd(b, |down|), the fewest that keep the residue, or fails when
+    there is none; what is left below the goal is padded with copies of
+    b.  With effects of one sign a magnitude is a sum, so this is the
+    Apery-set walk of the numerical semigroup (Ramirez Alfonsin, The
+    Diophantine Frobenius Problem, 2005): the same counts, and an
+    overshoot means the goal lies outside the semigroup.
     """
     if r == 0:
         return {}
@@ -732,9 +733,10 @@ def _semigroup_member(effects, r: int) -> dict[int, int] | None:
         if coins[0] > 0:
             return None
         down = max(c for c in coins if c < 0)
-        laps = -(-left // (b * down))
-        out[down] += b * laps
-        left -= b * down * laps
+        block = b // gcd(b, down)
+        laps = -(-left // (block * down))
+        out[down] += block * laps
+        left -= block * down * laps
     out[b] += left // b
     return {sign * g * coin: k for coin, k in out.items() if k > 0}
 

@@ -18,8 +18,10 @@ from .automaton import (
     InternalError,
     Path,
     ReplayError,
+    Transition,
     apply_path,
     component,
+    extend,
     path_effect_drop,
     path_to,
     require_valid,
@@ -38,7 +40,12 @@ from .exploration import (
     post_star,
     reach_oracle,
 )
-from .invariants import NonReachabilityWitness, normalize_endpoints, synthesize_witness
+from .invariants import (
+    NonReachabilityWitness,
+    _fresh_state,
+    normalize_endpoints,
+    synthesize_witness,
+)
 from .values import least_above
 
 REACHABLE = "reachable"
@@ -53,8 +60,12 @@ class Verdict:
     semantics.  ``witness`` is present on unreachable verdicts decided
     by the invariant engine and is stated over ``certified``, the
     normalized instance it was synthesized for.  ``parts`` carries the
-    per-edge refusals when the equality wrapper pieced the answer
-    together from several disequality queries.
+    refused segment queries when the equality wrapper pieced the answer
+    together from several disequality queries, each as ``(s, t, part)``.
+    For a single pair, ``s`` and ``t`` are the entry and the exit.  For
+    a set query they are the hubs' :0 configurations, and
+    ``part.certified`` is the gadget over the hub automaton, whose hub
+    steps name the entries and exits (see :func:`_decide_between`).
     """
 
     kind: str
@@ -203,6 +214,43 @@ def decide_disequality(a: OCA, src: Config, trg: Config) -> Verdict:
     return _certify_run(a, src, trg, run)
 
 
+def _decide_between(
+    a: OCA, sources: list[Config], targets: list[Config]
+) -> tuple[Config, Config, Verdict]:
+    """Decide whether some source reaches some target, without equality tests.
+
+    One pair is :func:`decide_disequality` itself.  More pairs are one
+    query on ``a`` :func:`~ocareach.automaton.extend`-ed by two hubs:
+    ``hub_in`` steps by +v onto each source (q, v), each target (x, w)
+    steps by -w into ``hub_out``, and the query is hub_in:0 ->
+    hub_out:0.  No step enters ``hub_in`` and none leaves ``hub_out``,
+    so a run is one source step, a run of ``a`` and one target step:
+    the set query is unreachable iff every pair is.  Each hub is a
+    component of its own, so the query shares ``a``'s analyses.
+
+    Returns ``(s, t, verdict)``.  On a reachable verdict the run joins
+    source ``s`` to target ``t`` in ``a``: the hub steps, which name
+    them, are dropped.  On an unreachable one, ``s`` and ``t`` are the
+    endpoints of the refused query, for a set the hubs' :0
+    configurations.  Raises :class:`ResourceExceeded` when a cap ran
+    out undecided.
+    """
+    if len(sources) == 1 and len(targets) == 1:
+        return sources[0], targets[0], decide_disequality(a, sources[0], targets[0])
+    require_valid(a, *sources, *targets)
+    taken = set(a.states)
+    hub_in, hub_out = _fresh_state(taken, "hub_in"), _fresh_state(taken, "hub_out")
+    links = tuple(Transition(hub_in, s.value, s.state) for s in sources)
+    links += tuple(Transition(t.state, -t.value, hub_out) for t in targets)
+    start, end = Config(hub_in, 0), Config(hub_out, 0)
+    got = decide_disequality(extend(a, (hub_in, hub_out), links, {}), start, end)
+    if got.run is None:
+        return start, end, got
+    n = len(a.transitions)
+    s, t = sources[got.run[0] - n], targets[got.run[-1] - n - len(sources)]
+    return s, t, Verdict(REACHABLE, run=got.run[1:-1])
+
+
 def _pinned_configs(a: OCA) -> list[Config]:
     """The single valid configuration of every equality-test state."""
     pins = []
@@ -218,10 +266,16 @@ def decide_full(a: OCA, src: Config, trg: Config) -> Verdict:
 
     Every run decomposes at its visits to equality-test states, each of
     which admits exactly one valid configuration.  Those pins plus the
-    endpoints form a finite graph whose edges are disequality-only
-    queries in the automaton with the equality states deleted, plus the
-    single steps that bridge into and out of the deleted states.  Depth
-    first search then settles the instance.
+    endpoints form a finite graph, searched depth first from ``src``.
+    A popped vertex u first takes its single steps onto unvisited
+    vertices.  Then one set query, in the automaton with the equality
+    states deleted, asks whether any entry of u (u itself, or a step
+    out of its pin) reaches any exit of an unvisited vertex (the vertex
+    itself, or a step onto its pin); see :func:`_decide_between`.  Each
+    reachable answer visits the vertices its run's exit steps onto, and
+    the query is asked again until it is refused.  A query that runs
+    out of budget is split, exits first and then entries, down to single
+    pairs; only an undecided single pair leaves the answer open.
     """
     require_valid(a, src, trg)
     if src == trg:
@@ -237,59 +291,77 @@ def decide_full(a: OCA, src: Config, trg: Config) -> Verdict:
         if pin not in (src, trg):
             vertices.append(pin)
     vertices.append(trg)
+    vertex_set = set(vertices)
 
-    def entries(u: Config) -> list[tuple[Path, Config]]:
+    def entries(u: Config) -> dict[Config, Path]:
+        """Where a segment from ``u`` starts in ``sub``, with the step there."""
         if u.state not in eq_states:
-            return [((), u)]
-        return [((i,), e) for _, i, e in valid_steps(a, (u,)) if e.state not in eq_states]
+            return {u: ()}
+        starts: dict[Config, Path] = {}
+        for _, i, e in valid_steps(a, (u,)):
+            if e.state not in eq_states:
+                starts.setdefault(e, (i,))
+        return starts
 
-    def exits(v: Config) -> list[tuple[Config, Path]]:
+    # Where a segment can end in ``sub``, with each vertex other than
+    # src that it steps onto and the step; steps into a pin are steps
+    # out of it in the reversed automaton.
+    exits: dict[Config, list[tuple[Config, Path]]] = {}
+    for v in vertices[1:]:
         if v.state not in eq_states:
-            return [(v, ())]
-        # Steps into v are steps out of v in the reversed automaton.
-        return [(e, (i,)) for _, i, e in valid_steps(reverse(a), (v,)) if e.state not in eq_states]
+            exits.setdefault(v, []).append((v, ()))
+            continue
+        for _, i, x in valid_steps(reverse(a), (v,)):
+            if x.state not in eq_states:
+                exits.setdefault(x, []).append((v, (i,)))
 
+    paths: dict[Config, Path] = {src: ()}
+    stack = [src]
     refusals: list[tuple[Config, Config, Verdict]] = []
     blocked = 0
 
-    def segment(u: Config, v: Config) -> Path | None:
-        """A valid run u -> v meeting no equality state in between."""
-        nonlocal blocked
-        for _, i, d in valid_steps(a, (u,)):
-            if d == v:
-                return (i,)
-        undecided = False
-        for pre, e in entries(u):
-            for x, post in exits(v):
-                try:
-                    got = decide_disequality(sub, e, x)
-                except ResourceExceeded:
-                    undecided = True
-                    continue
-                if got.kind == REACHABLE:
-                    if got.run is None:
-                        raise InternalError(f"reachable verdict for {e} -> {x} has no run")
-                    return pre + tuple(back[i] for i in got.run) + post
-                refusals.append((e, x, got))
-        blocked += undecided
-        return None
+    def visit(v: Config, path: Path) -> bool:
+        """Reach ``v`` by ``path`` unless it was reached; True at trg."""
+        if v in paths:
+            return False
+        paths[v] = path
+        stack.append(v)
+        return v == trg
 
-    # Depth first search over the pinned-configuration graph, edges
-    # queried on demand and each pair settled at most once.
-    paths: dict[Config, Path] = {src: ()}
-    stack = [src]
     while stack:
         u = stack.pop()
-        for v in vertices:
-            if v in paths or v == u:
+        for _, i, d in valid_steps(a, (u,)):
+            if d in vertex_set and visit(d, paths[u] + (i,)):
+                return _certify_run(a, src, trg, paths[trg])
+        starts = entries(u)
+        blocks = [(list(starts), list(exits))]
+        while blocks:
+            sources, targets = blocks.pop()
+            targets = [x for x in targets if any(v not in paths for v, _ in exits[x])]
+            if not sources or not targets:
                 continue
-            piece = segment(u, v)
-            if piece is None:
+            try:
+                e, x, got = _decide_between(sub, sources, targets)
+            except ResourceExceeded:
+                if len(targets) > 1:
+                    half = len(targets) // 2
+                    blocks += [(sources, targets[half:]), (sources, targets[:half])]
+                elif len(sources) > 1:
+                    half = len(sources) // 2
+                    blocks += [(sources[half:], targets), (sources[:half], targets)]
+                else:
+                    blocked += 1
                 continue
-            paths[v] = paths[u] + piece
-            if v == trg:
-                return _certify_run(a, src, trg, paths[v])
-            stack.append(v)
+            if got.kind == UNREACHABLE:
+                refusals.append((e, x, got))
+                continue
+            if got.run is None:
+                raise InternalError(f"reachable verdict for {e} -> {x} has no run")
+            piece = paths[u] + starts[e] + tuple(back[i] for i in got.run)
+            for v, post in exits[x]:
+                if visit(v, piece + post):
+                    return _certify_run(a, src, trg, paths[trg])
+            blocks.append((sources, targets))
     if blocked:
         raise ResourceExceeded(
             f"{blocked} segment queries undecided; reachability still open"

@@ -1019,10 +1019,13 @@ def test_semigroup_member_matches_bounded_sums():
 
 
 @pytest.mark.parametrize(
-    "effects, r, most", [((5, -3), -10, 6), ((-7, -2, 3), 6, 2)], ids=["5,-3", "-7,-2,3"]
+    "effects, r, most",
+    [((5, -3), -10, 6), ((-7, -2, 3), 6, 2), ((-2, 4, 5), 1, 3)],
+    ids=["5,-3", "-7,-2,3", "-2,4,5"],
 )
 def test_semigroup_member_mixed_signs_stay_small(effects, r, most):
-    # an extended-gcd construction with sign fix-ups used 30 and 32 cycles
+    # an extended-gcd construction with sign fix-ups used 30 and 32 cycles;
+    # fixing the overshoot of 5 with b = 4 repeats of -2 used 6 for 1
     counts = _semigroup_member(effects, r)
     assert sum(e * k for e, k in counts.items()) == r
     assert sum(counts.values()) <= most, counts

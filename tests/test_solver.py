@@ -22,7 +22,7 @@ from ocareach.exploration import (
     is_locally_bounded,
     reach_oracle,
 )
-from ocareach.generators import gen_subset_sum
+from ocareach.generators import FuzzSpec, gen_subset_sum, instances
 from ocareach.invariants import verify_witness
 import ocareach.exploration as exploration
 import ocareach.invariants as invariants
@@ -354,9 +354,9 @@ def test_decide_full_without_equality_delegates(loop3):
     assert decide_full(loop3, Config("q", 1), Config("q", 36)).kind == REACHABLE
 
 
-def test_decide_full_chained_pins():
+def chained_pins():
     # two pins must be crossed in sequence, each via a bridge
-    a = parse_oca(
+    return parse_oca(
         "states: a m n b\n"
         "guard m == 2\n"
         "guard n == 5\n"
@@ -366,6 +366,10 @@ def test_decide_full_chained_pins():
         "trans n -5 b\n"
         "trans b +1 b\n"
     )
+
+
+def test_decide_full_chained_pins():
+    a = chained_pins()
     v = decide_full(a, Config("a", 0), Config("b", 4))
     assert v.kind == REACHABLE
     assert apply_path(a, Config("a", 0), v.run) == Config("b", 4)
@@ -390,6 +394,84 @@ def test_decide_full_mixed_fuzz_versus_oracle():
         check_verdict(a, src, trg, v)
         decided += 1
     assert decided > 140
+
+
+# ---------------------------------------------------- set-to-set segments
+
+# The mixed corpus whose evidence test_evidence.py pins.
+_FUZZ_MIXED = FuzzSpec(num_states=8, max_update=4, max_guard=12, equality_fraction=0.25, count=60)
+
+
+def test_set_query_is_any_pair():
+    """The hub reduction: a set query is reachable iff some pair is, and
+    its run, hub steps dropped, replays from the source it names to the
+    target it names."""
+    rng = random.Random(2323)
+    decided = Counter()
+    for _ in range(150):
+        a = random_oca(rng)
+        configs = [Config(q, v) for q in a.states for v in range(6) if a.is_valid(Config(q, v))]
+        sources = rng.sample(configs, rng.randint(1, 3))
+        targets = rng.sample(configs, rng.randint(1, 3))
+        try:
+            s, t, v = solver._decide_between(a, sources, targets)
+            want = [(x, y) for x in sources for y in targets if reach_oracle(a, x, y) is not None]
+        except ResourceExceeded:
+            continue
+        assert v.kind == (REACHABLE if want else UNREACHABLE), (sources, targets)
+        if v.kind == REACHABLE:
+            assert s in sources and t in targets
+            assert apply_path(a, s, v.run) == t
+        else:
+            check_verdict(a, s, t, v)
+        decided[v.kind, len(sources) * len(targets) > 1] += 1
+    assert decided[REACHABLE, True] > 30 and decided[UNREACHABLE, True] > 30, decided
+
+
+def test_one_segment_query_per_vertex_found_or_popped(monkeypatch):
+    """Each popped vertex asks until refused, and each answer but the
+    refusal finds a vertex: at most one call per vertex the search can
+    reach, plus one per vertex it pops, which it also reached."""
+    decide = solver.decide_disequality
+    calls = Counter()
+
+    def counted(a, src, trg):
+        calls["decide_disequality"] += 1
+        return decide(a, src, trg)
+
+    monkeypatch.setattr(solver, "decide_disequality", counted)
+    total = 0
+    for index, (a, src, trg) in instances(_FUZZ_MIXED):
+        if not a.has_equality_tests():
+            continue
+        calls.clear()
+        decide_full(a, src, trg)
+        found = {v for v in solver._pinned_configs(a) + [trg] if v != src}
+        found = {v for v in found if reach_oracle(a, src, v) is not None}
+        assert calls["decide_disequality"] <= 2 * len(found) + 1, index
+        total += calls["decide_disequality"]
+    assert total == 32  # 53 with one query per (entry, exit) pair
+
+
+def test_undecided_set_queries_split_to_pairs(monkeypatch):
+    """With every set query out of budget, the halves down to single
+    pairs decide what the set queries did."""
+    cases = [(parity_gate(), Config("a", 0), Config("b", 3)), (parity_gate(), Config("a", 1), Config("b", 3))]
+    cases += [(chained_pins(), Config("a", 0), Config("b", 4))]
+    cases += [instance for _, instance in instances(_FUZZ_MIXED)]
+    before = [decide_full(*case).kind for case in cases]
+    decide = solver.decide_disequality
+    refused = Counter()
+
+    def pairs_only(a, src, trg):
+        if any(q.startswith("hub_") for q in a.states):
+            refused["hub query"] += 1
+            raise ResourceExceeded("set queries forced undecided")
+        return decide(a, src, trg)
+
+    monkeypatch.setattr(solver, "decide_disequality", pairs_only)
+    assert [decide_full(*case).kind for case in cases] == before
+    assert refused["hub query"] > 20
 
 
 # ------------------------------------------- verdict paths no corpus reaches
