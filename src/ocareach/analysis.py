@@ -1,18 +1,20 @@
 """Cycle structure: pumpable states, canonical climbing cycles, chains.
 
-A state is pumpable when it sits on a positive-effect cycle of length at
-most the number of states (counter tests ignored, nonnegativity kept).
-Each pumpable state gets one canonical such cycle: minimal drop, ties
-broken by the lexicographically least transition-index tuple.  The
-pumpable region collects configurations at pumpable states whose value
-covers the canonical cycle's drop.
+A state is pumpable when it sits on a positive-effect cycle of at most
+|C| steps, |C| the size of its strongly connected component (counter
+tests ignored, nonnegativity kept): every simple cycle fits in its
+component.  Each pumpable state gets one canonical such cycle: minimal
+drop, ties broken by the lexicographically least transition-index tuple.
+The pumpable region collects configurations at pumpable states whose
+value covers the canonical cycle's drop.
 
-The search for a state's cycle never leaves its strongly connected
-component, since no walk that leaves it comes back.  A state alone in
-its component without a positive self-loop is not searched at all.  The
-least drop is asked at 0 first, where most states climb; only then is
-the cap checked, and the drop found by galloping (1, 3, 7, ...) and
-bisecting, each step one max-value search of at most |Q| layers.
+The component's sub-automaton (:func:`~ocareach.automaton.component`)
+owns its states' cycles, for every automaton with that component.  A
+state alone in its component without a positive self-loop is not
+searched at all.  The least drop is asked at 0 first, where most states
+climb; only then is the cap checked, and the drop found by galloping
+(1, 3, 7, ...) and bisecting, each step one max-value search of at most
+|C| layers.
 
 Iterating the canonical cycle from a value either climbs forever or gets
 stuck on a test somewhere along the lap; the orbit segments are chains.
@@ -22,13 +24,14 @@ chain flagged ``invalid_anchor``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from ocareach.automaton import (
     OCA,
     Config,
     InternalError,
     Path,
+    component,
     path_configs,
     path_effect_drop,
     per_automaton,
@@ -71,10 +74,10 @@ class Chain:
         return (self.last - self.first) // self.period + 1
 
 
-def _completable(a: OCA, q: str, d: int, state: str, value: int, budget: int, comp) -> bool:
-    """Does a nonnegative walk of at most ``budget`` steps inside q's
-    component ``comp`` reach q above d?  Each step keeps the best value
-    per state over walks of exactly that many steps."""
+def _completable(a: OCA, q: str, d: int, state: str, value: int, budget: int) -> bool:
+    """Does a nonnegative walk of at most ``budget`` steps reach q above d?
+    Each step keeps the best value per state over walks of exactly that
+    many steps."""
     out = a.step_table[0]
     vals = {state: value}
     for _ in range(budget):
@@ -84,7 +87,7 @@ def _completable(a: OCA, q: str, d: int, state: str, value: int, budget: int, co
         for s, v in vals.items():
             for _, dst, update in out[s]:
                 v2 = v + update
-                if v2 > nxt.get(dst, -1) and dst in comp:
+                if v2 > nxt.get(dst, -1):
                     nxt[dst] = v2
         if not nxt:
             return False
@@ -92,30 +95,30 @@ def _completable(a: OCA, q: str, d: int, state: str, value: int, budget: int, co
     return vals.get(q, -1) > d
 
 
-def _least_drop(a: OCA, q: str, comp) -> int | None:
+def _least_drop(a: OCA, q: str) -> int | None:
     """Least drop of a climbing cycle at q (None without one): drop 0
-    first, then the cap |Q|*max_update, which bounds the drop of every
-    cycle of at most |Q| steps, then gallop (1, 3, 7, ...) and bisect.
+    first, then the cap |C|*max_update, which bounds the drop of every
+    cycle of at most |C| steps, then gallop (1, 3, 7, ...) and bisect.
     A cycle from drop d also climbs from every higher drop."""
     n = len(a.states)
-    if _completable(a, q, 0, q, 0, n, comp):
+    if _completable(a, q, 0, q, 0, n):
         return 0
     lo, hi, d = 0, n * a.max_update, 1
-    if not _completable(a, q, hi, q, hi, n, comp):
+    if not _completable(a, q, hi, q, hi, n):
         return None
-    while d < hi and not _completable(a, q, d, q, d, n, comp):
+    while d < hi and not _completable(a, q, d, q, d, n):
         lo, d = d, 2 * d + 1
     hi = min(d, hi)
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if _completable(a, q, mid, q, mid, n, comp):
+        if _completable(a, q, mid, q, mid, n):
             hi = mid
         else:
             lo = mid
     return hi
 
 
-def _lex_least_cycle(a: OCA, q: str, d: int, comp) -> Path:
+def _lex_least_cycle(a: OCA, q: str, d: int) -> Path:
     """The canonical cycle at q for minimal drop d.
 
     Greedy: always take the smallest completable transition index, and
@@ -130,9 +133,7 @@ def _lex_least_cycle(a: OCA, q: str, d: int, comp) -> Path:
         budget = len(a.states) - len(prefix) - 1
         for i, dst, update in a.step_table[0][state]:
             v2 = value + update
-            if v2 < 0 or dst not in comp:
-                continue
-            if _completable(a, q, d, dst, v2, budget, comp):
+            if v2 >= 0 and _completable(a, q, d, dst, v2, budget):
                 prefix.append(i)
                 state, value = dst, v2
                 break
@@ -149,19 +150,25 @@ def lone_state(a: OCA, q: str, comp: frozenset[str]) -> bool:
 
 @per_automaton
 def climbing_cycles(a: OCA) -> dict[str, CanonicalCycle]:
-    """Canonical climbing cycle per pumpable state, in state order, each
-    searched inside its strongly connected component by
-    :func:`_least_drop` (drop 0 first, then gallop and bisect)."""
+    """Canonical climbing cycle per pumpable state, in state order: the
+    cycle in the table of q's :func:`~ocareach.automaton.component`, its
+    indices mapped back.  Only an automaton that is one component
+    searches, by :func:`_least_drop`, over walks of at most |C| steps,
+    |C| its state count: every simple cycle fits in its component."""
     result: dict[str, CanonicalCycle] = {}
-    components = scc_of(a) if len(a.states) > 1 else dict.fromkeys(a.states, a.states)
     for q in a.states:
-        comp = components[q]
-        if lone_state(a, q, comp):
+        if lone_state(a, q, scc_of(a)[q]):
             continue
-        drop = _least_drop(a, q, comp)
+        sub, back = component(a, q)
+        if sub is not a:
+            cyc = climbing_cycles(sub).get(q)
+            if cyc is not None:
+                result[q] = replace(cyc, path=tuple(back[i] for i in cyc.path))
+            continue
+        drop = _least_drop(a, q)
         if drop is None:
             continue
-        path = _lex_least_cycle(a, q, drop, comp)
+        path = _lex_least_cycle(a, q, drop)
         effect, path_drop = path_effect_drop(a, path)
         if effect <= 0 or path_drop != drop:
             raise InternalError(f"canonical cycle at {q} disagrees with its search")
@@ -344,16 +351,12 @@ def structure_report(a: OCA) -> str:
     lines.append("pumpable states:")
     if not cycles:
         lines.append("  (none)")
-    for q in a.states:
-        if q in cycles:
-            cyc = cycles[q]
-            idx = " ".join(str(i) for i in cyc.path)
-            lines.append(f"  {q}: cycle [{idx}]  effect +{cyc.effect}  drop {cyc.drop}")
+    for q, cyc in cycles.items():
+        idx = " ".join(str(i) for i in cyc.path)
+        lines.append(f"  {q}: cycle [{idx}]  effect +{cyc.effect}  drop {cyc.drop}")
     lines.append("chains:")
-    for q in a.states:
-        if q not in cycles:
-            continue
-        lines.append(f"  {q}  period {cycles[q].effect}:")
+    for q, cyc in cycles.items():
+        lines.append(f"  {q}  period {cyc.effect}:")
         for chain in chains_at(a, q):
             if chain.invalid_anchor:
                 lines.append(f"    [{chain.first}]  forbidden anchor")

@@ -457,8 +457,8 @@ def scc_of(a: OCA) -> dict[str, frozenset[str]]:
 def component(a: OCA, q: str) -> tuple[OCA, tuple[int, ...]]:
     """q's strongly connected component as a sub-automaton, with the map
     back to ``a``'s transition indices, as :func:`restrict` gives them.
-    The sub-automaton is one component by construction, so its
-    :func:`scc_of` table is filled in here rather than searched for.
+    The sub-automaton is one component, so its :func:`scc_of` table is
+    filled in here, not searched for; a one-component ``a`` is its own.
     For an old state of an :func:`extend`-ed automaton it is the base's
     component, the very same object: indices and tests agree, and so
     do its analyses.  A reversed extension resolves ``reverse`` of the
@@ -468,6 +468,8 @@ def component(a: OCA, q: str) -> tuple[OCA, tuple[int, ...]]:
         if q in base.state_index:
             return component(reverse(base) if flipped else base, q)
     states = scc_of(a)[q]
+    if len(states) == len(a.states):
+        return a, tuple(range(len(a.transitions)))
     sub, back = restrict(a, states)
     sub.memo.setdefault(scc_of.__wrapped__, dict.fromkeys(sub.states, states))
     return sub, back

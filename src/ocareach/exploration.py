@@ -494,9 +494,8 @@ def _component(a: OCA, q: str) -> OCA | None:
     """q's strongly connected component as a sub-automaton, or None when
     it has no climbing cycle, hence no positive cycle: no run in it then
     climbs over ``(|Q|-1)*max_update`` above its start, so closures end.
-    A :func:`~ocareach.analysis.lone_state` is None without building a
-    sub-automaton; :func:`~ocareach.automaton.component` shares an
-    extended automaton's old components with its base."""
+    Its cycles are the table every automaton sharing the component reads
+    (:func:`~ocareach.analysis.climbing_cycles`); a lone state builds none."""
     if lone_state(a, q, scc_of(a)[q]):
         return None
     sub, _ = component(a, q)
@@ -533,12 +532,14 @@ def locally_bounded(a: OCA):
 
 def _bounded_at(sub: OCA, state: str):
     """:func:`is_bounded` in ``sub`` on the values at ``state``, read from
-    its labels for ``state`` first."""
+    its labels for ``state`` first.  ``sub``, which may be the automaton
+    whose memo holds the predicate, is held weakly."""
     labels = _labels(sub).setdefault(state, {})
+    held = weakref.ref(sub)
 
     def bounded(v: int) -> bool:
         known = labels.get(v)
-        return is_bounded(sub, Config(state, v)) if known is None else known
+        return is_bounded(held(), Config(state, v)) if known is None else known
 
     return bounded
 

@@ -493,8 +493,7 @@ def normalize_endpoints(a: OCA, src: Config, trg: Config) -> tuple[OCA, Config, 
     fenced states, each a component of its own.  So the gadget and its
     reversal share ``a``'s components, and theirs: their boundedness
     labels and climbing cycles are the ones earlier queries on ``a``
-    filled.  The gadget's own climbing cycles are still searched under
-    its own state count.
+    filled.
     """
     require_valid(a, src, trg)
     taken = set(a.states)

@@ -44,10 +44,15 @@ from .flows import Flow, FlowError, check_flow, flow_has_positive_cycle, flow_of
 
 def _closure(a: OCA, roots, locally_bounded: bool, stop_at: Config | None = None) -> PostStarResult:
     """Pessimistic closure on :func:`post_star`; roots are exempt from the
-    pumpable-region restriction but not from local boundedness.  Values
-    stay at or below ``ceiling``, so at most ``|Q|`` configurations each.
-    Given ``stop_at``, the search ends at its level, with the shortest
-    run to it.
+    pumpable-region restriction but not from local boundedness.  Given
+    ``stop_at``, the search ends at its level, with the shortest run to it.
+
+    Values stay at or below ``ceiling``, the largest root value plus
+    (|Q|-1)*max_update, so at most ``|Q|`` configurations each: a
+    positive simple cycle started at the least of its prefix sums never
+    dips below its start, so that state has drop 0 under the |C| bound
+    and admits no value.  Past its first configuration a run thus meets
+    no positive cycle.
 
     The restriction at a state is None, admitting every value unasked,
     when the state is not pumpable and, for ``locally_bounded``, lies in

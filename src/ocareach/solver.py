@@ -187,24 +187,23 @@ def decide_disequality(a: OCA, src: Config, trg: Config) -> Verdict:
     require_valid(a, src, trg)
     if src == trg:
         return Verdict(REACHABLE, run=())
-    if not is_locally_bounded(a, src) and not is_locally_bounded(reverse(a), trg):
-        p = candidate_reach(a, src, trg)
-        if p is not None:
-            return _certify_run(a, src, trg, lift_candidate_run(a, src, trg, p))
-        # Definitely unreachable: no run over the integers, let alone a
-        # valid one.  Still try for a checkable invariant certificate.
-        n, s2, t2 = normalize_endpoints(a, src, trg)
-        try:
-            w = synthesize_witness(n, s2, t2)
-        except ResourceExceeded:
-            w = None
-        if w is None:
-            return Verdict(UNREACHABLE, note="no candidate run over the integers")
-        return Verdict(UNREACHABLE, witness=w, certified=(n, s2, t2))
+    lift = not is_locally_bounded(a, src) and not is_locally_bounded(reverse(a), trg)
+    p = candidate_reach(a, src, trg) if lift else None
+    if p is not None:
+        return _certify_run(a, src, trg, lift_candidate_run(a, src, trg, p))
+    # Lifting without a candidate path: no run over the integers, let
+    # alone a valid one.  Still try for a checkable invariant certificate.
     n, s2, t2 = normalize_endpoints(a, src, trg)
-    w = synthesize_witness(n, s2, t2)
+    try:
+        w = synthesize_witness(n, s2, t2)
+    except ResourceExceeded:
+        if not lift:
+            raise
+        w = None
     if w is not None:
         return Verdict(UNREACHABLE, witness=w, certified=(n, s2, t2))
+    if lift:
+        return Verdict(UNREACHABLE, note="no candidate run over the integers")
     # No witness means the target is reachable: it lies in the forward
     # core's closure, or the perfect cores failed verification, which
     # only happens on reachable instances.  The oracle digs up the run.
@@ -253,12 +252,7 @@ def _decide_between(
 
 def _pinned_configs(a: OCA) -> list[Config]:
     """The single valid configuration of every equality-test state."""
-    pins = []
-    for q in a.states:
-        g = a.guards.get(q)
-        if g is not None and g.kind == "eq" and g.value >= 0:
-            pins.append(Config(q, g.value))
-    return pins
+    return [Config(q, a.guards[q].value) for q in a.states if a.guards[q].kind == "eq"]
 
 
 def decide_full(a: OCA, src: Config, trg: Config) -> Verdict:
@@ -286,11 +280,7 @@ def decide_full(a: OCA, src: Config, trg: Config) -> Verdict:
     keep = frozenset(a.states) - eq_states
     sub, back = restrict(a, keep)
 
-    vertices = [src]
-    for pin in _pinned_configs(a):
-        if pin not in (src, trg):
-            vertices.append(pin)
-    vertices.append(trg)
+    vertices = [src, *(pin for pin in _pinned_configs(a) if pin not in (src, trg)), trg]
     vertex_set = set(vertices)
 
     def entries(u: Config) -> dict[Config, Path]:

@@ -230,15 +230,30 @@ def naive_effect_drop(a: OCA, path: Path) -> tuple[int, int]:
     return effect, -worst
 
 
+def component_size(a: OCA, q: str) -> int:
+    """How many states lie on some cycle through q (q counted), found by
+    following transitions forwards and backwards."""
+    ahead, behind = {q}, {q}
+    for found, near, far in ((ahead, "src", "dst"), (behind, "dst", "src")):
+        grown = True
+        while grown:
+            grown = False
+            for t in a.transitions:
+                if getattr(t, near) in found and getattr(t, far) not in found:
+                    found.add(getattr(t, far))
+                    grown = True
+    return len(ahead & behind)
+
+
 def naive_climbing_cycle(a: OCA, q: str):
     """Reference answer for the canonical cycle at q.
 
-    Exhaustive: positive-effect cycles of length <= |Q|, minimal drop,
-    lexicographically least index tuple.  Returns None when q has no
-    positive-effect cycle that short.
+    Exhaustive: positive-effect cycles of length <= |C|, the size of q's
+    component, minimal drop, lexicographically least index tuple.
+    Returns None when q has no positive-effect cycle that short.
     """
     best = None
-    for cycle in naive_cycles_through(a, q, len(a.states)):
+    for cycle in naive_cycles_through(a, q, component_size(a, q)):
         effect, drop = naive_effect_drop(a, cycle)
         if effect <= 0:
             continue
@@ -279,14 +294,15 @@ def _completable(a: OCA, q: str, d: int, state: str, value: int, budget: int) ->
     return False
 
 
-def _lex_least_cycle(a: OCA, q: str, d: int) -> Path:
-    """Greedy: the smallest completable transition index at every step."""
+def _lex_least_cycle(a: OCA, q: str, d: int, n: int) -> Path:
+    """Greedy: the smallest completable transition index at every step,
+    for cycles of at most ``n`` steps."""
     prefix: list[int] = []
     state, value = q, d
     while True:
         if prefix and state == q and value > d:
             return tuple(prefix)
-        budget = len(a.states) - len(prefix) - 1
+        budget = n - len(prefix) - 1
         for i, dst, update in a.step_table[0][state]:
             v2 = value + update
             if v2 < 0:
@@ -302,12 +318,13 @@ def _lex_least_cycle(a: OCA, q: str, d: int) -> Path:
 def bisected_climbing_cycles(a: OCA) -> dict:
     """Canonical climbing cycles by the earlier search, kept as a reference
     past the exhaustive oracle's reach: for every state, a binary search
-    over drops in ``[0, |Q|*max_update]``, each probe a max-value walk over
-    the whole automaton, then the greedy lexicographically least cycle."""
+    over drops in ``[0, |C|*max_update]``, each probe a max-value walk of
+    at most |C| steps, |C| the size of the state's component, over the
+    whole automaton, then the greedy lexicographically least cycle."""
     result = {}
-    n = len(a.states)
-    cap = n * a.max_update
     for q in a.states:
+        n = component_size(a, q)
+        cap = n * a.max_update
         if not _completable(a, q, cap, q, cap, n):
             continue
         lo, hi = 0, cap
@@ -317,7 +334,7 @@ def bisected_climbing_cycles(a: OCA) -> dict:
                 hi = mid
             else:
                 lo = mid + 1
-        path = _lex_least_cycle(a, q, lo)
+        path = _lex_least_cycle(a, q, lo, n)
         effect, drop = naive_effect_drop(a, path)
         if effect <= 0 or drop != lo:
             raise AssertionError(f"canonical cycle at {q} disagrees with its search")

@@ -9,10 +9,15 @@ from ocareach.analysis import (
     chains_at,
     climbing_cycles,
     in_pumpable_region,
+    pumpable_drops,
     structure_report,
     sure_unbounded_thresholds,
 )
 from ocareach.automaton import OCA, Config, Transition, parse_oca, restrict
+from ocareach.exploration import ResourceExceeded
+from ocareach.generators import FuzzSpec, instances
+from ocareach.invariants import format_witness
+from ocareach.solver import decide_full
 
 from _oracles import (
     bisected_climbing_cycles,
@@ -134,17 +139,37 @@ def test_cycles_match_the_bisected_search():
     assert min(seen.values()) >= 40, seen
 
 
-def test_cycle_bound_counts_every_state():
-    """Cycles are searched up to |Q| steps, and |Q| counts states no run
-    can touch: three isolated states make q pumpable.  A bound that
-    depends on the component alone is ROADMAP item 8's definition step,
-    which may change evidence; until then this is pinned."""
+def _decided_witness(a: OCA, src: Config, trg: Config) -> str | None:
+    """decide_full's WITNESS text, None without one, or "undecided"."""
+    try:
+        v = decide_full(a, src, trg)
+    except ResourceExceeded:
+        return "undecided"
+    return None if v.witness is None else format_witness(v.witness, normalized=True)
+
+
+def test_isolated_states_change_no_cycle():
+    """Every simple cycle fits in its component, so cycles are searched
+    up to |C| steps, and states no run can touch change no cycle, no
+    pumpable drop and no witness.  Under a bound of |Q| steps, 100 of
+    these 400 automata changed their cycles."""
+    spec = FuzzSpec(num_states=6, max_update=5, count=400, seed=3)
+    seen = dict.fromkeys(("pumpable", "witness"), 0)
+    for index, (a, src, trg) in instances(spec):
+        grown = _with_isolated(a, 3)
+        cycles, drops = climbing_cycles(grown), pumpable_drops(grown)
+        assert climbing_cycles(a) == {q: c for q, c in cycles.items() if q in a.states}, index
+        assert pumpable_drops(a) == {q: d for q, d in drops.items() if q in a.states}, index
+        witness = _decided_witness(a, src, trg)
+        assert witness == _decided_witness(grown, src, trg), index
+        seen["pumpable"] += bool(cycles)
+        seen["witness"] += witness not in (None, "undecided")
+    assert min(seen.values()) >= 40, seen
+    # q climbs only by walks of 4 steps, twice its component's size.
     text = "trans q 0 r\ntrans r +1 r\ntrans r -2 q\n"
-    cycles = climbing_cycles(parse_oca("states: q r\n" + text))
-    assert cycles == {"r": CanonicalCycle("r", (1,), 1, 0)}
-    cycles = climbing_cycles(parse_oca("states: q r x y z\n" + text))
-    assert cycles["q"] == CanonicalCycle("q", (0, 1, 1, 1, 2), 1, 0)
-    assert cycles["r"] == CanonicalCycle("r", (1,), 1, 0)
+    for states in ("q r", "q r x y z"):
+        cycles = climbing_cycles(parse_oca(f"states: {states}\n" + text))
+        assert cycles == {"r": CanonicalCycle("r", (1,), 1, 0)}
 
 
 class _CountingOut(dict):

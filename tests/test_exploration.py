@@ -817,7 +817,7 @@ def test_gadget_shares_its_base_components(monkeypatch):
     rn = reverse(n)
     singles = {s2.state: frozenset({s2.state}), t2.state: frozenset({t2.state})}
     assert scc_of(n) == scc_of(rn) == {**scc_of(a), **singles}
-    assert reverse.__wrapped__ not in a.memo  # resolved only when asked
+    assert reverse.__wrapped__ in a.memo  # its components own the reversed gadget's cycles
     for q in a.states:
         for gadget, base in ((n, a), (rn, reverse(a))):
             sub, back = component(gadget, q)

@@ -24,6 +24,7 @@ from ocareach.exploration import (
 )
 from ocareach.generators import FuzzSpec, gen_subset_sum, instances
 from ocareach.invariants import verify_witness
+import ocareach.analysis as analysis
 import ocareach.exploration as exploration
 import ocareach.invariants as invariants
 import ocareach.solver as solver
@@ -472,6 +473,37 @@ def test_undecided_set_queries_split_to_pairs(monkeypatch):
     monkeypatch.setattr(solver, "decide_disequality", pairs_only)
     assert [decide_full(*case).kind for case in cases] == before
     assert refused["hub query"] > 20
+
+
+def test_one_cycle_search_per_component_and_direction(monkeypatch):
+    """Every automaton a decision builds, the base, its reversal, the
+    normalization gadget and the hub gadget, reads its climbing cycles
+    from the components it shares: no component of the instance's
+    states, keyed by its states and transitions, is searched twice in
+    one decision.  A state a gadget adds is a component of its own,
+    searched with that gadget."""
+    search = analysis._least_drop
+    searched = Counter()
+
+    def counted(a, q):
+        searched[a.states, a.transitions, q] += 1
+        return search(a, q)
+
+    monkeypatch.setattr(analysis, "_least_drop", counted)
+    total = 0
+    for index, (a, src, trg) in instances(_FUZZ_MIXED):
+        searched.clear()
+        try:
+            decide_full(a, src, trg)
+        except ResourceExceeded:
+            pass
+        for (states, _, q), count in searched.items():
+            if a.state_index.keys() >= set(states):
+                assert count == 1, (index, q)
+                total += 1
+            else:
+                assert len(states) == 1, (index, q)
+    assert total > 200
 
 
 # ------------------------------------------- verdict paths no corpus reaches
