@@ -72,7 +72,7 @@ class ResourceExceeded(Exception):
     """A search ran past its cap undecided."""
 
 
-NODE_CAP = 500_000  # the oracle's rungs, the perfect-core closure, the pumping search
+NODE_CAP = 500_000  # the oracle's rungs, the perfect-core closure, the lift's climb searches
 
 
 def _value_cap(a: OCA, *values: int, scale: int = 1) -> int:

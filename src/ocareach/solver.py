@@ -3,21 +3,27 @@
 Glue layer over the structural machinery: a pumping shortcut when both
 endpoints sit in locally unbounded components, the invariant engine on
 normalized endpoints, and a finite graph wrapper that reduces equality
-tests to disequality-only queries.  Every run and witness returned has
-passed the check ``verify`` applies to it.
+tests to disequality-only queries.  The shortcut lifts a candidate run
+with a bounded prefix, free laps and a bounded return at each end
+(Haase, Kreutzer, Ouaknine and Worrell, CONCUR 2009): the laps are
+those of a canonical climbing cycle on an unbounded chain
+(:mod:`ocareach.analysis`), so no climb is searched past the first such
+chain and runs grow with the tests, not with their product.  Every run
+and witness returned has passed the check ``verify`` applies to it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
+from .analysis import chain_of, climbing_cycles
 from .automaton import (
     OCA,
     Config,
     InternalError,
     Path,
-    ReplayError,
     Transition,
     apply_path,
     component,
@@ -34,7 +40,6 @@ from .evidence import check_run
 from .exploration import (
     NODE_CAP,
     ResourceExceeded,
-    _value_cap,
     candidate_reach,
     is_locally_bounded,
     post_star,
@@ -46,7 +51,6 @@ from .invariants import (
     normalize_endpoints,
     synthesize_witness,
 )
-from .values import least_above
 
 REACHABLE = "reachable"
 UNREACHABLE = "unreachable"
@@ -76,61 +80,118 @@ class Verdict:
     note: str = ""
 
 
-def _pumping_cycle(a: OCA, c: Config) -> tuple[Path, int]:
-    """Cycle on ``c.state`` that climbs from ``c`` and from anywhere above.
+class _OnChain(Exception):
+    """Ends a climb search at its first configuration on an unbounded
+    chain, which it carries as its one argument."""
 
-    A closure of c's component picks the least configuration past every
-    test plus the worst a return walk can drop (``goal``), a second
-    search given it as target climbs there, and a shortest path back
-    closes the loop.  The first lap is valid by construction and every
-    later lap runs above the tests, so the cycle pumps freely.  Returns
-    the cycle and its (positive) effect.  The value cap exceeds ``goal``
-    plus any update of the component, so it holds the first crossing of
-    ``goal``; exceeding :data:`NODE_CAP` raises ResourceExceeded.  The
-    caller has checked that ``c`` is locally unbounded, so finding no
-    value above ``goal``, or no climb to it, raises InternalError.
+
+class _Climb(NamedTuple):
+    """A climb from ``c`` back to ``c.state``: ``prefix`` to a
+    configuration u on an unbounded chain, ``k`` laps of u's canonical
+    cycle, each rising ``effect``, then ``ret`` back to ``c.state``.
+    It replays from ``c`` for every ``k >= least`` and rises
+    ``base + k * effect``."""
+
+    prefix: Path
+    lap: Path
+    ret: Path
+    effect: int
+    base: int
+    least: int
+
+    def path(self, k: int) -> Path:
+        return self.prefix + self.lap * k + self.ret
+
+    def height(self, k: int) -> int:
+        return self.base + k * self.effect
+
+
+def _climb(a: OCA, c: Config) -> _Climb:
+    """The climb from ``c``, read off the climbing-cycle tables of c's
+    component.
+
+    When ``c`` lies on an unbounded chain of its state's canonical
+    cycle, the climb is laps of that cycle and nothing is searched.
+    Otherwise a closure from ``c`` stops at the first configuration u on
+    an unbounded chain, the way :func:`~ocareach.exploration.is_bounded`
+    stops its probe, and a search given u as target reads the prefix.
+    Every lap from u is valid; the shortest state path back to
+    ``c.state`` runs above every test once the laps have lifted u to
+    ``drop(ret) + max_test + 1``, which sets ``least``.  The caller has
+    checked that ``c`` is locally unbounded, so a closure that ends
+    without such a u, or a search that misses it, raises InternalError;
+    one past :data:`NODE_CAP` configurations raises ResourceExceeded.
     """
     sub, back = component(a, c.state)
-    goal = c.value + a.max_test + a.max_update * len(a.states) + 1
-    cap = _value_cap(sub, c.value, goal)
-    res = post_star(sub, [c], NODE_CAP, cap)
-    high = None
-    for state in sub.states:  # the least value above goal, ties to the lower state index
-        value = least_above(res.sets.get(state, ()), goal)
-        if value is not None and (high is None or value < high.value):
-            high = Config(state, value)
-    if high is None:
-        raise InternalError(f"{c} is locally unbounded, yet its closure stays at or below {goal}")
-    climb = post_star(sub, [c], NODE_CAP, cap, stop_at=high).run
-    if climb is None:
-        raise InternalError(f"no climb from {c} to {high}, which its closure holds")
-    cycle = tuple(back[i] for i in climb + path_to(state_search(sub, high.state), c.state))
-    end = _replay(a, c, cycle)
-    effect = end.value - c.value
-    if end.state != c.state or effect <= a.max_test:
-        raise InternalError(f"cycle from {c} ends at {end}, not above the tests")
-    return cycle, effect
+    cycles = climbing_cycles(sub)
+
+    def free(state: str, value: int) -> bool:
+        chain = chain_of(sub, Config(state, value))
+        return chain is not None and chain.last is None
+
+    def stop(state: str):
+        if state not in cycles:
+            return None
+
+        def keep(value: int) -> bool:
+            if free(state, value):
+                raise _OnChain(Config(state, value))
+            return True
+
+        return keep
+
+    u, prefix = c, ()
+    if not free(*c):
+        try:
+            post_star(sub, [c], NODE_CAP, restrict=stop)
+        except _OnChain as found:
+            (u,) = found.args
+        else:
+            raise InternalError(f"{c} is locally unbounded, yet reaches no unbounded chain")
+        prefix = post_star(sub, [c], NODE_CAP, stop_at=u).run
+        if prefix is None:
+            raise InternalError(f"no climb from {c} to {u}, which its closure holds")
+    cyc = cycles[u.state]
+    ret = path_to(state_search(sub, u.state), c.state)
+    effect, drop = path_effect_drop(sub, ret)
+    least = 0 if not ret else max(0, -(-(drop + a.max_test + 1 - u.value) // cyc.effect))
+    return _Climb(
+        tuple(back[i] for i in prefix),
+        tuple(back[i] for i in cyc.path),
+        tuple(back[i] for i in ret),
+        cyc.effect,
+        u.value - c.value + effect,
+        least,
+    )
 
 
 def lift_candidate_run(a: OCA, c: Config, d: Config, p: Path) -> Path:
     """Turn a candidate path into a valid run by pumping at both ends.
 
     Requires ``c`` locally unbounded forwards and ``d`` locally
-    unbounded backwards.  The run is ``up^(H/e_up) p down^(H/e_down)``:
-    laps of a cycle climbing ``e_up`` at the source, the candidate path,
-    then laps of a cycle descending ``e_down`` into the target.  ``H``
-    is the least common multiple of ``e_up`` and ``e_down`` that is at
-    least ``m = drop(p) + max_test + 1``.
+    unbounded backwards.  The run is ``up(k) p reverse(down(l))``: a
+    :func:`_climb` from ``c`` with ``k`` laps, the candidate path, then
+    a climb from ``d`` in the reversed automaton with ``l`` laps, read
+    backwards.  Both climbs rise the same height ``H``, the least that
+    both reach with enough laps to be valid and that is at least
+    ``m = drop(p) + max_test + 1``; stepping ``k`` finds it within
+    ``e_down`` tries.
 
-    Any common multiple ``H >= m`` is sound.  Being a multiple of both
-    effects, the climb and the descent cancel, so the run ends at ``d``.
-    The first climbing lap is valid by construction; each later lap
-    replays an earlier one shifted up by ``e_up > max_test``, so it runs
-    above every test.  The same holds for the descent read backwards
-    from ``d``.  In between, ``p`` starts at ``c.value + H`` and never
-    drops by more than ``drop(p)``, so it stays at or above
-    ``max_test + 1``.  The least such ``H`` keeps the run's length
-    linear in the test values rather than in their product.
+    Soundness.  The prefix of a climb is a run its search found, and
+    each lap from its end u replays a lap of u's canonical cycle on an
+    unbounded chain, so every lap is valid, however many.  The way back
+    starts at least ``drop(ret) + max_test + 1`` high, so it stays above
+    every test.  The same holds for the descent read backwards from
+    ``d``.  In between, ``p`` starts at ``c.value + H`` and never drops
+    by more than ``drop(p)``, so it stays at or above ``max_test + 1``.
+    Equal heights make the climb and the descent cancel, so the run
+    ends at ``d``.  Only when the two lap effects' gcd does not divide
+    the difference of the climbs' bases do no laps give equal heights;
+    then whole climbs, each rising more than ``max_test``, repeat up to
+    the least common multiple of their heights that is at least ``m``.
+    Each later copy replays an earlier one shifted up by its height, so
+    it runs above every test.  The run's length stays linear in the test
+    values rather than in their product.
 
     The result is not replayed here; callers certify it.
     """
@@ -144,22 +205,22 @@ def lift_candidate_run(a: OCA, c: Config, d: Config, p: Path) -> Path:
         raise ValueError(f"{d} is locally bounded in reverse; lifting does not apply")
     if apply_path(a, c, p, mode="candidate") != d:
         raise ValueError(f"path does not lead from {c} to {d} over the integers")
-    up, e_up = _pumping_cycle(a, c)
-    down_rev, e_down = _pumping_cycle(rev, d)
-    down = tuple(reversed(down_rev))
+    up, down = _climb(a, c), _climb(rev, d)
     _, drop = path_effect_drop(a, p)
     m = drop + a.max_test + 1
+    if (down.base - up.base) % math.gcd(up.effect, down.effect) == 0:
+        low = max(m, up.height(up.least), down.height(down.least))
+        k = -(-(low - up.base) // up.effect)
+        while (up.height(k) - down.base) % down.effect:
+            k += 1
+        l = (up.height(k) - down.base) // down.effect
+        return up.path(k) + p + tuple(reversed(down.path(l)))
+    k = max(up.least, -(-(a.max_test + 1 - up.base) // up.effect))
+    l = max(down.least, -(-(a.max_test + 1 - down.base) // down.effect))
+    e_up, e_down = up.height(k), down.height(l)
     lcm = math.lcm(e_up, e_down)
     height = lcm * -(-m // lcm)
-    return up * (height // e_up) + p + down * (height // e_down)
-
-
-def _replay(a: OCA, start: Config, path: Path) -> Config:
-    """Where ``path`` ends from ``start``; a path that does not replay is a bug."""
-    try:
-        return apply_path(a, start, path)
-    except ReplayError as exc:
-        raise InternalError(f"path from {start} does not replay: {exc}") from exc
+    return up.path(k) * (height // e_up) + p + tuple(reversed(down.path(l))) * (height // e_down)
 
 
 def _certify_run(a: OCA, src: Config, trg: Config, run: Path) -> Verdict:

@@ -152,12 +152,6 @@ def at_least(s: Values, x: int) -> Values:
     return tuple(out)
 
 
-def least_above(s: Values, x: int) -> int | None:
-    """The least value of ``s`` above ``x``, or None."""
-    above = at_least(s, x + 1)
-    return above[0] if above else None
-
-
 def union(s: Values, t: Values) -> Values:
     if not s:
         return t

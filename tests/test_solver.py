@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import random
 from collections import Counter
 
@@ -8,12 +9,18 @@ import pytest
 
 from conftest import FIG_LOOP, random_oca
 from ocareach.cli import main
+from ocareach.analysis import Chain, chain_of
 from ocareach.automaton import (
+    OCA,
     Config,
     InternalError,
+    ReplayError,
     Transition,
     apply_path,
+    component,
+    format_oca,
     parse_oca,
+    path_effect_drop,
     reverse,
 )
 from ocareach.exploration import (
@@ -168,8 +175,8 @@ def test_normalize_preserves_verdicts_corpus():
 # ------------------------------------------------------------------ lifting
 
 
-def free_slide():
-    a = parse_oca("states: a b\ntrans a +1 a\ntrans a +0 b\ntrans b -1 b\n")
+def free_slide(up=1, down=1):
+    a = parse_oca(f"states: a b\ntrans a +{up} a\ntrans a +0 b\ntrans b -{down} b\n")
     return a, Config("a", 3), Config("b", 0)
 
 
@@ -251,10 +258,11 @@ def scaled_lift_loop(k):
     )
 
 
-@pytest.mark.parametrize("k", [1, 10, 50])
+@pytest.mark.parametrize("k", [1, 10, 50, 3000])
 def test_lifted_run_grows_linearly_in_the_tests(k):
     # climbing to the product of both cycle effects gave 82,709
-    # transitions at k=1, 33.6 M at k=10 and MemoryError at k=50
+    # transitions at k=1, 33.6 M at k=10 and MemoryError at k=50; an
+    # explicit climb search past every test gave ResourceExceeded at k=3000
     a = scaled_lift_loop(k)
     src, trg = Config("q", 5 * k + 1), Config("q", 1)
     v = decide_full(a, src, trg)
@@ -270,6 +278,112 @@ def test_lift_loop_candidate_run_is_short():
     p = candidate_reach(a, src, trg)
     assert apply_path(a, src, p, mode="candidate") == trg
     assert len(p) <= 30
+
+
+def _lap_counts(up, down, m):
+    """The least height H >= m that both climbs rise with enough laps to
+    be valid, and those lap counts, by trying every height in turn."""
+    for h in itertools.count(m):
+        k, kr = divmod(h - up.base, up.effect)
+        l, lr = divmod(h - down.base, down.effect)
+        if not kr and not lr and k >= up.least and l >= down.least:
+            return k, l
+
+
+@pytest.mark.parametrize("up, down", [(1, 1), (2, 3), (4, 6)])
+def test_lift_height_is_the_least_common_height(up, down):
+    a, src, _ = free_slide(up, down)
+    lifted = 0
+    for value in range(12):
+        trg = Config("b", value)
+        p = candidate_reach(a, src, trg)
+        if p is None:
+            continue
+        climb, descent = solver._climb(a, src), solver._climb(reverse(a), trg)
+        _, drop = path_effect_drop(a, p)
+        k, l = _lap_counts(climb, descent, drop + a.max_test + 1)
+        run = lift_candidate_run(a, src, trg, p)
+        assert run == climb.path(k) + p + tuple(reversed(descent.path(l)))
+        assert apply_path(a, src, run) == trg
+        lifted += 1
+    assert lifted >= 4
+
+
+def test_climbs_from_free_ends_search_nothing(monkeypatch):
+    # q:6 and, reversed, q:1 lie on unbounded chains of their cycles
+    def no_search(*args, **kwargs):
+        raise AssertionError("a free end needs no search")
+
+    monkeypatch.setattr(solver, "post_star", no_search)
+    a, src, trg = scaled_lift_loop(1), Config("q", 6), Config("q", 1)
+    up, down = solver._climb(a, src), solver._climb(reverse(a), trg)
+    assert up == solver._Climb((), (0, 1, 2), (), 5, 0, 0)
+    assert down == solver._Climb((), (3,), (), 3, 0, 0)
+    v = decide_full(a, src, trg)
+    assert v.kind == REACHABLE and apply_path(a, src, v.run) == trg
+
+
+def test_climb_searches_to_the_first_unbounded_chain():
+    # Reversed, q:1 climbs by +3 laps to q:7, where q != 10 stops it;
+    # the search finds q:2, two residues over, on a chain that never stops.
+    a, src, trg = scaled_lift_loop(2), Config("q", 11), Config("q", 1)
+    rev = reverse(a)
+    sub, _ = component(rev, "q")
+    assert chain_of(sub, trg) == Chain("q", 3, 1, 7)
+    down = solver._climb(rev, trg)
+    u = apply_path(rev, trg, down.prefix)
+    assert u == Config("q", 2) and chain_of(sub, u).last is None
+    assert down == solver._Climb((3, 3, 2, 1, 0), (3,), (), 3, 1, 0)
+    # every shorter run from q:1 ends off the unbounded chains
+    for n in range(len(down.prefix)):
+        for path in itertools.product(range(len(rev.transitions)), repeat=n):
+            try:
+                chain = chain_of(sub, apply_path(rev, trg, path))
+            except ReplayError:
+                continue
+            assert chain is None or chain.last is not None, path
+    v = decide_full(a, src, trg)
+    assert v.kind == REACHABLE and apply_path(a, src, v.run) == trg
+
+
+# Shrunk from instance 977 of `fuzz --num-states 4 --seed 1`.  The climb
+# from q1:1 rises 1 + 3k (up to q0, laps of +3, back through q3), the
+# descent into q1:4 rises 3l: no lap counts give equal heights.
+UNEQUAL_RESIDUES = (
+    "states: q0 q1 q3\nguard q1 != 2\ntrans q0 +3 q0\ntrans q0 -2 q3\n"
+    "trans q1 -3 q1\ntrans q3 +1 q1\ntrans q1 +2 q0\n"
+)
+
+
+def test_climbs_that_never_meet_repeat_whole():
+    a, src, trg = parse_oca(UNEQUAL_RESIDUES), Config("q1", 1), Config("q1", 4)
+    up, down = solver._climb(a, src), solver._climb(reverse(a), trg)
+    assert up == solver._Climb((4,), (0,), (1, 3), 3, 1, 1)
+    assert down == solver._Climb((), (2,), (), 3, 0, 0)
+    p = candidate_reach(a, src, trg)
+    run = lift_candidate_run(a, src, trg, p)
+    # one lap makes each climb rise past the test: 4 and 3, repeated to 12
+    assert run == up.path(1) * 3 + p + tuple(reversed(down.path(1))) * 4
+    assert apply_path(a, src, run) == trg
+    assert decide_full(a, src, trg).run == run
+
+
+def lift_leg_gadget(n):
+    """Subset sum over n values up to 1,000 with a +1 loop on s0, a zero
+    step from s{n} into t and a -1 loop on t: s0:0 -> t:0 lifts."""
+    rng = random.Random(7)
+    values = tuple(rng.randint(1, 1000) for _ in range(n))
+    a, src, trg = gen_subset_sum(values, sum(values) // 2)
+    extra = (Transition("s0", 1, "s0"), Transition(f"s{n}", 0, "t"), Transition("t", -1, "t"))
+    return OCA(a.states, a.transitions + extra, dict(a.guards)), src, trg
+
+
+def test_lift_leg_gadget_run_stays_small():
+    # climbing past every test plus |Q| * max_update gave 196,918 transitions
+    a, src, trg = lift_leg_gadget(12)
+    v = decide_full(a, src, trg)
+    assert v.kind == REACHABLE and apply_path(a, src, v.run) == trg
+    assert len(v.run) <= 10_000
 
 
 @pytest.mark.parametrize(
@@ -401,6 +515,16 @@ def test_decide_full_mixed_fuzz_versus_oracle():
 
 # The mixed corpus whose evidence test_evidence.py pins.
 _FUZZ_MIXED = FuzzSpec(num_states=8, max_update=4, max_guard=12, equality_fraction=0.25, count=60)
+
+
+def test_isolated_states_change_no_run():
+    """States no transition touches change no verdict and no run: climbs
+    end at their first unbounded chain, not at a height that counts
+    states."""
+    for index, (a, src, trg) in instances(_FUZZ_MIXED):
+        b = OCA(a.states + ("iso0", "iso1", "iso2"), a.transitions, dict(a.guards))
+        v, w = decide_full(a, src, trg), decide_full(b, src, trg)
+        assert (w.kind, w.run) == (v.kind, v.run), index
 
 
 def test_set_query_is_any_pair():
@@ -541,28 +665,29 @@ def test_undecided_segment_is_never_a_refusal(monkeypatch):
 EVEN_STEPS = "states: q r\ntrans q +2 q\ntrans q +0 r\ntrans r -2 r\n"
 
 
-def test_pumping_cycle_that_finds_no_climb_is_an_internal_error(monkeypatch, tmp_path):
-    """The lift leg asks for a pumping cycle only at a locally unbounded
-    configuration, so a closure with no value above the goal, or a
-    search that misses the configuration the closure found, is a bug:
-    InternalError and exit 3, never the input error ValueError."""
-    a, src, trg = parse_oca(EVEN_STEPS), Config("q", 0), Config("r", 2)
-    (tmp_path / "even.oca").write_text(EVEN_STEPS)
-    argv = ["decide", str(tmp_path / "even.oca"), "--src", "q:0", "--trg", "r:2"]
+def test_climb_that_finds_no_chain_is_an_internal_error(monkeypatch, tmp_path):
+    """The lift leg climbs only from a locally unbounded configuration,
+    so a closure that ends without reaching an unbounded chain, or a
+    search that misses the configuration the closure stopped at, is a
+    bug: InternalError and exit 3, never the input error ValueError.
+    The reversed target q:1 is not free, so its climb searches."""
+    a, src, trg = scaled_lift_loop(2), Config("q", 11), Config("q", 1)
+    (tmp_path / "lift.oca").write_text(format_oca(a))
+    argv = ["decide", str(tmp_path / "lift.oca"), "--src", "q:11", "--trg", "q:1"]
     assert main(argv) == 0
     post_star = solver.post_star
 
-    def below_goal(a, start, node_cap, value_cap=None, restrict=None, stop_at=None):
-        return post_star(a, start, node_cap, start[0].value + 2, restrict, stop_at)
+    def unrestricted(a, start, node_cap, value_cap=None, restrict=None, stop_at=None):
+        return post_star(a, start, node_cap, start[0].value + 2, None, stop_at)
 
     def no_climb(a, start, node_cap, value_cap=None, restrict=None, stop_at=None):
         res = post_star(a, start, node_cap, value_cap, restrict, stop_at)
         return res if stop_at is None else dataclasses.replace(res, run=None)
 
-    for fake, says in ((below_goal, "stays at or below"), (no_climb, "no climb")):
+    for fake, says in ((unrestricted, "reaches no unbounded chain"), (no_climb, "no climb")):
         monkeypatch.setattr(solver, "post_star", fake)
         with pytest.raises(InternalError, match=says):
-            solver._pumping_cycle(a, src)
+            solver._climb(reverse(a), trg)
         with pytest.raises(InternalError, match=says):
             decide_full(a, src, trg)
         assert main(argv) == 3
