@@ -10,8 +10,10 @@ value covers the canonical cycle's drop.
 
 The component's sub-automaton (:func:`~ocareach.automaton.component`)
 owns its states' cycles, for every automaton with that component.  A
-state alone in its component without a positive self-loop is not
-searched at all.  The least drop is asked at 0 first, where most states
+state alone in its component is read off its self-loops
+(:func:`lone_loops`): its canonical cycle, if any, is its first
+positive loop, with drop 0, and nothing is built or searched.  In a
+larger component the least drop is asked at 0 first, where most states
 climb; only then is the cap checked, and the drop found by galloping
 (1, 3, 7, ...) and bisecting, each step one max-value search of at most
 |C| layers.
@@ -141,23 +143,33 @@ def _lex_least_cycle(a: OCA, q: str, d: int) -> Path:
             raise InternalError("feasible climbing cycle vanished during reconstruction")
 
 
-def lone_state(a: OCA, q: str, comp: frozenset[str]) -> bool:
-    """Is ``q`` alone in its strongly connected component ``comp``,
-    without a positive self-loop?  Then no positive cycle passes q: it
-    has no climbing cycle to search for, nor a component to build."""
-    return len(comp) == 1 and not any(dst == q and u > 0 for _, dst, u in a.step_table[0][q])
+def lone_loops(a: OCA, q: str) -> tuple[tuple[int, int], ...] | None:
+    """q's self-loops, ``(index, update)`` in index order, when q is alone
+    in its strongly connected component; None in a larger one.  Every
+    cycle through a lone q of at most one step is one of these loops,
+    so its climbing cycle and its local boundedness are read off them,
+    with no component built and no search run."""
+    if len(scc_of(a)[q]) > 1:
+        return None
+    return tuple((i, u) for i, dst, u in a.step_table[0][q] if dst == q)
 
 
 @per_automaton
 def climbing_cycles(a: OCA) -> dict[str, CanonicalCycle]:
     """Canonical climbing cycle per pumpable state, in state order: the
     cycle in the table of q's :func:`~ocareach.automaton.component`, its
-    indices mapped back.  Only an automaton that is one component
-    searches, by :func:`_least_drop`, over walks of at most |C| steps,
-    |C| its state count: every simple cycle fits in its component."""
+    indices mapped back.  A lone state's cycle is its lowest-index
+    positive self-loop, of drop 0.  Only an automaton that is one larger
+    component searches, by :func:`_least_drop`, over walks of at most
+    |C| steps, |C| its state count: every simple cycle fits in its
+    component."""
     result: dict[str, CanonicalCycle] = {}
     for q in a.states:
-        if lone_state(a, q, scc_of(a)[q]):
+        loops = lone_loops(a, q)
+        if loops is not None:
+            up = next(((i, u) for i, u in loops if u > 0), None)
+            if up is not None:
+                result[q] = CanonicalCycle(q, up[:1], up[1], 0)
             continue
         sub, back = component(a, q)
         if sub is not a:

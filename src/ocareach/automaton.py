@@ -86,12 +86,14 @@ class Config(NamedTuple):
 class OCA:
     """Automaton container.
 
-    ``memo`` holds every analysis derived from this automaton, one entry
-    per :func:`per_automaton` function, and is freed with it; an
-    automaton built by :func:`extend` also keeps its link to its base
-    there.  Instances compare by identity on purpose: two parses of the
-    same file are two automata with two memos, never a shared or stale
-    one.
+    ``guards`` is the automaton's own copy of the tests it is given, with
+    the trivial test filled in for every state without one; the caller's
+    dict is left as it was.  ``memo`` holds every analysis derived from
+    this automaton, one entry per :func:`per_automaton` function, and is
+    freed with it; an automaton built by :func:`extend` also keeps its
+    link to its base there.  Instances compare by identity on purpose:
+    two parses of the same file are two automata with two memos, never a
+    shared or stale one.
     """
 
     states: tuple[str, ...]
@@ -109,8 +111,9 @@ class OCA:
         for q in self.guards:
             if q not in known:
                 raise ValueError(f"guard on undeclared state {q!r}")
+        guards = self.guards = dict(self.guards)
         for q in self.states:
-            self.guards.setdefault(q, TRUE_GUARD)
+            guards.setdefault(q, TRUE_GUARD)
 
     @cached_property
     def state_index(self) -> dict[str, int]:
@@ -363,7 +366,7 @@ def reverse(a: OCA) -> OCA:
     one, and an :func:`extend`-ed ``a``'s link to its base, flipped.
     """
     flipped = tuple(Transition(t.dst, -t.update, t.src) for t in a.transitions)
-    r = OCA(a.states, flipped, dict(a.guards))
+    r = OCA(a.states, flipped, a.guards)
     if scc_of.__wrapped__ in a.memo:
         r.memo[scc_of.__wrapped__] = a.memo[scc_of.__wrapped__]
     if extend in a.memo:

@@ -68,13 +68,13 @@ def _drop_state(a: OCA, q: str) -> OCA:
 
 def _drop_transition(a: OCA, i: int) -> OCA:
     kept = a.transitions[:i] + a.transitions[i + 1 :]
-    return OCA(a.states, kept, dict(a.guards))
+    return OCA(a.states, kept, a.guards)
 
 
 def _with_update(a: OCA, i: int, update: int) -> OCA:
     t = a.transitions[i]
     swapped = a.transitions[:i] + (Transition(t.src, update, t.dst),) + a.transitions[i + 1 :]
-    return OCA(a.states, swapped, dict(a.guards))
+    return OCA(a.states, swapped, a.guards)
 
 
 def _drop_guard(a: OCA, q: str) -> OCA:

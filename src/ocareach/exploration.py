@@ -32,10 +32,11 @@ from collections.abc import Iterator, Set
 from dataclasses import dataclass
 from math import gcd
 
-from .analysis import climbing_cycles, lone_state, sure_unbounded_thresholds
+from .analysis import climbing_cycles, lone_loops, sure_unbounded_thresholds
 from .automaton import (
     OCA,
     Config,
+    Guard,
     InternalError,
     Path,
     apply_path,
@@ -495,11 +496,34 @@ def _component(a: OCA, q: str) -> OCA | None:
     it has no climbing cycle, hence no positive cycle: no run in it then
     climbs over ``(|Q|-1)*max_update`` above its start, so closures end.
     Its cycles are the table every automaton sharing the component reads
-    (:func:`~ocareach.analysis.climbing_cycles`); a lone state builds none."""
-    if lone_state(a, q, scc_of(a)[q]):
-        return None
+    (:func:`~ocareach.analysis.climbing_cycles`).  :func:`locally_bounded`
+    asks this only of components of two or more states: it reads a lone
+    state off its self-loops and builds nothing for it."""
     sub, _ = component(a, q)
     return sub if climbing_cycles(sub) else None
+
+
+def _lone_bounded(guard: Guard, loops: tuple[tuple[int, int], ...]):
+    """:func:`is_bounded` in a lone state's component, from its test and
+    its self-loops ``(index, update)``, with no probe: None when every
+    valid value is bounded, else a predicate on valid values.
+
+    Without a positive loop, or under an ``==`` test, nothing climbs;
+    with no test, a positive loop climbs forever.  Under ``!= g`` a value
+    above g climbs freely, and so does every value when two positive
+    updates differ: where one would land on g, the other steps past.
+    With one positive update u, a value v below g can only climb onto g
+    when ``(g - v) % u == 0``; it then stays at or below ``g - u``
+    unless a negative loop of a size n, ``n % u != 0``, fits under
+    ``g - u`` and moves it to a residue that climbs past g."""
+    ups = {u for _, u in loops if u > 0}
+    if not ups or guard.kind == "eq":
+        return None
+    top, u = guard.value, min(ups)
+    fenced = guard.kind == "ne" and len(ups) == 1
+    if not fenced or any(-n % u and -n <= top - u for _, n in loops if n < 0):
+        return lambda v: False
+    return lambda v: v < top and (top - v) % u == 0
 
 
 @per_automaton
@@ -508,9 +532,12 @@ def locally_bounded(a: OCA):
     component, as a per-state restriction for :func:`post_star`.
 
     ``locally_bounded(a)(q)`` is None, every valid value at ``q`` being
-    locally bounded unprobed, when q's component has no climbing cycle;
-    else a predicate on q's valid values, which the component's labels
-    for q answer, a probe of the component filling them on a miss.
+    locally bounded unprobed, when q's component has no climbing cycle
+    or q is alone under an ``==`` test; else a predicate on q's valid
+    values.  A lone state is read off its self-loops
+    (:func:`_lone_bounded`); in a larger component the component's
+    labels for q answer, a probe of the component filling them on a
+    miss.
     The per-state table of answers fills on first use of each state.
     The restriction sits in ``a``'s memo, so it reaches ``a`` only
     through a weak reference, to fill that table.
@@ -523,8 +550,14 @@ def locally_bounded(a: OCA):
             return table[state]
         except KeyError:
             pass
-        sub = _component(owner(), state)
-        keep = table[state] = None if sub is None else _bounded_at(sub, state)
+        owned = owner()
+        loops = lone_loops(owned, state)
+        if loops is not None:
+            keep = _lone_bounded(owned.guards[state], loops)
+        else:
+            sub = _component(owned, state)
+            keep = None if sub is None else _bounded_at(sub, state)
+        table[state] = keep
         return keep
 
     return at

@@ -491,9 +491,11 @@ def normalize_endpoints(a: OCA, src: Config, trg: Config) -> tuple[OCA, Config, 
 
     The gadget is ``a`` :func:`~ocareach.automaton.extend`-ed by the two
     fenced states, each a component of its own.  So the gadget and its
-    reversal share ``a``'s components, and theirs: their boundedness
-    labels and climbing cycles are the ones earlier queries on ``a``
-    filled.
+    reversal share ``a``'s components, and theirs: for ``a``'s states,
+    their boundedness labels and climbing cycles are the ones earlier
+    queries on ``a`` filled.  The fenced states are read off their
+    self-loops (:func:`~ocareach.analysis.lone_loops`): their cycles and
+    local boundedness build no sub-automaton and run no search or probe.
     """
     require_valid(a, src, trg)
     taken = set(a.states)

@@ -73,7 +73,7 @@ def test_cycle_length_capped_by_state_count():
 
 def _with_isolated(a: OCA, count: int) -> OCA:
     """``a`` plus ``count`` states without transitions."""
-    return OCA(a.states + tuple(f"x{i}" for i in range(count)), a.transitions, dict(a.guards))
+    return OCA(a.states + tuple(f"x{i}" for i in range(count)), a.transitions, a.guards)
 
 
 def test_cycles_match_exhaustive_search():

@@ -119,6 +119,20 @@ def test_step_table_agrees_with_guards_and_transitions():
         assert list(valid_steps(a, configs)) == expected
 
 
+def test_building_an_automaton_leaves_the_callers_guards_alone(loop3):
+    """An automaton fills in the trivial test on its own copy of the
+    guards, so one built over another's states and guards with states
+    added leaves the other's table, and its reversal, as they were."""
+    guards = {"q": Guard("ne", 5)}
+    a = OCA(("q", "r"), (Transition("q", 1, "r"),), guards)
+    assert guards == {"q": Guard("ne", 5)}
+    assert a.guards == {"q": Guard("ne", 5), "r": Guard()}
+    before = dict(loop3.guards)
+    b = OCA(loop3.states + ("x",), loop3.transitions, loop3.guards)
+    assert loop3.guards == before and b.guards == {**before, "x": Guard()}
+    assert reverse(loop3).guards == before
+
+
 def test_guard_allows():
     assert Guard("ne", 5).allows(4)
     assert not Guard("ne", 5).allows(5)

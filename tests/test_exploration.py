@@ -2,11 +2,12 @@ import gc
 import random
 import tracemalloc
 import weakref
+from collections import Counter
 from itertools import combinations
 
 import pytest
 
-from ocareach import automaton, cli, exploration
+from ocareach import analysis, automaton, cli, exploration
 from ocareach.automaton import (
     OCA,
     Config,
@@ -20,6 +21,7 @@ from ocareach.automaton import (
     restrict,
     scc_of,
 )
+from ocareach.analysis import climbing_cycles
 from ocareach.exploration import (
     ResourceExceeded,
     candidate_reach,
@@ -838,11 +840,46 @@ def test_lone_state_builds_no_component(monkeypatch):
         return real(b, states)
 
     monkeypatch.setattr(automaton, "restrict", counted)
-    assert exploration._component(a, "p") is None
+    assert locally_bounded(a)("p") is None  # no self-loop
     assert is_locally_bounded(a, Config("p", 7))
+    assert not is_locally_bounded(a, Config("t", 7))  # read off t's +1 loop
     assert not asked
-    assert exploration._component(a, "t") is not None  # a positive self-loop
-    assert asked == [frozenset({"t"})]
+    assert climbing_cycles(a)["t"].path == (5,)
+    assert set(asked) == {frozenset({"q", "r", "s"})}  # the loop's component only
+
+
+def test_lone_states_are_read_off_their_self_loops(monkeypatch):
+    """One-state automata with one to three self-loops of updates -7..+6
+    and a ``!=`` test, an ``==`` test or none at 0..30: local boundedness
+    at every valid value 0..40 agrees with a naive closure, and the
+    climbing cycle with the component search, with no probe run.  A
+    bounded closure stays at or below 40, the start or under the test;
+    an unbounded one passes any bound."""
+    search = analysis._least_drop, analysis._lex_least_cycle
+
+    def no_probe(*args, **kwargs):
+        raise AssertionError("probe or search on a lone state")
+
+    monkeypatch.setattr(exploration, "post_star", no_probe)
+    monkeypatch.setattr(analysis, "_least_drop", no_probe)
+    rng = random.Random(2626)
+    seen = Counter()
+    for _ in range(600):
+        updates = [rng.randint(-7, 6) for _ in range(rng.randint(1, 3))]
+        kind = rng.choice(("ne", "ne", "eq", "true"))
+        guards = {} if kind == "true" else {"q": Guard(kind, rng.randint(0, 30))}
+        a = OCA(("q",), tuple(Transition("q", u, "q") for u in updates), guards)
+        drop = search[0](a, "q")
+        want = None if drop is None else (search[1](a, "q", drop), drop)
+        cyc = climbing_cycles(a).get("q")
+        assert (cyc and (cyc.path, cyc.drop)) == want, updates
+        for v in range(41):
+            c = Config("q", v)
+            if a.is_valid(c):
+                _, hit = naive_post_star(a, c, value_bound=40)
+                assert is_locally_bounded(a, c) == (not hit), (updates, guards, v)
+                seen[kind, hit] += 1
+    assert min(seen.values()) > 100, seen
 
 
 def _reaches(a, x, y):

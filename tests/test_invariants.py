@@ -782,7 +782,7 @@ def test_shared_gadget_answers_like_a_fresh_copy(case):
     is_locally_bounded(a, src)
     is_locally_bounded(reverse(a), trg)
     n, s2, t2 = normalize_endpoints(a, src, trg)
-    fresh = OCA(n.states, n.transitions, dict(n.guards))
+    fresh = OCA(n.states, n.transitions, n.guards)
     for shared, copy in ((n, fresh), (reverse(n), reverse(fresh))):
         assert climbing_cycles(shared) == climbing_cycles(copy)
         assert pumpable_drops(shared) == pumpable_drops(copy)

@@ -32,6 +32,7 @@ from ocareach.exploration import (
 from ocareach.generators import FuzzSpec, gen_subset_sum, instances
 from ocareach.invariants import verify_witness
 import ocareach.analysis as analysis
+import ocareach.automaton as automaton
 import ocareach.exploration as exploration
 import ocareach.invariants as invariants
 import ocareach.solver as solver
@@ -375,7 +376,7 @@ def lift_leg_gadget(n):
     values = tuple(rng.randint(1, 1000) for _ in range(n))
     a, src, trg = gen_subset_sum(values, sum(values) // 2)
     extra = (Transition("s0", 1, "s0"), Transition(f"s{n}", 0, "t"), Transition("t", -1, "t"))
-    return OCA(a.states, a.transitions + extra, dict(a.guards)), src, trg
+    return OCA(a.states, a.transitions + extra, a.guards), src, trg
 
 
 def test_lift_leg_gadget_run_stays_small():
@@ -522,7 +523,7 @@ def test_isolated_states_change_no_run():
     end at their first unbounded chain, not at a height that counts
     states."""
     for index, (a, src, trg) in instances(_FUZZ_MIXED):
-        b = OCA(a.states + ("iso0", "iso1", "iso2"), a.transitions, dict(a.guards))
+        b = OCA(a.states + ("iso0", "iso1", "iso2"), a.transitions, a.guards)
         v, w = decide_full(a, src, trg), decide_full(b, src, trg)
         assert (w.kind, w.run) == (v.kind, v.run), index
 
@@ -604,16 +605,27 @@ def test_one_cycle_search_per_component_and_direction(monkeypatch):
     normalization gadget and the hub gadget, reads its climbing cycles
     from the components it shares: no component of the instance's
     states, keyed by its states and transitions, is searched twice in
-    one decision.  A state a gadget adds is a component of its own,
-    searched with that gadget."""
-    search = analysis._least_drop
+    one decision.  A state alone in its component, such as each state a
+    gadget adds, is read off its self-loops: no sub-automaton is built
+    for it, and none is searched or probed."""
+    search, probe, sub = analysis._least_drop, exploration.is_bounded, automaton.restrict
     searched = Counter()
 
     def counted(a, q):
         searched[a.states, a.transitions, q] += 1
         return search(a, q)
 
+    def probed(a, c):
+        assert len(a.states) > 1, c
+        return probe(a, c)
+
+    def restricted(a, states):
+        assert len(states) > 1, states
+        return sub(a, states)
+
     monkeypatch.setattr(analysis, "_least_drop", counted)
+    monkeypatch.setattr(exploration, "is_bounded", probed)
+    monkeypatch.setattr(automaton, "restrict", restricted)
     total = 0
     for index, (a, src, trg) in instances(_FUZZ_MIXED):
         searched.clear()
@@ -622,11 +634,9 @@ def test_one_cycle_search_per_component_and_direction(monkeypatch):
         except ResourceExceeded:
             pass
         for (states, _, q), count in searched.items():
-            if a.state_index.keys() >= set(states):
-                assert count == 1, (index, q)
-                total += 1
-            else:
-                assert len(states) == 1, (index, q)
+            assert len(states) > 1 and a.state_index.keys() >= set(states), (index, q)
+            assert count == 1, (index, q)
+            total += 1
     assert total > 200
 
 
