@@ -21,11 +21,17 @@ climb; only then is the cap checked, and the drop found by galloping
 Iterating the canonical cycle from a value either climbs forever or gets
 stuck on a test somewhere along the lap; the orbit segments are chains.
 A value forbidden by the state's own test is quarantined as a singleton
-chain flagged ``invalid_anchor``.
+chain flagged ``invalid_anchor``.  Chains are arithmetic progressions
+cut at a few blocked values: those where a lap hits a test, and the
+state's own test value.  These are gathered once per state, sorted per
+residue class, so a chain's ends are one bisect each, whatever the
+values (:func:`chain_of`).  Only a state with an equality test on its
+lap or at itself is walked lap by lap; its chains are short.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 
 from ocareach.automaton import (
@@ -203,7 +209,13 @@ def in_pumpable_region(a: OCA, c: Config) -> bool:
 
 
 class _ChainContext:
-    """Pre-chewed data for orbit walks at one pumpable state."""
+    """Orbit data at one pumpable state, gathered once.
+
+    ``blocked`` holds, per residue class mod the period and sorted, the
+    values at or above the drop where the orbit is cut: where a lap hits
+    a test (the test values pulled back along the lap), and the state's
+    own test value.  On a state that is not degenerate nothing else cuts
+    it, so a chain's ends are the blocked values around it."""
 
     def __init__(self, a: OCA, cyc: CanonicalCycle):
         self.guards = a.guards  # not ``a``: the context sits in a's memo
@@ -212,27 +224,23 @@ class _ChainContext:
         self.drop = cyc.drop
         # Each step of one lap from q:0: its state and the prefix effect.
         self.lap = path_configs(a, Config(cyc.state, 0), cyc.path, mode="candidate")[1:]
-        # Values where behavior differs from the high-value regime:
-        # pulled-back test positions along the lap, plus the state's own
-        # test value.
         exceptions: set[int] = set()
         eq_on_lap = False
         for st, eff in self.lap:
             g = a.guards[st]
-            if g.kind == "ne":
-                exceptions.add(g.value - eff)
-            elif g.kind == "eq":
-                eq_on_lap = True
+            if g.kind != "true":
+                eq_on_lap = eq_on_lap or g.kind == "eq"
                 exceptions.add(g.value - eff)
         own = a.guards[self.q]
-        if own.kind in ("ne", "eq"):
+        if own.kind != "true":
             exceptions.add(own.value)
-        self.exceptions = {z for z in exceptions if z >= self.drop}
-        # Beyond every exception: does a lap still pass every test, and
-        # is the configuration itself still valid?
-        self.generic_step = not eq_on_lap
-        self.generic_member = own.kind != "eq"
-        self.degenerate = not (self.generic_step and self.generic_member)
+        self.blocked: dict[int, list[int]] = {}
+        for z in sorted(exceptions):
+            if z >= self.drop:
+                self.blocked.setdefault(z % self.period, []).append(z)
+        # An equality on the lap or at the state cuts the orbit at every
+        # value but a few: its chains are walked, not read off.
+        self.degenerate = eq_on_lap or own.kind == "eq"
 
     def member_ok(self, z: int) -> bool:
         return z >= 0 and self.guards[self.q].allows(z)
@@ -242,14 +250,6 @@ class _ChainContext:
             if not self.guards[st].allows(z + eff):
                 return False
         return True
-
-    def residue_ceiling(self, z0: int) -> int:
-        """Largest exception in z0's residue class (or below z0)."""
-        cap = z0 - self.period
-        for e in self.exceptions:
-            if e >= z0 and (e - z0) % self.period == 0 and e > cap:
-                cap = e
-        return cap
 
 
 @per_automaton
@@ -271,7 +271,7 @@ def chains_at(a: OCA, q: str) -> tuple[Chain, ...]:
     Each residue class is walked with :func:`chain_of`, from the drop
     onwards, each chain starting one period past the last one's end.
     For states whose lap or own test is an equality, a residue's walk
-    stops one period past its last exceptional value (everything beyond
+    stops one period past its last blocked value (everything beyond
     repeats the same stuck singleton pattern forever); see
     :func:`chain_enumeration_complete`.
     """
@@ -282,7 +282,8 @@ def chains_at(a: OCA, q: str) -> tuple[Chain, ...]:
     g = ctx.period
     for r in range(g):
         z = ctx.drop + r
-        stop = ctx.residue_ceiling(z) + g
+        blocked = ctx.blocked.get(z % g)
+        stop = (blocked[-1] if blocked else z - g) + g
         while not (ctx.degenerate and z > stop):
             chain = chain_of(a, Config(q, z))
             chains.append(chain)
@@ -296,8 +297,14 @@ def chains_at(a: OCA, q: str) -> tuple[Chain, ...]:
 def chain_of(a: OCA, c: Config) -> Chain | None:
     """The chain containing ``c`` (None outside the pumpable region).
 
-    Unlike :func:`chains_at` this works at any value, including far
-    beyond the exceptional window.
+    In closed form, at any value: on a state that is not degenerate, a
+    lap from z fails only at a blocked value, and z + period is a
+    forbidden member only when z is blocked, so the chain ends at the
+    least blocked value at or above ``c``'s (it climbs forever without
+    one), and starts one period past the greatest blocked value below
+    it, or at its residue class's least value at or above the drop.
+    Each end is one bisect of the class's blocked values, whatever the
+    values are.  A degenerate state's chain is walked lap by lap.
     """
     ctx = _chain_context(a, c.state)
     if ctx is None or c.value < ctx.drop:
@@ -306,23 +313,35 @@ def chain_of(a: OCA, c: Config) -> Chain | None:
     z = c.value
     if not ctx.member_ok(z):
         return Chain(c.state, g, z, z, invalid_anchor=True)
-    ceiling = ctx.residue_ceiling(ctx.drop + (z - ctx.drop) % g)
-    if z > ceiling and not ctx.degenerate:
-        first = ceiling + g if ceiling >= ctx.drop else ctx.drop + (z - ctx.drop) % g
-        return Chain(c.state, g, first, None)
+    if not ctx.degenerate:
+        blocked = ctx.blocked.get(z % g, ())
+        i = bisect_left(blocked, z)
+        first = blocked[i - 1] + g if i else ctx.drop + (z - ctx.drop) % g
+        return Chain(c.state, g, first, blocked[i] if i < len(blocked) else None)
     first = z
-    while (
-        first - g >= ctx.drop
-        and ctx.member_ok(first - g)
-        and ctx.step_ok(first - g)
-    ):
+    while first - g >= ctx.drop and ctx.member_ok(first - g) and ctx.step_ok(first - g):
         first -= g
     last = z
     while ctx.step_ok(last) and ctx.member_ok(last + g):
-        if last > ceiling and not ctx.degenerate:
-            return Chain(c.state, g, first, None)
         last += g
     return Chain(c.state, g, first, last)
+
+
+def spans_one_chain(a: OCA, q: str, period: int, low: int, high: int) -> bool:
+    """Do ``low, low + period, ..., high``, ``low < high``, lie on one
+    chain at q?  Then each is valid and reached from ``low`` by valid
+    laps.  One bisect: ``period`` is the canonical cycle's effect,
+    ``low`` is at or above the drop, and no blocked value of a state
+    that is not degenerate lies in ``[low, high)`` in ``low``'s residue
+    class.  A forbidden ``high`` is caught too: the lap's last step
+    pulls the state's own test value back one period, into that range.
+    """
+    ctx = _chain_context(a, q)
+    if ctx is None or ctx.degenerate or period != ctx.period or low < ctx.drop:
+        return False
+    blocked = ctx.blocked.get(low % period, ())
+    i = bisect_left(blocked, low)
+    return i == len(blocked) or blocked[i] >= high
 
 
 @per_automaton
@@ -344,8 +363,7 @@ def sure_unbounded_thresholds(a: OCA) -> dict[str, int]:
         ctx = _chain_context(sub, q)
         if ctx is None or ctx.degenerate:
             raise InternalError(f"equality-free cycle at {q} has no generic orbit")
-        bound = max(ctx.exceptions) + 1 if ctx.exceptions else ctx.drop
-        out[q] = max(ctx.drop, bound)
+        out[q] = max((b[-1] + 1 for b in ctx.blocked.values()), default=ctx.drop)
     return out
 
 

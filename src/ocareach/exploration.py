@@ -32,7 +32,7 @@ from collections.abc import Iterator, Set
 from dataclasses import dataclass
 from math import gcd
 
-from .analysis import climbing_cycles, lone_loops, sure_unbounded_thresholds
+from .analysis import chain_of, climbing_cycles, lone_loops, sure_unbounded_thresholds
 from .automaton import (
     OCA,
     Config,
@@ -428,7 +428,10 @@ class _Unbounded(Exception):
 def is_bounded(a: OCA, c: Config) -> bool:
     """Is the set of configurations reachable from ``c`` finite?
 
-    One :func:`post_star` probe whose value cap cannot bind.  A closure
+    A ``c`` on an unbounded chain (:func:`ocareach.analysis.chain_of`) is
+    labeled unbounded at once, with no probe: every lap from it is
+    valid, so it climbs forever.  Any other ``c`` costs one
+    :func:`post_star` probe whose value cap cannot bind.  A closure
     that completes proves bounded.  An infinite one reaches a
     configuration at or above its state's
     :func:`ocareach.analysis.sure_unbounded_thresholds` threshold,
@@ -459,6 +462,10 @@ def is_bounded(a: OCA, c: Config) -> bool:
     known = labels.get(state, {}).get(value)
     if known is not None:
         return known
+    chain = chain_of(a, c)
+    if chain is not None and chain.last is None:
+        labels.setdefault(state, {})[value] = False
+        return False
     thresholds = sure_unbounded_thresholds(a)
 
     def admit(state: str):
@@ -631,24 +638,24 @@ def _simple_walks(succ, start: str, goal: str, out: dict, steps: int, what: str)
 
 
 def _simple_paths(a: OCA, u: str, v: str, rel: frozenset[str]):
-    """One exemplar per (state set, effect) class of simple paths u -> v."""
+    """One exemplar per (state set, effect) class of simple paths u -> v,
+    and the edges tried."""
     if u == v:
-        return {(frozenset([u]), 0): ()}
+        return {(frozenset([u]), 0): ()}, 0
     out_steps = a.step_table[0]
     succ = {q: [e for e in out_steps[q] if e[1] in rel] for q in rel}
     out: dict[tuple[frozenset[str], int], Path] = {}
-    _simple_walks(succ, u, v, out, 0, "paths")
-    return out
+    return out, _simple_walks(succ, u, v, out, 0, "paths")
 
 
-def _simple_cycles(a: OCA, rel: frozenset[str]):
+def _simple_cycles(a: OCA, rel: frozenset[str], steps: int = 0):
     """One exemplar per (state set, effect) class of simple cycles in rel,
     each found from its least state in ``a.states`` order, walking only
-    that state's strongly connected component."""
+    that state's strongly connected component; and ``steps`` plus the
+    edges tried."""
     order = a.state_index
     out_steps = a.step_table[0]
     out: dict[tuple[frozenset[str], int], Path] = {}
-    steps = 0
     for pivot in sorted(rel, key=order.get):
         floor = order[pivot]
         comp = rel & scc_of(a)[pivot]
@@ -656,7 +663,7 @@ def _simple_cycles(a: OCA, rel: frozenset[str]):
             q: [e for e in out_steps[q] if e[1] in comp and order[e[1]] >= floor] for q in comp
         }
         steps = _simple_walks(succ, pivot, pivot, out, steps, "cycles")
-    return out
+    return out, steps
 
 
 def _ordkey(a: OCA, states: frozenset[str]) -> tuple[int, ...]:
@@ -672,13 +679,16 @@ def _candidate_tables(a: OCA, u: str, v: str):
     by a path class plus cycle classes that each widened the support;
     cycles lying inside the support may then repeat freely.  Each entry
     carries exemplars to materialize an actual path, plus an exemplar
-    cycle for each nonzero effect free inside its support.
+    cycle for each nonzero effect free inside its support.  The support
+    closure counts against :data:`_ENUM_CAP`, on the walks' counter of
+    edges tried: each entry it takes up costs one per cycle class it
+    tries, so the cap bounds both the entries added and the work.
     """
     rel = _walk_states(a, u, v)
     if u not in rel or v not in rel:
         return ()
-    paths = _simple_paths(a, u, v, rel)
-    cycles = _simple_cycles(a, rel)
+    paths, steps = _simple_paths(a, u, v, rel)
+    cycles, steps = _simple_cycles(a, rel, steps)
     cycle_items = sorted(
         cycles.items(), key=lambda kv: (_ordkey(a, kv[0][0]), kv[0][1])
     )
@@ -694,6 +704,9 @@ def _candidate_tables(a: OCA, u: str, v: str):
         key = queue.popleft()
         support, base = key
         path_ex, cycle_exs = table[key]
+        steps += len(cycle_items)
+        if steps > _ENUM_CAP:
+            raise ResourceExceeded("too many support classes to close over")
         for (states, eff), exemplar in cycle_items:
             if states <= support or not (states & support):
                 continue

@@ -17,14 +17,16 @@ counterexample on every failure.
 The canonical witness is the pair of perfect cores: configurations
 reachable by locally bounded runs, intersected with the pumpable
 region.  Within each bounded chain those form a suffix, so each chain
-compresses to one arithmetic progression.  Synthesis builds each core's
+compresses to one arithmetic progression, read from the closure's value
+sets one chain at a time.  Synthesis builds each core's
 closure once.  The forward closure follows valid steps only, so a target
 inside it is reachable, and synthesis then stops before the backward
 core: no witness could verify.
 
 Verification runs three named stages after its shape checks:
-:func:`check_ap_domain` per progression, :func:`check_inductive` per
-side, and :func:`check_separator` between the sides.  The inductive
+:func:`check_ap_domain` per progression (one boundedness question for
+a progression on one chain), :func:`check_inductive` per side, and
+:func:`check_separator` between the sides.  The inductive
 stage builds each side's pessimistic closure once, through locally
 bounded configurations, and returns the induced sets the separator
 reads.  Only a side whose closure leaks, holding something local
@@ -44,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .analysis import Chain, chain_of, in_pumpable_region, pumpable_drops
+from .analysis import chain_of, in_pumpable_region, pumpable_drops, spans_one_chain
 from .automaton import (
     OCA,
     Config,
@@ -67,7 +69,7 @@ from .exploration import (
     post_star,
 )
 from .pessimistic import pessimistic_post_star
-from .values import Values, at_least, inter, iterate, least, minus, of, union
+from .values import Values, at_least, count, inter, iterate, least, minus, of, union
 
 
 @dataclass(frozen=True)
@@ -171,43 +173,34 @@ def _step_order(a: OCA):
     return lambda step: (order[step[0].state], step[0].value, step[1])
 
 
-def _compress_core(a: OCA, core: set[Config]) -> APSet:
-    """One progression per chain; core members must form chain suffixes.
+def _compress_core(a: OCA, core: dict[str, Values]) -> APSet:
+    """One progression per chain; ``core``, the values per state, must
+    form chain suffixes.
 
     Anything else means the core was not produced by a locally bounded
     exploration, so fail loudly instead of emitting a wrong witness.
-    Members are visited in value order per state, so a member either
-    lies in the chain last found in its residue class or starts a new
-    one; :func:`chain_of` runs once per chain, not once per member.
+    Per state, the least value left and its chain give the suffix's
+    lattice ``m, m + g, ..., last`` as one set; the core must hold all
+    of it, and is left with the rest.  So :func:`chain_of` runs once per
+    chain and no member is visited on its own.
     """
-    by_chain: dict[tuple[str, int], list[int]] = {}
-    chains = {}
-    latest: dict[tuple[str, int], Chain] = {}
-    period: dict[str, int] = {}
-    for c in sorted(core, key=lambda c: (c.state, c.value)):
-        g = period.get(c.state)
-        chain = latest.get((c.state, c.value % g)) if g else None
-        if chain is None or not chain.contains_value(c.value):
-            chain = chain_of(a, c)
+    found = []
+    for state in sorted(core):
+        rest = core[state]
+        while rest:
+            m = least(rest)
+            chain = chain_of(a, Config(state, m))
             if chain is None:
-                raise InternalError(f"core configuration {c} is outside every chain")
+                raise InternalError(f"core configuration {state}:{m} is outside every chain")
             if chain.last is None:
-                raise InternalError(f"core configuration {c} sits in an unbounded chain")
-            period[c.state] = chain.period
-            latest[(c.state, c.value % chain.period)] = chain
-        key = (chain.state, chain.first)
-        chains[key] = chain
-        by_chain.setdefault(key, []).append(c.value)
-    progressions = []
-    for key, values in sorted(by_chain.items()):
-        chain = chains[key]
-        expected = list(range(min(values), chain.last + 1, chain.period))
-        if values != expected:
-            raise InternalError(f"core at {key} is not a chain suffix: {values}")
-        progressions.append(
-            Progression(chain.state, values[0], chain.period, values[0], chain.last)
-        )
-    return APSet(tuple(progressions))
+                raise InternalError(f"core configuration {state}:{m} sits in an unbounded chain")
+            g, n = chain.period, (chain.last - m) // chain.period + 1
+            lattice = (m, ((1 << g * n) - 1) // ((1 << g) - 1))  # bits 0, g, ..., (n-1)g
+            if count(inter(rest, lattice)) != n:
+                raise InternalError(f"core at {state}:{m} is not a suffix of its chain {chain}")
+            rest = minus(rest, lattice)
+            found.append((state, chain.first, Progression(state, m, g, m, chain.last)))
+    return APSet(tuple(p for _, _, p in sorted(found, key=lambda f: f[:2])))
 
 
 def _endpoints(a: OCA, src: Config, trg: Config) -> OCA:
@@ -235,10 +228,9 @@ def _core(a: OCA, root: Config, avoid: Config | None = None) -> APSet | None:
     return _compress_core(
         a,
         {
-            Config(state, v)
+            state: at_least(found, drops[state])
             for state, found in closure.sets.items()
             if state in drops
-            for v in iterate(at_least(found, drops[state]))
         },
     )
 
@@ -380,10 +372,21 @@ def _loose(a: OCA, side: _Values) -> list[Config]:
 
 def check_ap_domain(a: OCA, p: Progression) -> CheckResult:
     """One progression's domain obligations: valid members, the least
-    member pumpable, and every member locally bounded."""
-    members = [Config(p.state, v) for v in p.values()]
-    if not members or p.state not in a.state_index:
+    member pumpable, and every member locally bounded.
+
+    A progression of two or more members that lies on one chain
+    (:func:`~ocareach.analysis.spans_one_chain`) is checked per chain:
+    its members are valid, and each is reached from the least by valid
+    laps inside the least one's component.  Everything a locally bounded
+    configuration reaches there is locally bounded, so only the least
+    member is asked, and a failure names it, as the member-by-member
+    check that every other progression runs would."""
+    values = p.values()
+    if not values or p.state not in a.state_index:
         return CheckResult(False, "malformed", p)
+    if len(values) > 1 and spans_one_chain(a, p.state, p.period, values[0], values[-1]):
+        values = values[:1]
+    members = [Config(p.state, v) for v in values]
     for c in members:
         if not a.is_valid(c):
             return CheckResult(False, "invalid-member", c)

@@ -342,15 +342,9 @@ def bisected_climbing_cycles(a: OCA) -> dict:
     return result
 
 
-def naive_chain_partition(a: OCA, q: str, cycle: Path, drop: int, window: int):
-    """Chain structure at q inside [drop, window], by direct simulation.
-
-    Returns a list of (members, invalid_anchor, closed) triples where
-    ``closed`` says the chain provably ends at its last listed member
-    (the next orbit step is blocked or lands on an invalid anchor).
-    Chains still open at the window edge are reported with closed=False.
-    """
-    effect, _ = naive_effect_drop(a, cycle)
+def _lap_checks(a: OCA, q: str, cycle: Path):
+    """Is z a valid value at q, and is one lap of ``cycle`` from q:z a
+    run?  Both by direct replay."""
     updates = [a.transitions[i].update for i in cycle]
     dsts = [a.transitions[i].dst for i in cycle]
 
@@ -365,6 +359,45 @@ def naive_chain_partition(a: OCA, q: str, cycle: Path, drop: int, window: int):
                 return False
         return True
 
+    return member_ok, step_ok
+
+
+def walked_chain(a: OCA, q: str, cycle: Path, drop: int, z: int):
+    """The chain through q:z, ``z >= drop``, walked one lap at a time, as
+    ``(first, last, invalid_anchor)`` with ``last`` None for a chain that
+    climbs forever.
+
+    Down from z while the value one period lower is at least the drop,
+    valid, and a lap from it runs; up while a lap runs and lands on a
+    valid value.  Past ``drop + max_test`` every value of a lap exceeds
+    every test, so a lap that runs from there proves no equality test
+    on the lap or at q, and every later lap runs too.
+    """
+    effect, _ = naive_effect_drop(a, cycle)
+    member_ok, step_ok = _lap_checks(a, q, cycle)
+    if not member_ok(z):
+        return z, z, True
+    first = z
+    while first - effect >= drop and member_ok(first - effect) and step_ok(first - effect):
+        first -= effect
+    last = z
+    while step_ok(last) and member_ok(last + effect):
+        if last > drop + a.max_test:
+            return first, None, False
+        last += effect
+    return first, last, False
+
+
+def naive_chain_partition(a: OCA, q: str, cycle: Path, drop: int, window: int):
+    """Chain structure at q inside [drop, window], by direct simulation.
+
+    Returns a list of (members, invalid_anchor, closed) triples where
+    ``closed`` says the chain provably ends at its last listed member
+    (the next orbit step is blocked or lands on an invalid anchor).
+    Chains still open at the window edge are reported with closed=False.
+    """
+    effect, _ = naive_effect_drop(a, cycle)
+    member_ok, step_ok = _lap_checks(a, q, cycle)
     chains = []
     for r in range(effect):
         z = drop + r

@@ -1,6 +1,6 @@
 import random
 
-from ocareach import analysis
+from ocareach import analysis, automaton
 from ocareach.analysis import (
     CanonicalCycle,
     Chain,
@@ -24,6 +24,7 @@ from _oracles import (
     definitely_unbounded,
     naive_chain_partition,
     naive_climbing_cycle,
+    walked_chain,
 )
 from conftest import FIG_LOOP, random_oca
 
@@ -336,6 +337,65 @@ def test_chains_at_matches_simulation():
                 got = sorted((c.first, c.last, c.invalid_anchor) for c in listed)
                 assert got == expected, (a, q)
     assert degenerate >= 20, degenerate
+
+
+def test_chain_of_matches_the_lap_walk():
+    """The closed form against a lap-by-lap walk, at every value from
+    the drop to three periods past ``drop + max_test``, on automata with
+    disequality tests only and with equality tests too."""
+    rng = random.Random(61)
+    compared = degenerate = 0
+    for fraction in (0.0, 0.4):
+        for _ in range(1000):
+            a = random_oca(
+                rng,
+                num_states=rng.randint(1, 4),
+                max_update=4,
+                max_guard=20,
+                guard_density=0.7,
+                equality_fraction=fraction,
+            )
+            for q, cyc in climbing_cycles(a).items():
+                degenerate += not chain_enumeration_complete(a, q)
+                if cyc.drop:
+                    assert chain_of(a, Config(q, cyc.drop - 1)) is None
+                for z in range(cyc.drop, cyc.drop + a.max_test + 3 * cyc.effect + 1):
+                    chain = chain_of(a, Config(q, z))
+                    got = (chain.first, chain.last, chain.invalid_anchor)
+                    assert got == walked_chain(a, q, cyc.path, cyc.drop, z), (a, q, z)
+                    compared += 1
+    assert compared >= 40_000 and degenerate >= 300, (compared, degenerate)
+
+
+def _allows_per_chain_of(monkeypatch, k: int) -> list[int]:
+    """``Guard.allows`` calls of one ``chain_of`` each on the README loop
+    with its tests scaled by k: inside q's first chain, 0 .. 5k - 5, at
+    its top, at 5k, which q's test forbids, and twice on the unbounded
+    chain above."""
+    a = parse_oca(
+        f"states: q r s\nguard q != {5 * k}\nguard r != {30 * k}\n"
+        f"guard s != {15 * k}\ntrans q +2 r\ntrans r +1 s\ntrans s +2 q\n"
+    )
+    assert chain_of(a, Config("q", 0)) == Chain("q", 5, 0, 5 * k - 5)
+    calls = []
+    allows = automaton.Guard.allows
+
+    def counted(guard, value):
+        calls[-1] += 1
+        return allows(guard, value)
+
+    monkeypatch.setattr(automaton.Guard, "allows", counted)
+    for z in (5 * (k // 2), 5 * k - 5, 5 * k, 5 * k + 5, 100 * k):
+        calls.append(0)
+        chain_of(a, Config("q", z))
+    monkeypatch.undo()
+    return calls
+
+
+def test_chain_of_asks_a_test_count_independent_of_chain_length(monkeypatch):
+    short = _allows_per_chain_of(monkeypatch, 200)
+    assert short == _allows_per_chain_of(monkeypatch, 20_000)
+    assert max(short) <= 1, short
 
 
 def test_degenerate_chains_with_equality_test():

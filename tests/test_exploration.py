@@ -1021,6 +1021,27 @@ def test_candidate_deterministic():
     assert one == two
 
 
+def test_support_closure_counts_against_the_enumeration_cap(monkeypatch):
+    """A hub with six petal cycles of effects 1, 2, 4, ..., 32: the walks
+    try a few edges, and the support closure takes up 64 entries, the
+    hub's empty path and one per nonempty set of petals, each trying
+    the six cycle classes.  That work is charged to the walks' counter,
+    so a cap the walks pass but the closure does not raises."""
+    text = "states: h " + " ".join(f"p{i}" for i in range(6)) + "\n"
+    text += "".join(f"trans h +{2**i} p{i}\ntrans p{i} 0 h\n" for i in range(6))
+    src, trg = Config("h", 0), Config("h", 63)
+    a = parse_oca(text)
+    rel = frozenset(a.states)
+    _, steps = _simple_cycles(a, rel, _simple_paths(a, "h", "h", rel)[1])
+    closure = 2**6 * 6
+    assert steps < closure
+    monkeypatch.setattr(exploration, "_ENUM_CAP", steps + closure - 1)
+    with pytest.raises(ResourceExceeded, match="support classes"):
+        candidate_reach(a, src, trg)
+    monkeypatch.setattr(exploration, "_ENUM_CAP", steps + closure)
+    path = candidate_reach(parse_oca(text), src, trg)
+    assert apply_path(a, src, path, mode="candidate") == trg
+
 
 @pytest.mark.parametrize("c", [7, 1000])
 def test_candidate_reach_ignores_a_common_factor(c):
@@ -1090,7 +1111,7 @@ def test_simple_walks_need_no_recursion():
     chain = parse_oca(_chain_text(n))
     rel = frozenset(chain.states)
     path = tuple(range(1, n))
-    assert _simple_paths(chain, "c0", f"c{n - 1}", rel) == {(rel, n - 1): path}
+    assert _simple_paths(chain, "c0", f"c{n - 1}", rel)[0] == {(rel, n - 1): path}
     # A ring walked against state order: only c0, the least state, can
     # start a cycle, and it runs through all n states.
     ring = parse_oca(
@@ -1099,7 +1120,7 @@ def test_simple_walks_need_no_recursion():
         + "".join(f"trans c{i + 1} -1 c{i}\n" for i in range(n - 1))
     )
     cycle = (0,) + tuple(range(n - 1, 0, -1))
-    assert _simple_cycles(ring, frozenset(ring.states)) == {(rel, 1 - (n - 1)): cycle}
+    assert _simple_cycles(ring, frozenset(ring.states))[0] == {(rel, 1 - (n - 1)): cycle}
 
 
 def test_long_chain_decides_without_recursion(tmp_path, capsys):

@@ -35,7 +35,7 @@ from ocareach.invariants import (
 from ocareach.solver import decide_full
 
 from ocareach.pessimistic import pessimistic_post_star
-from ocareach.values import iterate
+from ocareach.values import iterate, of
 
 from _oracles import (
     naive_first_step,
@@ -176,9 +176,9 @@ def test_compress_requires_chain_suffixes():
     # {(pp, 3)} is the true suffix of its chain; a gap below the top is not.
     fenced = parse_oca("states: pp\nguard pp != 4\ntrans pp +1 pp\n")
     with pytest.raises(InternalError):
-        _compress_core(fenced, {Config("pp", 1), Config("pp", 3)})
+        _compress_core(fenced, {"pp": of([1, 3])})
     with pytest.raises(InternalError):
-        _compress_core(fenced, {Config("pp", 5)})  # unbounded chain
+        _compress_core(fenced, {"pp": of([5])})  # unbounded chain
 
 
 # ------------------------------------------------------------ verify_witness

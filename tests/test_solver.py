@@ -29,6 +29,7 @@ from ocareach.exploration import (
     is_locally_bounded,
     reach_oracle,
 )
+from ocareach.evidence import format_run, verify_evidence
 from ocareach.generators import FuzzSpec, gen_subset_sum, instances
 from ocareach.invariants import verify_witness
 import ocareach.analysis as analysis
@@ -270,6 +271,17 @@ def test_lifted_run_grows_linearly_in_the_tests(k):
     assert v.kind == REACHABLE
     assert apply_path(a, src, v.run) == trg
     assert len(v.run) <= 100 * k + 100
+
+
+def test_lift_source_on_an_unbounded_chain_is_not_probed():
+    # q:150001 lies on an unbounded chain, so it is locally unbounded
+    # without a probe; the probe passed its 2,000,000-configuration cap
+    k = 30_000
+    src, trg = Config("q", 5 * k + 1), Config("q", 1)
+    v = decide_full(scaled_lift_loop(k), src, trg)
+    assert v.kind == REACHABLE
+    report = verify_evidence(scaled_lift_loop(k), src, trg, format_run(src, trg, v.run))
+    assert report.verified, report
 
 
 def test_lift_loop_candidate_run_is_short():
