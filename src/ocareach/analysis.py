@@ -27,6 +27,11 @@ state's own test value.  These are gathered once per state, sorted per
 residue class, so a chain's ends are one bisect each, whatever the
 values (:func:`chain_of`).  Only a state with an equality test on its
 lap or at itself is walked lap by lap; its chains are short.
+
+Chains also drive closures: a closure given no target takes the free
+laps from a value at once, to its chain's last member, or, read on the
+reversed automaton, down to its first, counted in closed form off the
+same tables (:func:`lap_context`) with no :class:`Chain` built.
 """
 
 from __future__ import annotations
@@ -242,6 +247,31 @@ class _ChainContext:
         # value but a few: its chains are walked, not read off.
         self.degenerate = eq_on_lap or own.kind == "eq"
 
+    def laps_from(self, z: int) -> int | None:
+        """How many valid laps climb one after the other from ``z``, a
+        valid value, on a state that is not degenerate: up to the least
+        blocked value at or above ``z``, the chain's last member; None
+        when they climb forever, 0 below the drop."""
+        if z < self.drop:
+            return 0
+        blocked = self.blocked.get(z % self.period, ())
+        i = bisect_left(blocked, z)
+        return (blocked[i] - z) // self.period if i < len(blocked) else None
+
+    def laps_into(self, z: int) -> int:
+        """How many valid laps climb one after the other into ``z``, a
+        valid value, on a state that is not degenerate: from one period
+        past the greatest blocked value below ``z``, or from the least
+        value of its residue class at or above the drop, the chain's
+        first member."""
+        if z < self.drop:
+            return 0
+        g = self.period
+        blocked = self.blocked.get(z % g, ())
+        i = bisect_left(blocked, z)
+        first = blocked[i - 1] + g if i else self.drop + (z - self.drop) % g
+        return (z - first) // g
+
     def member_ok(self, z: int) -> bool:
         return z >= 0 and self.guards[self.q].allows(z)
 
@@ -256,6 +286,15 @@ class _ChainContext:
 def _chain_context(a: OCA, q: str) -> _ChainContext | None:
     cyc = climbing_cycles(a).get(q)
     return _ChainContext(a, cyc) if cyc else None
+
+
+def lap_context(a: OCA, q: str) -> _ChainContext | None:
+    """q's chain context when its chains are read in closed form: q is
+    pumpable and not degenerate.  Closures given no target read the
+    laps free from a value off it (:meth:`_ChainContext.laps_from`,
+    :meth:`_ChainContext.laps_into`) with no :class:`Chain` built."""
+    ctx = _chain_context(a, q)
+    return None if ctx is None or ctx.degenerate else ctx
 
 
 def chain_enumeration_complete(a: OCA, q: str) -> bool:
@@ -314,10 +353,8 @@ def chain_of(a: OCA, c: Config) -> Chain | None:
     if not ctx.member_ok(z):
         return Chain(c.state, g, z, z, invalid_anchor=True)
     if not ctx.degenerate:
-        blocked = ctx.blocked.get(z % g, ())
-        i = bisect_left(blocked, z)
-        first = blocked[i - 1] + g if i else ctx.drop + (z - ctx.drop) % g
-        return Chain(c.state, g, first, blocked[i] if i < len(blocked) else None)
+        up = ctx.laps_from(z)
+        return Chain(c.state, g, z - ctx.laps_into(z) * g, None if up is None else z + up * g)
     first = z
     while first - g >= ctx.drop and ctx.member_ok(first - g) and ctx.step_ok(first - g):
         first -= g

@@ -14,6 +14,7 @@ file formats reference.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property, wraps
 from typing import Callable, Iterable, Iterator, Literal, NamedTuple
@@ -356,7 +357,6 @@ def extend(
     return n
 
 
-@per_automaton
 def reverse(a: OCA) -> OCA:
     """The reversed automaton: arrows flipped, updates negated, tests kept.
 
@@ -364,15 +364,31 @@ def reverse(a: OCA) -> OCA:
     a path reversed index-wise replays there.  The components are the
     same, so the result keeps ``a``'s :func:`scc_of` table if there is
     one, and an :func:`extend`-ed ``a``'s link to its base, flipped.
+
+    Memoized in ``a.memo[reverse]``, as :func:`per_automaton` would, and
+    the result links back to ``a`` there too, but weakly: reversing it
+    again gives ``a`` itself, with its analyses, while ``a`` lives, and
+    no reference cycle keeps either alive.
     """
-    flipped = tuple(Transition(t.dst, -t.update, t.src) for t in a.transitions)
-    r = OCA(a.states, flipped, a.guards)
-    if scc_of.__wrapped__ in a.memo:
-        r.memo[scc_of.__wrapped__] = a.memo[scc_of.__wrapped__]
-    if extend in a.memo:
-        base, reversed_base = a.memo[extend]
-        r.memo[extend] = (base, not reversed_base)
+    r = reversal(a)
+    if r is None:
+        flipped = tuple(Transition(t.dst, -t.update, t.src) for t in a.transitions)
+        r = OCA(a.states, flipped, a.guards)
+        if scc_of.__wrapped__ in a.memo:
+            r.memo[scc_of.__wrapped__] = a.memo[scc_of.__wrapped__]
+        if extend in a.memo:
+            base, reversed_base = a.memo[extend]
+            r.memo[extend] = (base, not reversed_base)
+        a.memo[reverse] = r
+        r.memo[reverse] = weakref.ref(a)
     return r
+
+
+def reversal(a: OCA) -> OCA | None:
+    """``reverse(a)`` if it is built, and alive where it is ``a``'s
+    original; None otherwise.  Nothing is built."""
+    r = a.memo.get(reverse)
+    return r() if type(r) is weakref.ref else r
 
 
 @per_automaton

@@ -6,9 +6,13 @@ the values span where they are dense and a few words each where they
 are sparse.  :func:`post_star` runs a capped breadth-first closure that
 steps a few values one by one and a wider frontier a segment at a time,
 per transition with a shift, a cleared ``!=`` bit and a mask of what
-was seen.  A closure is a set: only a search given a target keeps each
-level's frontiers, and it reads the shortest run to the target back
-from them.  Closures are restricted per state too: a restriction names,
+was seen.  A closure is a set, found in any order: one given no target
+takes a chain's free laps at once from a thin frontier's value,
+climbing its state's canonical cycle and descending the reversed
+automaton's, and marks each lap position's values as one lattice.  A
+search given a target, and :func:`first_found`, go level by level and
+keep each level's frontiers, to read the shortest run back from them.
+Closures are restricted per state too: a restriction names,
 for each state, either nothing (every valid value is admitted) or a
 predicate on values.  Local boundedness (:func:`locally_bounded`) and
 the boundedness labels behind it take the same per-state form.
@@ -32,7 +36,7 @@ from collections.abc import Iterator, Set
 from dataclasses import dataclass
 from math import gcd
 
-from .analysis import chain_of, climbing_cycles, lone_loops, sure_unbounded_thresholds
+from .analysis import chain_of, climbing_cycles, lap_context, lone_loops, sure_unbounded_thresholds
 from .automaton import (
     OCA,
     Config,
@@ -44,6 +48,7 @@ from .automaton import (
     per_automaton,
     require_valid,
     reverse,
+    reversal,
     scc_of,
     state_search,
 )
@@ -61,6 +66,7 @@ from .values import (
     from_pages,
     has,
     iterate,
+    lattice,
     mark,
     mark_all,
     marked,
@@ -194,9 +200,16 @@ def _run_back(a: OCA, levels: list[tuple], c: Config) -> Path:
 
 
 # Up to this many values, stepping each costs less than stepping a segment.
-# The per-value branch takes 99% of frontier steps on the README loop and on
-# random automata, 10% on subset sums; without it the loop decides 1.8x slower.
+# The per-value branch takes 90% of frontier steps on the README loop, 99% on
+# random automata and 10% on subset sums; without it, and so without the laps
+# it takes at once, the loop decides 2.7x slower.
 _THIN = 8
+
+
+# A closure takes laps at once only once it has found more than this many
+# configurations: 98% of those given no target on subset sums and random
+# automata end sooner, and build no lap plan.
+_FEW = 64
 
 
 def _add(found: list[int], at: int, bits: int) -> None:
@@ -241,9 +254,44 @@ def post_star(a, start, node_cap, value_cap=None, restrict=None, stop_at=None) -
     new value.  Found values are marked in pages (see
     :mod:`ocareach.values`) once admitted and under the cap, so memory
     follows the values found, not how high they are.  No configuration
-    is built.  A search given ``stop_at`` keeps each level's frontiers
+    is built.
+
+    A search given no ``stop_at`` is a set, found in any order: a thin
+    value on a chain of its state's canonical cycle takes the chain's
+    free laps at once, climbing and descending (:func:`_take_laps`), and
+    the values they reach go on the next frontier as segments.  A search
+    given ``stop_at`` goes level by level, keeps each level's frontiers
     flat and reads the run back from them, see :func:`_run_back`.
     """
+    return _search(a, start, node_cap, value_cap, restrict, stop_at, None if stop_at is None else [])
+
+
+class Found(Exception):
+    """Raised by a restriction of :func:`first_found`, with the
+    configuration it was asked about, to end the search there."""
+
+
+def first_found(a: OCA, c: Config, node_cap: int, restrict) -> tuple[Config, Path] | None:
+    """The first configuration at which ``restrict``, a restriction as
+    :func:`post_star` takes it, raises :class:`Found`, in the order a
+    level-by-level search from ``c`` asks it, with a shortest run from
+    ``c`` to it; None when the closure ends first.  One search, which
+    keeps its levels and takes no laps at once, so the configuration
+    is the one the search meets first, and the run is the one a search
+    given it as ``stop_at`` reads back."""
+    levels: list[tuple] = []
+    try:
+        _search(a, [c], node_cap, None, restrict, None, levels)
+    except Found as hit:
+        (u,) = hit.args
+        return u, _run_back(a, levels, u)
+    return None
+
+
+def _search(a, start, node_cap, value_cap, restrict, stop_at, levels) -> PostStarResult:
+    """:func:`post_star`'s search.
+    ``levels`` is None for a closure, which may take laps at once, or a
+    list it appends each level's frontiers to, flat, level by level."""
     roots = dict.fromkeys(start)
     for c in roots:
         if not a.is_valid(c):
@@ -271,7 +319,8 @@ def post_star(a, start, node_cap, value_cap=None, restrict=None, stop_at=None) -
         new = of(found)
         mark_all(seen.setdefault(state, {}), new)
         frontier[state] = tuple(found) if len(found) <= _THIN else list(new)
-    levels: list[tuple] = []  # kept for a target only
+    laps: dict[str, tuple] = {}  # each state's lap plans, looked up at first need
+    few = _FEW if levels is None else node_cap  # laps are taken at once past this size
     run = None
     out, blocked, pinned = a.step_table
     while frontier:
@@ -279,10 +328,18 @@ def post_star(a, start, node_cap, value_cap=None, restrict=None, stop_at=None) -
             if marked(seen.get(stop_at[0], {}), stop_at[1]):
                 run = _run_back(a, levels, stop_at)
                 break
+        if levels is not None:
             levels.append(_flat(frontier))
         nxt: Front = {}
         for state, front in frontier.items():
             if type(front) is tuple and len(front) <= _THIN:
+                if size > few:
+                    plans = laps.get(state)
+                    if plans is None:
+                        plans = laps[state] = _lap_plans(a, state)
+                    for plan in plans:
+                        for v in front:
+                            size = _take_laps(v, plan, value_cap, node_cap, size, seen, keeps, restrict, nxt)
                 for _, dst, update in out[state]:
                     pin, avoid = pinned.get(dst), blocked[dst]
                     batch = front if pin is None else (pin - update,) if pin - update in front else ()
@@ -371,6 +428,152 @@ def post_star(a, start, node_cap, value_cap=None, restrict=None, stop_at=None) -
         frontier = nxt
     sets = {state: from_pages(pages) for state, pages in seen.items() if pages}
     return PostStarResult(sets, cap_hit, run)
+
+
+def _lap_plans(a: OCA, q: str) -> tuple:
+    """The laps a closure given no target takes at once from a value at
+    ``q``: climbing q's canonical cycle, and, once ``a``'s reversal is
+    built (a closure builds no automaton), descending the one of the
+    reversal, as :func:`_lap_plan` gives them."""
+    r = reversal(a)
+    plans = (_lap_plan(a, q, False), None if r is None else _lap_plan(r, q, True))
+    return tuple(p for p in plans if p is not None)
+
+
+@per_automaton
+def _lap_plan(a: OCA, q: str, backwards: bool) -> tuple | None:
+    """Laps of q's canonical cycle in ``a`` as ``(free, d, steps, top)``,
+    read forwards or, for the reversed automaton, backwards.
+    ``free(v)`` counts the laps free from a value v (None: they climb
+    forever), each moves the value by ``d``, ``steps`` lists each step
+    of a lap as ``(state, offset from the lap's start)``, the last back
+    at q, and ``top`` is the greatest offset.  Forwards the laps climb
+    from v, read off the chain context
+    (:func:`~ocareach.analysis.lap_context`); backwards each one undoes
+    a lap climbing into v, so they descend.  None where the chains are
+    walked, not read off, and where laps rise more than a page: a
+    lattice costs the values it spans, and values a page apart cost
+    less stepped one by one."""
+    ctx = lap_context(a, q)
+    if ctx is None or ctx.period > PAGE:
+        return None
+    steps = tuple(ctx.lap)
+    if not backwards:
+        return ctx.laps_from, ctx.period, steps, max(eff for _, eff in steps)
+    g = ctx.period
+    steps = tuple((st, eff - g) for st, eff in reversed(((q, 0),) + steps[:-1]))
+    return ctx.laps_into, -g, steps, max(off for _, off in steps)
+
+
+def _take_laps(v, plan, value_cap, node_cap, size, seen, keeps, restrict, nxt) -> int:
+    """Take the free laps of ``plan`` from ``v``, a value just found at
+    the plan's state, at once, and return the closure's new size.
+
+    The laps are cut to those wholly under ``value_cap``, to one more
+    than the node budget left, and after the first that ends on a value
+    already found, which is stepped anyway.  A restriction is asked lap
+    by lap, in lap order, of the values not yet found, as a
+    level-by-level search would reach them; the laps stop at the first
+    value it refuses, whose predecessors are kept.  Each step's values
+    ``v + offset, v + offset + d, ...`` are then marked as one lattice,
+    less what was found before, and go on the next frontier ``nxt`` as
+    one segment.  Fewer than two free laps are left to the search,
+    which steps them as fast."""
+    free, d, steps, top = plan
+    n = free(v)
+    if n is not None and n < 2:
+        return size
+    g = abs(d)
+    if d > 0:
+        most = (value_cap - v - top) // d + 1
+        n = most if n is None else min(n, most)
+    elif v + top > value_cap:
+        return size
+    n = min(n, node_cap - size + 1)
+    if n < 2:
+        return size
+    ends = seen[steps[-1][0]]
+    whole, part = n, 0  # laps taken whole, then steps of the next one
+    if restrict is not None:
+        whole, part = _ask_laps(v, n, d, steps, seen, ends, keeps, restrict)
+    if whole == n:
+        whole = _laps_to_found(v, n, d, ends)
+    laps = lattice(whole, g) if whole else 0
+    for p, (st, off) in enumerate(steps):
+        if p < part:
+            k, bits = whole + 1, laps | 1 << whole * g
+        elif whole:
+            k, bits = whole, laps
+        else:
+            continue
+        low = v + off if d > 0 else v + off - (k - 1) * g
+        pages = seen.get(st)
+        if pages is None:
+            pages = seen[st] = {}
+        bits = unmarked(pages, low, bits)
+        if not bits:
+            continue
+        size += bits.bit_count()
+        if size > node_cap:
+            raise ResourceExceeded(f"post_star exceeded {node_cap} configurations")
+        mark(pages, low, bits)
+        found = nxt.get(st)
+        if found is None:
+            nxt[st] = [low, bits]
+        else:
+            if type(found) is tuple:
+                found = nxt[st] = list(of(found))
+            _add(found, low, bits)
+    return size
+
+
+def _laps_to_found(v, n, d, ends) -> int:
+    """How many of ``n`` laps of effect ``d`` from ``v`` to take: up to
+    the first that ends on a value marked in ``ends``, that one
+    included, else all.  Read in lattices of 1, 2, 4, ... laps, so that
+    the cost follows the laps taken, not the laps free."""
+    g, k, m = abs(d), 0, 1
+    while k < n:
+        m = min(m, n - k)
+        bits = lattice(m, g)  # the ends of laps k + 1, ..., k + m
+        hit = bits & ~unmarked(ends, v + (k + 1) * d if d > 0 else v - (k + m) * g, bits)
+        if hit:
+            return k + (((hit & -hit).bit_length() - 1) // g + 1 if d > 0 else m - (hit.bit_length() - 1) // g)
+        k, m = k + m, 2 * m
+    return n
+
+
+def _ask_laps(v, n, d, steps, seen, ends, keeps, restrict) -> tuple[int, int]:
+    """Ask the restrictions along at most ``n`` laps from ``v`` of the
+    values not yet found, lap by lap and step by step: ``(k, p)`` for
+    the first refused, at step p of lap k, else ``(laps, 0)``.  The
+    first lap looks each state's restriction up, and the later ones,
+    if any step is restricted by a predicate, visit only those steps,
+    and stop after the first lap that ends on a value found before
+    (marked in ``ends``), as :func:`_take_laps` would."""
+    asked = []
+    for p, (st, off) in enumerate(steps):
+        pages = seen.get(st, {})
+        keep = keeps.get(st, keeps)
+        if keep is keeps:
+            keep = keeps[st] = restrict(st)
+        if keep is None:
+            continue
+        if not marked(pages, v + off) and not keep(v + off):
+            return 0, p
+        asked.append((p, off, pages, keep))
+    if not asked:
+        return n, 0
+    for k in range(1, n):
+        base = v + k * d
+        if marked(ends, base):
+            return k, 0
+        for p, off, pages, keep in asked:
+            x = base + off
+            page = pages.get(x >> PAGE_SHIFT)
+            if (page is None or not page[(x & PAGE_MASK) >> 3] & BIT[x & 7]) and not keep(x):
+                return k, p
+    return n, 0
 
 
 def reach_oracle(a: OCA, src: Config, trg: Config) -> Path | None:

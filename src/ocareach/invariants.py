@@ -69,7 +69,7 @@ from .exploration import (
     post_star,
 )
 from .pessimistic import pessimistic_post_star
-from .values import Values, at_least, count, inter, iterate, least, minus, of, union
+from .values import Values, at_least, count, inter, iterate, lattice, least, minus, of, union
 
 
 @dataclass(frozen=True)
@@ -195,10 +195,10 @@ def _compress_core(a: OCA, core: dict[str, Values]) -> APSet:
             if chain.last is None:
                 raise InternalError(f"core configuration {state}:{m} sits in an unbounded chain")
             g, n = chain.period, (chain.last - m) // chain.period + 1
-            lattice = (m, ((1 << g * n) - 1) // ((1 << g) - 1))  # bits 0, g, ..., (n-1)g
-            if count(inter(rest, lattice)) != n:
+            suffix = (m, lattice(n, g))
+            if count(inter(rest, suffix)) != n:
                 raise InternalError(f"core at {state}:{m} is not a suffix of its chain {chain}")
-            rest = minus(rest, lattice)
+            rest = minus(rest, suffix)
             found.append((state, chain.first, Progression(state, m, g, m, chain.last)))
     return APSet(tuple(p for _, _, p in sorted(found, key=lambda f: f[:2])))
 

@@ -39,10 +39,11 @@ from .automaton import (
 from .evidence import check_run
 from .exploration import (
     NODE_CAP,
+    Found,
     ResourceExceeded,
     candidate_reach,
+    first_found,
     is_locally_bounded,
-    post_star,
     reach_oracle,
 )
 from .invariants import (
@@ -80,11 +81,6 @@ class Verdict:
     note: str = ""
 
 
-class _OnChain(Exception):
-    """Ends a climb search at its first configuration on an unbounded
-    chain, which it carries as its one argument."""
-
-
 class _Climb(NamedTuple):
     """A climb from ``c`` back to ``c.state``: ``prefix`` to a
     configuration u on an unbounded chain, ``k`` laps of u's canonical
@@ -112,15 +108,17 @@ def _climb(a: OCA, c: Config) -> _Climb:
 
     When ``c`` lies on an unbounded chain of its state's canonical
     cycle, the climb is laps of that cycle and nothing is searched.
-    Otherwise a closure from ``c`` stops at the first configuration u on
-    an unbounded chain, the way :func:`~ocareach.exploration.is_bounded`
-    stops its probe, and a search given u as target reads the prefix.
-    Every lap from u is valid; the shortest state path back to
-    ``c.state`` runs above every test once the laps have lifted u to
-    ``drop(ret) + max_test + 1``, which sets ``least``.  The caller has
-    checked that ``c`` is locally unbounded, so a closure that ends
-    without such a u, or a search that misses it, raises InternalError;
-    one past :data:`NODE_CAP` configurations raises ResourceExceeded.
+    Otherwise one level-by-level search from ``c``
+    (:func:`~ocareach.exploration.first_found`) stops at the first
+    configuration u on an unbounded chain, the way
+    :func:`~ocareach.exploration.is_bounded` stops its probe, and
+    returns the prefix, a shortest run to u.  Every lap from u is
+    valid; the shortest state path back to ``c.state`` runs above every
+    test once the laps have lifted u to ``drop(ret) + max_test + 1``,
+    which sets ``least``.  The caller has checked that ``c`` is locally
+    unbounded, so a search that ends without such a u raises
+    InternalError; one past :data:`NODE_CAP` configurations raises
+    ResourceExceeded.
     """
     sub, back = component(a, c.state)
     cycles = climbing_cycles(sub)
@@ -135,22 +133,17 @@ def _climb(a: OCA, c: Config) -> _Climb:
 
         def keep(value: int) -> bool:
             if free(state, value):
-                raise _OnChain(Config(state, value))
+                raise Found(Config(state, value))
             return True
 
         return keep
 
     u, prefix = c, ()
     if not free(*c):
-        try:
-            post_star(sub, [c], NODE_CAP, restrict=stop)
-        except _OnChain as found:
-            (u,) = found.args
-        else:
+        hit = first_found(sub, c, NODE_CAP, stop)
+        if hit is None:
             raise InternalError(f"{c} is locally unbounded, yet reaches no unbounded chain")
-        prefix = post_star(sub, [c], NODE_CAP, stop_at=u).run
-        if prefix is None:
-            raise InternalError(f"no climb from {c} to {u}, which its closure holds")
+        u, prefix = hit
     cyc = cycles[u.state]
     ret = path_to(state_search(sub, u.state), c.state)
     effect, drop = path_effect_drop(sub, ret)

@@ -196,6 +196,18 @@ def minus(s: Values, t: Values) -> Values:
     return _combine(s, t, False) if s and t else s
 
 
+def lattice(n: int, period: int) -> int:
+    """The bits ``0, period, ..., (n - 1) * period``, ``n >= 1``: the set
+    of ``n`` values ``period`` apart, read from the least.  Built by
+    doubling, so that it costs a few shifts of its own width."""
+    bits, have = 1, 1
+    while have < n:
+        take = min(have, n - have)
+        bits |= (bits & ((1 << take * period) - 1)) << have * period
+        have += take
+    return bits
+
+
 def admitted(at: int, bits: int, keep: Callable[[int], bool]) -> int:
     """The bits of ``bits``, which is nonzero, whose values ``at + j`` the
     predicate ``keep`` admits, each asked once, in increasing order:
@@ -223,19 +235,6 @@ def marked(pages: Pages, v: int) -> bool:
     return page is not None and page[(v & PAGE_MASK) >> 3] & BIT[v & 7] != 0
 
 
-def _spans(at: int, bits: int) -> Iterator[tuple[int, int, int, int]]:
-    """The pages the values ``at + j`` of ``bits`` fall in, as ``(page,
-    i, j, shift)``: bytes ``i:j`` of the page hold them, from bit
-    ``shift`` of byte ``i``, each page taking the next bits of ``bits``."""
-    p, off = at >> PAGE_SHIFT, at & PAGE_MASK
-    top = off + bits.bit_length()
-    while True:
-        yield p, off >> 3, min((top + 7) >> 3, PAGE_BYTES), off & 7
-        if top <= PAGE:
-            return
-        p, off, top = p + 1, 0, top - PAGE
-
-
 def unmarked(pages: Pages, at: int, bits: int) -> int:
     """The bits of ``bits`` whose values ``at + j`` are not marked in
     ``pages``."""
@@ -246,14 +245,15 @@ def unmarked(pages: Pages, at: int, bits: int) -> int:
         if page is None:
             return bits
         return bits & ~(int.from_bytes(page[off >> 3 : (top + 7) >> 3], "little") >> (off & 7))
-    done = 0  # bits of ``bits`` already read, the first ones
-    old = 0
-    for p, i, j, shift in _spans(at, bits):
-        page = pages.get(p)
+    # Several pages: their bytes are read into one buffer from the first
+    # page's start, so the cost is linear in the span, however sparse.
+    first = at >> PAGE_SHIFT
+    old = bytearray((top + 7) >> 3)
+    for k in range(0, len(old), PAGE_BYTES):
+        page = pages.get(first + k // PAGE_BYTES)
         if page is not None:
-            old |= int.from_bytes(page[i:j], "little") >> shift << done
-        done += ((j - i) << 3) - shift
-    return bits & ~old
+            old[k : k + PAGE_BYTES] = page[: len(old) - k]
+    return bits & ~(int.from_bytes(old, "little") >> off)
 
 
 def mark(pages: Pages, at: int, bits: int) -> None:
@@ -267,15 +267,19 @@ def mark(pages: Pages, at: int, bits: int) -> None:
         i, j = off >> 3, (top + 7) >> 3
         page[i:j] = (int.from_bytes(page[i:j], "little") | bits << (off & 7)).to_bytes(j - i, "little")
         return
-    for p, i, j, shift in _spans(at, bits):
-        page = pages.get(p)
+    # Several pages: ``bits`` is written out once from the first page's
+    # start and cut into pages, so the cost is linear in the span.
+    first = at >> PAGE_SHIFT
+    new = (bits << off).to_bytes((top + 7) >> 3, "little")
+    for k in range(0, len(new), PAGE_BYTES):
+        part = new[k : k + PAGE_BYTES]
+        n = len(part)
+        page = pages.get(first + k // PAGE_BYTES)
         if page is None:
-            page = pages[p] = bytearray(PAGE_BYTES)
-        n = ((j - i) << 3) - shift
-        part = bits & (1 << n) - 1
-        if part:
-            page[i:j] = (int.from_bytes(page[i:j], "little") | part << shift).to_bytes(j - i, "little")
-        bits >>= n
+            page = pages[first + k // PAGE_BYTES] = bytearray(PAGE_BYTES)
+            page[:n] = part
+        else:
+            page[:n] = (int.from_bytes(page[:n], "little") | int.from_bytes(part, "little")).to_bytes(n, "little")
 
 
 def mark_all(pages: Pages, s: Values) -> None:

@@ -227,7 +227,7 @@ def test_scc_order_golden():
     )
     # Predecessors are read off the transitions: no reversed automaton.
     scc_of(a)
-    assert reverse.__wrapped__ not in a.memo
+    assert reverse not in a.memo
 
 
 def test_reverse_keeps_the_scc_table(loop3):

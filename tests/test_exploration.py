@@ -1,5 +1,7 @@
 import gc
+import inspect
 import random
+import sys
 import tracemalloc
 import weakref
 from collections import Counter
@@ -7,7 +9,7 @@ from itertools import combinations
 
 import pytest
 
-from ocareach import analysis, automaton, cli, exploration
+from ocareach import analysis, automaton, cli, exploration, invariants
 from ocareach.automaton import (
     OCA,
     Config,
@@ -136,6 +138,45 @@ def test_a_thin_search_without_a_target_keeps_no_levels():
         tracemalloc.stop()
     assert len(res.configs) == 40_001 and res.cap_hit
     assert peak < 500_000, peak
+
+
+def _levels_taken(call) -> int:
+    """How many frontier levels the closures that ``call`` runs take, all
+    together: the times a search starts its next level."""
+    code = exploration._search.__code__
+    lines, first = inspect.getsourcelines(exploration._search)
+    line = first + next(i for i, text in enumerate(lines) if "nxt: Front = {}" in text)
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        count += event == "line" and frame.f_lineno == line
+        return local
+
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    try:
+        call()
+    finally:
+        sys.settrace(None)
+    return count
+
+
+def test_core_closures_take_as_many_levels_whatever_the_chain_length():
+    """The perfect-core closure from q:0 in the README loop with tests
+    scaled by k, and the boundedness probe its restriction runs, take
+    the orbit's laps at once: as many levels at k = 20,000 as at
+    k = 200, where a level per configuration would take 60,000."""
+    taken = {}
+    for k in (200, 20_000):
+        a = parse_oca(
+            f"states: q r s\nguard q != {5 * k}\nguard r != {30 * k}\n"
+            f"guard s != {15 * k}\ntrans q +2 r\ntrans r +1 s\ntrans s +2 q\n"
+        )
+        core = []
+        taken[k] = _levels_taken(lambda: core.append(invariants._core(a, Config("q", 0))))
+        ends = [(p.state, p.low, p.high) for p in core[0].progressions]
+        assert ends == [("q", 0, 5 * k - 5), ("r", 2, 5 * k - 3), ("s", 3, 5 * k - 2)]
+    assert taken[20_000] <= taken[200] + 3 and taken[200] < 3 * 200, taken
 
 
 def _value_filter(top, shift):
@@ -347,6 +388,105 @@ def test_post_star_matches_a_sorted_bfs_on_sparse_sets():
         seen["cap_hit"] += hit
         seen["stopped"] += stop_at in parents
     assert min(seen.values()) >= 15, seen
+
+
+def _long_chain_oca(rng, num_states):
+    """A ring through every state plus self-loops and a few more
+    transitions, updates of at most 3 either way, and tests into the
+    thousands, now and then an ``==``: cycles climb and descend, and
+    their chains run hundreds of laps both ways."""
+    states = tuple(f"q{i}" for i in range(num_states))
+    guards = {}
+    for q in states:
+        roll = rng.random()
+        if roll < 0.1:
+            guards[q] = Guard("eq", rng.randint(0, 3000))
+        elif roll < 0.8:
+            guards[q] = Guard("ne", rng.randint(0, 3000))
+    step = lambda: rng.choice((-1, 1)) * rng.randint(1, 3)
+    transitions = [Transition(q, step(), states[(i + 1) % num_states]) for i, q in enumerate(states)]
+    transitions += [Transition(q, step(), q) for q in states if rng.random() < 0.6]
+    transitions += [Transition(rng.choice(states), step(), rng.choice(states)) for _ in range(rng.randint(0, 2))]
+    return OCA(states, tuple(transitions), guards)
+
+
+class _Boom(Exception):
+    pass
+
+
+def test_closures_taking_laps_at_once_match_a_sorted_bfs(monkeypatch):
+    """A closure given no target takes a chain's free laps at once,
+    climbing and descending; it finds what a level-sorted search finds,
+    with the same ``cap_hit``, raises where that search's restriction
+    raises (as :func:`is_bounded`'s probe does), and raises
+    ResourceExceeded exactly past the node cap.  Automata with long
+    chains both ways and their reversals, under value predicates that
+    refuse now and then, states answered wholesale, and binding value
+    caps."""
+    took = []
+    take = exploration._take_laps
+
+    def counted(v, plan, value_cap, node_cap, size, *rest):
+        grown = take(v, plan, value_cap, node_cap, size, *rest)
+        if grown > size:
+            took.append(plan[1] > 0)
+        return grown
+
+    monkeypatch.setattr(exploration, "_take_laps", counted)
+    rng = random.Random(2028)
+    keys = ("closures", "up", "down", "restrict", "mixed", "raised", "cap_hit", "cap_free")
+    seen = dict.fromkeys(keys, 0)
+    while seen["closures"] < 160:
+        base = _long_chain_oca(rng, rng.randint(1, 3))
+        for a in (base, reverse(base)):
+            pool = [Config(q, rng.randint(0, 3000)) for q in a.states for _ in range(3)]
+            pool = [c for c in pool if a.is_valid(c)]
+            if not pool:
+                continue
+            start = rng.sample(pool, rng.randint(1, min(3, len(pool))))
+            value_cap = rng.randint(max(c.value for c in start), 3600)
+            restrict, roll = None, rng.random()
+            if roll < 0.5:
+                keeps = {}
+                for i, q in enumerate(a.states):
+                    top, salt, gap = value_cap - rng.randint(-200, 800), rng.randint(0, 500), rng.randint(40, 400)
+                    keeps[q] = (lambda top, salt, gap: lambda v: v <= top and (v + salt) % gap != 0)(top, salt, gap)
+                for q in rng.sample(a.states, rng.randint(0, len(a.states))):
+                    keeps[q] = None
+                restrict = keeps.__getitem__
+                seen["mixed"] += None in keeps.values() and any(keeps.values())
+            elif roll < 0.7:
+                top, at = rng.randint(0, 3600), rng.choice(a.states)
+
+                def boom(v, top=top):
+                    if v >= top:
+                        raise _Boom
+                    return True
+
+                restrict = {q: boom if q == at else None for q in a.states}.__getitem__
+            try:
+                parents, hit = sorted_bfs(a, start, value_cap, restrict)
+            except _Boom:
+                with pytest.raises(_Boom):
+                    post_star(a, start, 100_000, value_cap, restrict=restrict)
+                seen["raised"] += 1
+                continue
+            del took[:]
+            res = post_star(a, start, 100_000, value_cap, restrict=restrict)
+            assert set(res.configs) == set(parents) and len(res.configs) == len(parents), format_oca(a)
+            assert res.cap_hit == hit, format_oca(a)
+            n = len(parents)
+            assert len(post_star(a, start, n, value_cap, restrict=restrict).configs) == n
+            if any(parents.values()):  # the roots are never refused for the cap
+                with pytest.raises(ResourceExceeded):
+                    post_star(a, start, n - 1, value_cap, restrict=restrict)
+            seen["closures"] += 1
+            seen["up"] += True in took
+            seen["down"] += False in took
+            seen["restrict"] += restrict is not None
+            seen["cap_hit"] += hit
+            seen["cap_free"] += not hit and n > 200
+    assert min(seen.values()) >= 20, seen
 
 
 def test_sparse_values_cost_what_they_hold():
@@ -819,7 +959,7 @@ def test_gadget_shares_its_base_components(monkeypatch):
     rn = reverse(n)
     singles = {s2.state: frozenset({s2.state}), t2.state: frozenset({t2.state})}
     assert scc_of(n) == scc_of(rn) == {**scc_of(a), **singles}
-    assert reverse.__wrapped__ in a.memo  # its components own the reversed gadget's cycles
+    assert reverse in a.memo  # its components own the reversed gadget's cycles
     for q in a.states:
         for gadget, base in ((n, a), (rn, reverse(a))):
             sub, back = component(gadget, q)
@@ -1160,3 +1300,25 @@ def test_automata_die_without_the_cycle_collector(monkeypatch):
     finally:
         gc.enable()
     assert created and not alive, f"{len(alive)} of {len(created)} automata still alive"
+
+
+def test_reversing_twice_gives_the_automaton_back_weakly():
+    """``reverse(reverse(a))`` is ``a`` itself, analyses and all, while
+    ``a`` lives, yet the reversal reaches ``a`` only weakly: ``a`` dies
+    with its last reference, the collector off, and reversing the
+    reversal then builds a fresh automaton, which links back in turn."""
+    gc.disable()
+    try:
+        a = parse_oca(FIG_LOOP)
+        cycles = climbing_cycles(a)
+        r = reverse(a)
+        assert reverse(r) is a and reverse(reverse(r)) is r
+        assert climbing_cycles(reverse(r)) is cycles
+        held = weakref.ref(a)
+        del a
+        assert held() is None
+        b = reverse(r)
+        assert b.transitions == parse_oca(FIG_LOOP).transitions and b.guards == r.guards
+        assert reverse(b) is r and reverse(r) is b
+    finally:
+        gc.enable()

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import random
 from collections import Counter
@@ -327,7 +326,7 @@ def test_climbs_from_free_ends_search_nothing(monkeypatch):
     def no_search(*args, **kwargs):
         raise AssertionError("a free end needs no search")
 
-    monkeypatch.setattr(solver, "post_star", no_search)
+    monkeypatch.setattr(solver, "first_found", no_search)
     a, src, trg = scaled_lift_loop(1), Config("q", 6), Config("q", 1)
     up, down = solver._climb(a, src), solver._climb(reverse(a), trg)
     assert up == solver._Climb((), (0, 1, 2), (), 5, 0, 0)
@@ -689,30 +688,29 @@ EVEN_STEPS = "states: q r\ntrans q +2 q\ntrans q +0 r\ntrans r -2 r\n"
 
 def test_climb_that_finds_no_chain_is_an_internal_error(monkeypatch, tmp_path):
     """The lift leg climbs only from a locally unbounded configuration,
-    so a closure that ends without reaching an unbounded chain, or a
-    search that misses the configuration the closure stopped at, is a
-    bug: InternalError and exit 3, never the input error ValueError.
-    The reversed target q:1 is not free, so its climb searches."""
+    so a search that ends without reaching an unbounded chain is a bug:
+    InternalError and exit 3, never the input error ValueError.  The
+    reversed target q:1 is not free, so its climb searches; here that
+    search refuses every value two above its start."""
     a, src, trg = scaled_lift_loop(2), Config("q", 11), Config("q", 1)
     (tmp_path / "lift.oca").write_text(format_oca(a))
     argv = ["decide", str(tmp_path / "lift.oca"), "--src", "q:11", "--trg", "q:1"]
     assert main(argv) == 0
-    post_star = solver.post_star
+    first_found = solver.first_found
 
-    def unrestricted(a, start, node_cap, value_cap=None, restrict=None, stop_at=None):
-        return post_star(a, start, node_cap, start[0].value + 2, None, stop_at)
+    def capped(a, c, node_cap, restrict):
+        def low(state):
+            keep = restrict(state)
+            return lambda v: v <= c.value + 2 and (keep is None or keep(v))
 
-    def no_climb(a, start, node_cap, value_cap=None, restrict=None, stop_at=None):
-        res = post_star(a, start, node_cap, value_cap, restrict, stop_at)
-        return res if stop_at is None else dataclasses.replace(res, run=None)
+        return first_found(a, c, node_cap, low)
 
-    for fake, says in ((unrestricted, "reaches no unbounded chain"), (no_climb, "no climb")):
-        monkeypatch.setattr(solver, "post_star", fake)
-        with pytest.raises(InternalError, match=says):
-            solver._climb(reverse(a), trg)
-        with pytest.raises(InternalError, match=says):
-            decide_full(a, src, trg)
-        assert main(argv) == 3
+    monkeypatch.setattr(solver, "first_found", capped)
+    with pytest.raises(InternalError, match="reaches no unbounded chain"):
+        solver._climb(reverse(a), trg)
+    with pytest.raises(InternalError, match="reaches no unbounded chain"):
+        decide_full(a, src, trg)
+    assert main(argv) == 3
 
 
 def test_lift_leg_refuses_without_a_witness(monkeypatch):
