@@ -31,7 +31,10 @@ lap or at itself is walked lap by lap; its chains are short.
 Chains also drive closures: a closure given no target takes the free
 laps from a value at once, to its chain's last member, or, read on the
 reversed automaton, down to its first, counted in closed form off the
-same tables (:func:`lap_context`) with no :class:`Chain` built.
+same tables (:func:`lap_context`) with no :class:`Chain` built.  They
+also stop searches: a boundedness probe and a lifted climb both end at
+the first value on an unbounded chain, read off the same tables
+(:func:`climbs_forever`).
 """
 
 from __future__ import annotations
@@ -75,11 +78,6 @@ class Chain:
     first: int
     last: int | None
     invalid_anchor: bool = False
-
-    def contains_value(self, z: int) -> bool:
-        if z < self.first or (z - self.first) % self.period:
-            return False
-        return self.last is None or z <= self.last
 
     def member_count(self) -> int | None:
         if self.last is None:
@@ -382,26 +380,24 @@ def spans_one_chain(a: OCA, q: str, period: int, low: int, high: int) -> bool:
 
 
 @per_automaton
-def sure_unbounded_thresholds(a: OCA) -> dict[str, int]:
-    """Per state: a value above which configurations certainly pump forever.
-
-    Only cycles avoiding equality-test states count (an equality test
-    would invalidate every high pass-through), which keeps the bound
-    sound: at or above the threshold, the canonical cycle of the
-    test-free restriction clears every remaining disequality, so its
-    orbit never stops.  Without equality tests that restriction is
-    ``a`` itself, and its cycle analysis is ``a``'s own.
-    """
+def climbs_forever(a: OCA, q: str):
+    """None when no chain at q climbs forever, else a predicate on q's
+    valid values: is the value on an unbounded chain of ``a``'s
+    equality-free part, the restriction to the states without an
+    ``==`` test, which is never degenerate.  A value climbs forever when
+    it is at or above the drop and above every blocked value of its
+    residue class.  Every lap from it is valid in ``a`` too, so it
+    reaches infinitely many configurations.  Without ``==`` tests the
+    part is ``a`` itself, and at a valid value the predicate is
+    ``chain_of(a, Config(q, v)).last is None``."""
     sub = a
     if a.has_equality_tests():
-        sub, _ = restrict(a, frozenset(q for q in a.states if a.guards[q].kind != "eq"))
-    out: dict[str, int] = {}
-    for q in climbing_cycles(sub):
-        ctx = _chain_context(sub, q)
-        if ctx is None or ctx.degenerate:
-            raise InternalError(f"equality-free cycle at {q} has no generic orbit")
-        out[q] = max((b[-1] + 1 for b in ctx.blocked.values()), default=ctx.drop)
-    return out
+        sub, _ = restrict(a, frozenset(s for s in a.states if a.guards[s].kind != "eq"))
+    ctx = _chain_context(sub, q)
+    if ctx is None:
+        return None
+    drop, g, blocked = ctx.drop, ctx.period, ctx.blocked
+    return lambda v: v >= drop and v > blocked.get(v % g, (-1,))[-1]
 
 
 def structure_report(a: OCA) -> str:

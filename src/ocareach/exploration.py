@@ -36,7 +36,7 @@ from collections.abc import Iterator, Set
 from dataclasses import dataclass
 from math import gcd
 
-from .analysis import chain_of, climbing_cycles, lap_context, lone_loops, sure_unbounded_thresholds
+from .analysis import climbing_cycles, climbs_forever, lap_context, lone_loops
 from .automaton import (
     OCA,
     Config,
@@ -268,7 +268,8 @@ def post_star(a, start, node_cap, value_cap=None, restrict=None, stop_at=None) -
 
 class Found(Exception):
     """Raised by a restriction of :func:`first_found`, with the
-    configuration it was asked about, to end the search there."""
+    configuration it was asked about, to end the search there; and by
+    :func:`is_bounded`'s probe at its first unbounded configuration."""
 
 
 def first_found(a: OCA, c: Config, node_cap: int, restrict) -> tuple[Config, Path] | None:
@@ -624,26 +625,21 @@ def _labels(a: OCA) -> dict[str, dict[int, bool]]:
     return {}
 
 
-class _Unbounded(Exception):
-    """Ends a boundedness probe at its first unbounded configuration."""
-
-
 def is_bounded(a: OCA, c: Config) -> bool:
     """Is the set of configurations reachable from ``c`` finite?
 
-    A ``c`` on an unbounded chain (:func:`ocareach.analysis.chain_of`) is
-    labeled unbounded at once, with no probe: every lap from it is
+    A ``c`` on an unbounded chain (:func:`ocareach.analysis.climbs_forever`)
+    is labeled unbounded at once, with no probe: every lap from it is
     valid, so it climbs forever.  Any other ``c`` costs one
     :func:`post_star` probe whose value cap cannot bind.  A closure
     that completes proves bounded.  An infinite one reaches a
-    configuration at or above its state's
-    :func:`ocareach.analysis.sure_unbounded_thresholds` threshold,
-    proving unbounded: above every test plus ``|Q|*max_update`` a
-    climbing cycle of the equality-free restriction runs freely, and a
-    run that climbs that high without coming back down repeats a state
-    on such a cycle.  The probe stops at the first such configuration.
-    Only the node cap of 2,000,000 stops it early, raising
-    :class:`ResourceExceeded`.
+    configuration on an unbounded chain, proving unbounded: above
+    every test plus ``|Q|*max_update`` a climbing cycle of the
+    equality-free restriction runs freely, and a run that climbs that
+    high without coming back down repeats a state on such a cycle.  The
+    probe stops at the first such configuration, raising
+    :class:`Found`.  Only the node cap of 2,000,000 stops it early,
+    raising :class:`ResourceExceeded`.
 
     Verdicts go into the automaton's memo as labels: per state, one
     set of values labeled bounded and one of values labeled
@@ -653,11 +649,11 @@ def is_bounded(a: OCA, c: Config) -> bool:
     neither expanded nor counted against the node cap, as it adds
     finitely many configurations; reaching one labeled unbounded makes
     the probe's root unbounded.  The probe's restriction is read per
-    state from that state's labels and its
-    :func:`ocareach.analysis.sure_unbounded_thresholds` threshold; a
-    state with neither admits every value unasked.  Labels are exact, so
-    the order of queries changes only the work.  Without equality tests,
-    strongly connected and climbing, a probe above every test plus
+    state from that state's labels and
+    :func:`ocareach.analysis.climbs_forever`; a state with neither
+    admits every value unasked.  Labels are exact, so the order of
+    queries changes only the work.  Without equality tests, strongly
+    connected and climbing, a probe above every test plus
     ``(2|Q|+2)*(max_update+1)`` stops within |Q| levels.
     """
     labels = _labels(a)
@@ -665,21 +661,21 @@ def is_bounded(a: OCA, c: Config) -> bool:
     known = labels.get(state, {}).get(value)
     if known is not None:
         return known
-    chain = chain_of(a, c)
-    if chain is not None and chain.last is None:
+    require_valid(a, c)
+    climbs = climbs_forever(a, state)
+    if climbs is not None and climbs(value):
         labels.setdefault(state, {})[value] = False
         return False
-    thresholds = sure_unbounded_thresholds(a)
 
     def admit(state: str):
-        table, top = labels.get(state), thresholds.get(state)
-        if not table and top is None:
+        table, climbs = labels.get(state), climbs_forever(a, state)
+        if not table and climbs is None:
             return None
-        return _admit(table or {}, top)
+        return _admit(table or {}, climbs)
 
     try:
         res = post_star(a, [c], 2_000_000, restrict=admit)
-    except _Unbounded:
+    except Found:
         labels.setdefault(state, {})[value] = False
         return False
     for state, found in res.sets.items():
@@ -687,15 +683,16 @@ def is_bounded(a: OCA, c: Config) -> bool:
     return True
 
 
-def _admit(labels: dict[int, bool], top: int | None):
+def _admit(labels: dict[int, bool], climbs):
     """:func:`is_bounded`'s probe restriction at one state: values
     labeled bounded are not expanded, and one labeled unbounded, or
-    unlabeled at or above the threshold ``top``, ends the probe."""
+    unlabeled and on an unbounded chain by ``climbs``, ends the probe
+    with :class:`Found`."""
 
     def keep(v: int) -> bool:
         label = labels.get(v)
-        if label is False or (label is None and top is not None and v >= top):
-            raise _Unbounded
+        if label is False or (label is None and climbs is not None and climbs(v)):
+            raise Found
         return label is None
 
     return keep

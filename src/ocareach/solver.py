@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .analysis import chain_of, climbing_cycles
+from .analysis import climbing_cycles, climbs_forever
 from .automaton import (
     OCA,
     Config,
@@ -110,8 +110,9 @@ def _climb(a: OCA, c: Config) -> _Climb:
     cycle, the climb is laps of that cycle and nothing is searched.
     Otherwise one level-by-level search from ``c``
     (:func:`~ocareach.exploration.first_found`) stops at the first
-    configuration u on an unbounded chain, the way
-    :func:`~ocareach.exploration.is_bounded` stops its probe, and
+    configuration u on an unbounded chain
+    (:func:`~ocareach.analysis.climbs_forever`, where
+    :func:`~ocareach.exploration.is_bounded`'s probe stops too), and
     returns the prefix, a shortest run to u.  Every lap from u is
     valid; the shortest state path back to ``c.state`` runs above every
     test once the laps have lifted u to ``drop(ret) + max_test + 1``,
@@ -121,30 +122,27 @@ def _climb(a: OCA, c: Config) -> _Climb:
     ResourceExceeded.
     """
     sub, back = component(a, c.state)
-    cycles = climbing_cycles(sub)
-
-    def free(state: str, value: int) -> bool:
-        chain = chain_of(sub, Config(state, value))
-        return chain is not None and chain.last is None
 
     def stop(state: str):
-        if state not in cycles:
+        climbs = climbs_forever(sub, state)
+        if climbs is None:
             return None
 
         def keep(value: int) -> bool:
-            if free(state, value):
+            if climbs(value):
                 raise Found(Config(state, value))
             return True
 
         return keep
 
     u, prefix = c, ()
-    if not free(*c):
+    climbs = climbs_forever(sub, c.state)
+    if climbs is None or not climbs(c.value):
         hit = first_found(sub, c, NODE_CAP, stop)
         if hit is None:
             raise InternalError(f"{c} is locally unbounded, yet reaches no unbounded chain")
         u, prefix = hit
-    cyc = cycles[u.state]
+    cyc = climbing_cycles(sub)[u.state]
     ret = path_to(state_search(sub, u.state), c.state)
     effect, drop = path_effect_drop(sub, ret)
     least = 0 if not ret else max(0, -(-(drop + a.max_test + 1 - u.value) // cyc.effect))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from ocareach.analysis import CanonicalCycle, pumpable_drops, sure_unbounded_thresholds
+from ocareach.analysis import CanonicalCycle, pumpable_drops
 from ocareach.automaton import (
     OCA,
     Config,
@@ -456,11 +456,6 @@ def naive_first_step(a: OCA, configs, hit) -> tuple[Config, int, Config] | None:
 
 # Helpers only tests call.  Unlike the baselines above they build on the
 # package's own analyses and replay.
-
-
-def definitely_unbounded(a: OCA, c: Config) -> bool:
-    threshold = sure_unbounded_thresholds(a).get(c.state)
-    return threshold is not None and c.value >= threshold and a.is_valid(c)
 
 
 def rotate_to_zero_drop(a: OCA, cycle: Path) -> Path:

@@ -8,10 +8,10 @@ from ocareach.analysis import (
     chain_of,
     chains_at,
     climbing_cycles,
+    climbs_forever,
     in_pumpable_region,
     pumpable_drops,
     structure_report,
-    sure_unbounded_thresholds,
 )
 from ocareach.automaton import OCA, Config, Transition, parse_oca, restrict
 from ocareach.exploration import ResourceExceeded
@@ -21,9 +21,9 @@ from ocareach.solver import decide_full
 
 from _oracles import (
     bisected_climbing_cycles,
-    definitely_unbounded,
     naive_chain_partition,
     naive_climbing_cycle,
+    naive_post_star,
     walked_chain,
 )
 from conftest import FIG_LOOP, random_oca
@@ -259,9 +259,7 @@ def test_loop3_chain_membership(loop3):
 def test_chain_member_helpers():
     c = Chain("q", 5, 2, 12)
     assert c.member_count() == 3
-    assert [z for z in range(15) if c.contains_value(z)] == [2, 7, 12]
-    assert Chain("q", 5, 10, None).contains_value(10_000_000)
-    assert not Chain("q", 5, 10, None).contains_value(10_000_001)
+    assert Chain("q", 5, 10, None).member_count() is None
 
 
 def test_chains_cover_window_against_simulation():
@@ -408,17 +406,22 @@ def test_degenerate_chains_with_equality_test():
     assert chain_of(a, Config("a", 3)) == Chain("a", 2, 3, 3)
 
 
-# ------------------------------------------------------- unbounded shortcut
+# ------------------------------------------------------- unbounded chains
 
 
-def test_sure_unbounded_thresholds_loop3(loop3):
-    assert sure_unbounded_thresholds(loop3) == {"q": 29, "r": 31, "s": 27}
-    assert definitely_unbounded(loop3, Config("q", 29))
-    assert not definitely_unbounded(loop3, Config("q", 28))
-    assert not definitely_unbounded(loop3, Config("q", 13))
+def test_climbs_forever_loop3(loop3):
+    """q's residue classes 1 and 4 mod 5 hold no blocked value, so they
+    climb forever from their first value; the others from one period
+    past their greatest blocked value, 5, 12 and 28.  Every value from
+    29 on climbs, as the greatest blocked value of all says."""
+    climbs = climbs_forever(loop3, "q")
+    firsts = {1: 1, 4: 4, 0: 10, 2: 17, 3: 33}  # per class, as chains_at lists them
+    assert [v for v in range(35) if climbs(v)] == [v for v in range(35) if v >= firsts[v % 5]]
+    assert all(climbs(v) for v in range(29, 300))
+    assert not climbs(28) and not climbs(13)
 
 
-def test_sure_unbounded_thresholds_reuse_an_equality_free_automaton(monkeypatch):
+def test_climbs_forever_reuses_an_equality_free_automaton(monkeypatch):
     """Without equality tests the restriction to the other states is the
     automaton itself: no copy is built, and its cycles are analyzed once."""
     a = parse_oca(FIG_LOOP)
@@ -430,19 +433,56 @@ def test_sure_unbounded_thresholds_reuse_an_equality_free_automaton(monkeypatch)
         return real(b)
 
     monkeypatch.setattr(analysis, "climbing_cycles", recorded)
-    assert sure_unbounded_thresholds(a) == {"q": 29, "r": 31, "s": 27}
+    assert all(climbs_forever(a, q) is not None for q in a.states)
     assert restrict.__wrapped__ not in a.memo
     assert seen and all(b is a for b in seen)
     assert real.__wrapped__ in a.memo
 
 
-def test_sure_unbounded_skips_equality_cycles():
+def test_climbs_forever_skips_equality_cycles():
     a = parse_oca("states: a b\nguard b == 3\ntrans a +1 b\ntrans b +1 a\n")
-    # The only cycle passes the equality test; no sure threshold exists.
-    assert sure_unbounded_thresholds(a) == {}
+    # The only cycle passes the equality test: nothing climbs for sure.
+    assert climbs_forever(a, "a") is None and climbs_forever(a, "b") is None
     b = parse_oca("states: a b\nguard b == 3\ntrans a +1 b\ntrans b +1 a\ntrans a +2 a\n")
     # The self-loop avoids b entirely.
-    assert "a" in sure_unbounded_thresholds(b)
+    assert climbs_forever(b, "a") is not None and climbs_forever(b, "b") is None
+
+
+def test_climbs_forever_matches_the_chain_tables():
+    """Without equality tests the predicate is ``chain_of``'s unbounded
+    chains at every valid value up to ``max_test + 3 * max_update``.
+    With them, every value it says climbs forever keeps growing in a
+    naive closure past 60 above it."""
+    rng = random.Random(67)
+    compared = confirmed = 0
+    for fraction in (0.0, 0.4):
+        for _ in range(400):
+            a = random_oca(
+                rng,
+                num_states=rng.randint(1, 4),
+                max_update=4,
+                max_guard=20,
+                guard_density=0.7,
+                equality_fraction=fraction,
+            )
+            for q in a.states:
+                climbs = climbs_forever(a, q)
+                if not fraction:
+                    assert (climbs is None) == (q not in climbing_cycles(a)), (a, q)
+                if climbs is None:
+                    continue
+                for v in range(a.max_test + 3 * a.max_update + 1):
+                    c = Config(q, v)
+                    if not a.is_valid(c):
+                        continue
+                    if not fraction:
+                        chain = chain_of(a, c)
+                        assert climbs(v) == (chain is not None and chain.last is None), (a, c)
+                        compared += 1
+                    elif climbs(v):
+                        assert naive_post_star(a, c, value_bound=v + 60)[1], (a, c)
+                        confirmed += a.has_equality_tests()
+    assert compared >= 8_000 and confirmed >= 1_000, (compared, confirmed)
 
 
 # ------------------------------------------------------- report

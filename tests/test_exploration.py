@@ -605,13 +605,13 @@ def test_post_star_lets_restrict_exceptions_through():
     def admit(state):
         def keep(v):
             if v == 3:
-                raise exploration._Unbounded
+                raise exploration.Found
             return True
 
         return keep
 
     for start in (Config("q", 0), Config("q", 3)):
-        with pytest.raises(exploration._Unbounded):
+        with pytest.raises(exploration.Found):
             post_star(a, [start], 100, restrict=admit)
     # is_bounded ends its probe through the same exception.
     assert not is_bounded(a, Config("q", 0))
@@ -775,8 +775,52 @@ def test_is_bounded_goldens(loop3):
 
 
 def test_is_bounded_rejects_invalid(loop3):
-    with pytest.raises(ValueError):
-        is_bounded(loop3, Config("q", 5))
+    """An invalid value and an undeclared state raise ValueError, with
+    and without equality tests, before any per-state table is read."""
+    pinned = FIG_LOOP.replace("states: q r s", "states: q r s t") + "guard t == 3\ntrans q +0 t\n"
+    pinned = parse_oca(pinned)
+    assert not is_bounded(pinned, Config("q", 1))  # on a chain that avoids t
+    for a, bad in ((loop3, Config("q", 5)), (pinned, Config("t", 4))):
+        for c in (bad, Config("q", -1), Config("nowhere", 0)):
+            with pytest.raises(ValueError):
+                is_bounded(a, c)
+
+
+def _asked_by_probe(monkeypatch, k: int) -> int:
+    """Values the restriction of ``is_bounded(a, p:0)`` is asked, on the
+    README loop with its tests scaled by k and a state p entering it
+    with +1: q:1 lies in a residue class with no blocked value, on an
+    unbounded chain however large k is."""
+    a = parse_oca(
+        f"states: p q r s\nguard q != {5 * k}\nguard r != {30 * k}\n"
+        f"guard s != {15 * k}\ntrans q +2 r\ntrans r +1 s\ntrans s +2 q\ntrans p +1 q\n"
+    )
+    asked = [0]
+    real = exploration.post_star
+
+    def counted(b, start, node_cap, value_cap=None, restrict=None, stop_at=None):
+        def admit(state):
+            keep = restrict(state)
+            if keep is None:
+                return None
+
+            def counted_keep(v):
+                asked[0] += 1
+                return keep(v)
+
+            return counted_keep
+
+        return real(b, start, node_cap, value_cap, admit, stop_at)
+
+    monkeypatch.setattr(exploration, "post_star", counted)
+    assert not is_bounded(a, Config("p", 0))
+    monkeypatch.undo()
+    return asked[0]
+
+
+def test_is_bounded_probe_stops_at_the_first_unbounded_chain(monkeypatch):
+    assert _asked_by_probe(monkeypatch, 1) <= 2
+    assert _asked_by_probe(monkeypatch, 100) <= 2
 
 
 def test_is_bounded_against_naive_closure():
