@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, wraps
 from typing import Callable, Iterable, Iterator, Literal, NamedTuple
 
-from .values import Values, discard, has, one, shift
+from .values import Values, discard, has, of, shift
 
 GuardKind = Literal["true", "eq", "ne"]
 
@@ -182,7 +182,7 @@ def batch_steps(a: OCA, state: str, values: Values) -> Iterator[tuple[int, str, 
     for i, dst, update in out[state]:
         pin = pinned.get(dst)
         if pin is not None:
-            targets = one(pin) if has(values, pin - update) else ()
+            targets = of((pin,)) if has(values, pin - update) else ()
         else:
             targets = discard(shift(values, update), blocked[dst])
         yield i, dst, update, targets

@@ -64,8 +64,10 @@ from .values import (
     admitted,
     count,
     from_pages,
+    greatest,
     has,
     iterate,
+    joined,
     lattice,
     mark,
     mark_all,
@@ -125,6 +127,16 @@ class Configs(Set):
 
     def __repr__(self) -> str:
         return f"Configs({set(self)!r})"
+
+
+def value_sets(configs) -> dict[str, Values]:
+    """``configs`` as the values at each state: a :class:`Configs` view's ``sets``, or grouped once."""
+    if isinstance(configs, Configs):
+        return configs.sets
+    grouped: dict[str, list[int]] = {}
+    for state, value in configs:
+        grouped.setdefault(state, []).append(value)
+    return {state: of(values) for state, values in grouped.items()}
 
 
 @dataclass
@@ -229,8 +241,11 @@ def _add(found: list[int], at: int, bits: int) -> None:
 def post_star(a, start, node_cap, value_cap=None, restrict=None, stop_at=None) -> PostStarResult:
     """Forward closure of ``start`` under valid steps, capped.
 
-    ``restrict`` filters which configurations may be traversed at all,
-    start configurations included.  It is asked per state:
+    ``start``, configurations or a :class:`Configs` view, is read as the
+    values at each state (:func:`value_sets`) and checked, restricted and
+    capped a segment at a time; an invalid one raises ValueError naming
+    it.  ``restrict`` filters which configurations may be traversed at
+    all, start configurations included.  It is asked per state:
     ``restrict(state)`` is None when every valid value at ``state`` is
     admitted, else a predicate on values, asked before the value cap.
     ``cap_hit`` is set when ``value_cap`` cut anything off; only then may
@@ -293,37 +308,39 @@ def _search(a, start, node_cap, value_cap, restrict, stop_at, levels) -> PostSta
     """:func:`post_star`'s search.
     ``levels`` is None for a closure, which may take laps at once, or a
     list it appends each level's frontiers to, flat, level by level."""
-    roots = dict.fromkeys(start)
-    for c in roots:
-        if not a.is_valid(c):
-            raise ValueError(f"start configuration {c} is not valid")
+    roots = value_sets(start)
+    out, blocked, pinned = a.step_table
     if value_cap is None:
-        value_cap = max((c.value for c in roots), default=0) + node_cap * a.max_update + 1
+        value_cap = max(map(greatest, roots.values()), default=0) + node_cap * a.max_update + 1
     seen: dict[str, Pages] = {}  # per state, the values found
-    starts: dict[str, list[int]] = {}
+    frontier: Front = {}
     cap_hit = False
     size = 0
     keeps: dict[str, object] = {}  # each state's restriction, looked up at first need
-    for state, value in roots:
-        keep = keeps.get(state, keeps)
-        if keep is keeps:
-            keep = keeps[state] = None if restrict is None else restrict(state)
-        if keep is not None and not keep(value):
-            continue
-        if value > value_cap:
-            cap_hit = True
-            continue
-        starts.setdefault(state, []).append(value)  # roots are distinct
-        size += 1
-    frontier: Front = {}
-    for state, found in starts.items():
-        new = of(found)
-        mark_all(seen.setdefault(state, {}), new)
-        frontier[state] = tuple(found) if len(found) <= _THIN else list(new)
+    for state, got in roots.items():
+        avoid, pin = blocked.get(state), pinned.get(state)  # avoid is None: an undeclared state
+        if avoid is None or got[0] < 0 or (got != (pin, 1) if pin is not None else has(got, avoid)):
+            bad = next(v for v in iterate(got) if not a.is_valid((state, v)))
+            raise ValueError(f"start configuration {Config(state, bad)} is not valid")
+        keep = keeps[state] = None if restrict is None else restrict(state)
+        front, n = [], 0
+        for k in range(0, len(got), 2):
+            at, bits = got[k], got[k + 1]
+            if keep is not None:
+                bits = admitted(at, bits, keep)
+            if bits and at + bits.bit_length() - 1 > value_cap:
+                cap_hit = True
+                bits &= (1 << max(value_cap + 1 - at, 0)) - 1
+            if bits:
+                front += (at, bits)
+                n += bits.bit_count()
+        if front:
+            mark_all(seen.setdefault(state, {}), front)
+            size += n
+            frontier[state] = tuple(iterate(joined(front))) if n <= _THIN else front
     laps: dict[str, tuple] = {}  # each state's lap plans, looked up at first need
     few = _FEW if levels is None else node_cap  # laps are taken at once past this size
     run = None
-    out, blocked, pinned = a.step_table
     while frontier:
         if stop_at is not None:
             if marked(seen.get(stop_at[0], {}), stop_at[1]):
@@ -641,15 +658,14 @@ def is_bounded(a: OCA, c: Config) -> bool:
     :class:`Found`.  Only the node cap of 2,000,000 stops it early,
     raising :class:`ResourceExceeded`.
 
-    Verdicts go into the automaton's memo as labels: per state, one
-    set of values labeled bounded and one of values labeled
-    unbounded.  A closed probe labels every configuration it saw
-    bounded, one union per state: each one's closure lies inside the
-    closed one.  Later probes stop at labels: one labeled bounded is
-    neither expanded nor counted against the node cap, as it adds
-    finitely many configurations; reaching one labeled unbounded makes
-    the probe's root unbounded.  The probe's restriction is read per
-    state from that state's labels and
+    Verdicts go into the automaton's memo as labels: per state, a table
+    from value to verdict.  A closed probe labels every configuration it
+    saw bounded, one table entry per value: each one's closure lies
+    inside the closed one.  Later probes stop at labels: one labeled
+    bounded is neither expanded nor counted against the node cap, as it
+    adds finitely many configurations; reaching one labeled unbounded
+    makes the probe's root unbounded.  The probe's restriction is read
+    per state from that state's labels and
     :func:`ocareach.analysis.climbs_forever`; a state with neither
     admits every value unasked.  Labels are exact, so the order of
     queries changes only the work.  Without equality tests, strongly

@@ -31,8 +31,8 @@ stage builds each side's pessimistic closure once, through locally
 bounded configurations, and returns the induced sets the separator
 reads.  Only a side whose closure leaks, holding something local
 boundedness alone kept out, also builds its unrestricted closure for
-the induced set; almost none does.  The stages read the closures'
-per-state value sets directly, as bitsets: the escapes, the leak test, the
+the induced set; almost none does.  The stages read the cores and the
+closures as per-state value sets, bitsets: the escapes, the leak test, the
 induced sets and the separator's crossings are shifts, ands and ors per
 state and transition, and a state neither pumpable nor in a climbing
 component costs no question per configuration.
@@ -44,7 +44,6 @@ gadget its ``normalized yes`` line names (:func:`normalize_endpoints`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
 
 from .analysis import chain_of, in_pumpable_region, pumpable_drops, spans_one_chain
 from .automaton import (
@@ -67,9 +66,10 @@ from .exploration import (
     is_locally_bounded,
     locally_bounded,
     post_star,
+    value_sets,
 )
 from .pessimistic import pessimistic_post_star
-from .values import Values, at_least, count, inter, iterate, lattice, least, minus, of, union
+from .values import PAGE, Values, at_least, count, inter, iterate, lattice, least, minus, of, union
 
 
 @dataclass(frozen=True)
@@ -89,27 +89,17 @@ class Progression:
         if min(self.start, self.low, self.high) < 0:
             raise ValueError("progression bounds are natural numbers")
 
+    def values(self) -> range:
+        return range(self.low + (self.start - self.low) % self.period, self.high + 1, self.period)
+
     def min_value(self) -> int | None:
-        first = self.low + (self.start - self.low) % self.period
-        return first if first <= self.high else None
+        return got[0] if (got := self.values()) else None
 
     def max_value(self) -> int | None:
-        if self.min_value() is None:
-            return None
-        return self.high - (self.high - self.start) % self.period
-
-    def values(self) -> range:
-        first = self.min_value()
-        if first is None:
-            return range(0)
-        return range(first, self.high + 1, self.period)
+        return got[-1] if (got := self.values()) else None
 
     def contains(self, c: Config) -> bool:
-        return (
-            c.state == self.state
-            and self.low <= c.value <= self.high
-            and (c.value - self.start) % self.period == 0
-        )
+        return c.state == self.state and c.value in self.values()
 
 
 @dataclass(frozen=True)
@@ -121,14 +111,14 @@ class APSet:
     def contains(self, c: Config) -> bool:
         return any(p.contains(c) for p in self.progressions)
 
-    def members(self) -> Iterator[Config]:
-        seen: set[Config] = set()
-        for p in sorted(self.progressions, key=lambda p: (p.state, p.low)):
-            for v in p.values():
-                c = Config(p.state, v)
-                if c not in seen:
-                    seen.add(c)
-                    yield c
+    def sets(self) -> dict[str, Values]:
+        """The members as the values per state: a lattice per progression, or its values past a page's period."""
+        out: dict[str, Values] = {}
+        for p in self.progressions:
+            if got := p.values():
+                got = (got[0], lattice(len(got), p.period)) if p.period <= PAGE else of(got)
+                out[p.state] = union(out.get(p.state, ()), got)
+        return out
 
 
 @dataclass(frozen=True)
@@ -249,15 +239,17 @@ _Step = tuple[Config, int, Config]
 _Values = dict[str, Values]  # a configuration set as a set of values per state
 
 
-def _closures(a: OCA, roots: list[Config]) -> tuple[list[_Step], _Values]:
+def _closures(a: OCA, roots) -> tuple[list[_Step], _Values]:
     """The inductive escape candidates of ``roots`` (steps out of their
     closure through locally bounded configurations into the pumpable
     region, outside ``roots``) and the induced set (their unrestricted
     pessimistic closure plus its one-step boundary) as the values at
-    each state.  Both come from one :func:`_scan` of the first closure.
-    Only when that closure leaks is the unrestricted one built, and the
-    induced set scanned from it instead; leaks are rare.
+    each state.  ``roots``, read as the values at each state once, go on
+    as a view of those sets.  Both come from one :func:`_scan` of the
+    first closure.  Only when that closure leaks is the unrestricted one
+    built, and the induced set scanned from it instead; leaks are rare.
     """
+    roots = Configs(value_sets(roots))
     bounded = pessimistic_post_star(a, roots, locally_bounded=True)
     escapes, leaks, induced = _scan(a, roots, bounded)
     if leaks:
@@ -265,22 +257,19 @@ def _closures(a: OCA, roots: list[Config]) -> tuple[list[_Step], _Values]:
     return escapes, induced
 
 
-def _scan(a: OCA, roots: list[Config], closure: Configs) -> tuple[list[_Step], bool, _Values]:
+def _scan(a: OCA, roots, closure: Configs) -> tuple[list[_Step], bool, _Values]:
     """One pass over ``closure``, a pessimistic closure of ``roots``, a
-    few shifts and masks per state and transition.  Returns the
-    inductive escape candidates, whether the closure leaks and the
-    closure plus its one-step boundary.  A closure through locally
-    bounded configurations leaks when local boundedness alone kept
-    something out of it: a locally unbounded root, or a locally
-    unbounded successor outside the pumpable region."""
+    few shifts and masks per state and transition, roots included.
+    Returns the inductive escape candidates, whether the closure leaks
+    and the closure plus its one-step boundary.  A closure through
+    locally bounded configurations leaks when local boundedness alone
+    kept something out of it: a root value missing from its state's set,
+    or a locally unbounded successor outside the pumpable region."""
     drops = pumpable_drops(a)
-    by_state: dict[str, list[int]] = {}
-    for state, value in roots:
-        by_state.setdefault(state, []).append(value)
-    inside = {state: of(found) for state, found in by_state.items()}
-    escapes: list[_Step] = []
-    leaks = any(c not in closure for c in roots)
+    inside = value_sets(roots)
     sets = closure.sets
+    escapes: list[_Step] = []
+    leaks = any(minus(got, sets.get(state, ())) for state, got in inside.items())
     induced = dict(sets)
     for state, found in sets.items():
         for i, dst, update, targets in batch_steps(a, state, found):
@@ -304,11 +293,11 @@ def check_inductive(a: OCA, w: NonReachabilityWitness) -> tuple[CheckResult, lis
     Also returns the induced sets of the sides it built, for
     :func:`check_separator`: forward first, and backward only if forward
     holds.  A core member that is not a valid configuration raises
-    ValueError.
+    ValueError.  The cores are read as value sets (:meth:`APSet.sets`).
     """
     induced = []
     for condition, machine, aps in (("forward", a, w.fwd), ("backward", reverse(a), w.bwd)):
-        escapes, side = _closures(machine, list(aps.members()))
+        escapes, side = _closures(machine, Configs(aps.sets()))
         for escape in sorted(escapes, key=_step_order(machine)):
             if is_locally_bounded(machine, escape[2]):
                 return CheckResult(False, condition, escape), induced

@@ -37,17 +37,19 @@ from .automaton import (
     path_configs,
     require_valid,
 )
-from .exploration import Configs, PostStarResult, post_star
+from .exploration import Configs, PostStarResult, post_star, value_sets
 from .exploration import locally_bounded as locally_bounded_in
 from .flows import Flow, FlowError, check_flow, flow_has_positive_cycle, flow_of_path, path_from_flow
+from .values import greatest, mark_all, marked
 
 
 def _closure(a: OCA, roots, locally_bounded: bool, stop_at: Config | None = None) -> PostStarResult:
-    """Pessimistic closure on :func:`post_star`; roots are exempt from the
-    pumpable-region restriction but not from local boundedness.  Given
-    ``stop_at``, the search ends at its level, with the shortest run to it.
+    """Pessimistic closure on :func:`post_star`; roots, read as the values
+    at each state, are exempt from the pumpable-region restriction but not
+    from local boundedness.  Given ``stop_at``, the search ends at its
+    level, with the shortest run to it.
 
-    Values stay at or below ``ceiling``, the largest root value plus
+    Values stay at or below ``ceiling``, the greatest root value plus
     (|Q|-1)*max_update, so at most ``|Q|`` configurations each: a
     positive simple cycle started at the least of its prefix sums never
     dips below its start, so that state has drop 0 under the |C| bound
@@ -57,35 +59,28 @@ def _closure(a: OCA, roots, locally_bounded: bool, stop_at: Config | None = None
     The restriction at a state is None, admitting every value unasked,
     when the state is not pumpable and, for ``locally_bounded``, lies in
     a component without a climbing cycle.  Elsewhere it asks per value:
-    below the state's drop or a root's own value, and locally bounded.
-    :func:`post_star` looks it up at most once per state."""
-    roots = frozenset(roots)
-    ceiling = max((c.value for c in roots), default=0)
-    ceiling += (len(a.states) - 1) * a.max_update
+    below the state's drop or among the state's root values, and locally
+    bounded.  :func:`post_star` looks it up at most once per state."""
+    exempt = value_sets(roots)
+    ceiling = max(map(greatest, exempt.values()), default=0) + (len(a.states) - 1) * a.max_update
     nodes = len(a.states) * (ceiling + 1)
     drops = pumpable_drops(a)
     stay = locally_bounded_in(a) if locally_bounded else None
-    exempt: dict[str, set[int]] = {}
-    for state, value in roots:
-        exempt.setdefault(state, set()).add(value)
 
     def admit(state: str):
         keep = None if stay is None else stay(state)
-        if state in drops:
-            keep = _pessimistic_at(drops[state], exempt.get(state, ()), keep)
-        return keep
+        if state not in drops:
+            return keep
+        drop, free = drops[state], {}
+        mark_all(free, exempt.get(state, ()))  # the root values, each asked in constant time
+        if keep is None:
+            return lambda v: v < drop or marked(free, v)
+        return lambda v: (v < drop or marked(free, v)) and keep(v)
 
-    res = post_star(a, roots, nodes, ceiling, restrict=admit, stop_at=stop_at)
+    res = post_star(a, Configs(exempt), nodes, ceiling, restrict=admit, stop_at=stop_at)
     if res.cap_hit:
         raise InternalError(f"pessimistic closure climbed above {ceiling}")
     return res
-
-
-def _pessimistic_at(drop: int, free, then):
-    """Values below ``drop`` or in ``free``, and admitted by ``then``."""
-    if then is None:
-        return lambda v: v < drop or v in free
-    return lambda v: (v < drop or v in free) and then(v)
 
 
 def pessimistic_post_star(a: OCA, configs, locally_bounded: bool = False) -> Configs:

@@ -31,10 +31,6 @@ PAGE = 1 << PAGE_SHIFT  # values per page, and the gap below which a union joins
 PAGE_MASK = PAGE - 1
 
 
-def one(v: int) -> Values:
-    return (v, 1)
-
-
 def of(values: Collection[int]) -> Values:
     """The set of ``values``, natural numbers in any order."""
     if len(values) == 1:
@@ -94,6 +90,10 @@ def count(s: Values) -> int:
 
 def least(s: Values) -> int:
     return s[0]
+
+
+def greatest(s: Values) -> int:
+    return s[-2] + s[-1].bit_length() - 1
 
 
 def iterate(s: Values) -> Iterator[int]:

@@ -8,6 +8,7 @@ implementations against these, never the other way around.
 from __future__ import annotations
 
 from collections import deque
+from typing import Iterator
 
 from ocareach.analysis import CanonicalCycle, pumpable_drops
 from ocareach.automaton import (
@@ -23,7 +24,20 @@ from ocareach.automaton import (
     scc_of,
     source_replay,
 )
+from ocareach.invariants import APSet
 from ocareach.pessimistic import pessimistic_post_star
+
+
+def ap_members(aps: APSet) -> Iterator[Config]:
+    """The configurations of ``aps``, each once, progression by
+    progression in (state, low) order, values in increasing order."""
+    seen: set[Config] = set()
+    for p in sorted(aps.progressions, key=lambda p: (p.state, p.low)):
+        for v in p.values():
+            c = Config(p.state, v)
+            if c not in seen:
+                seen.add(c)
+                yield c
 
 
 def naive_successors(a: OCA, c: Config) -> list[tuple[Config, int]]:

@@ -57,7 +57,7 @@ from ocareach.solver import (
     normalize_endpoints,
 )
 
-from _oracles import rotate_to_zero_drop
+from _oracles import ap_members, rotate_to_zero_drop
 from conftest import FIG_LOOP, random_oca, random_walk
 
 
@@ -241,9 +241,9 @@ def test_criterion_07_perfect_core_minimality():
         w = synthesize_witness(b, s2, t2)
         assert w is not None
         fwd_core, bwd_core = perfect_cores(b, s2, t2)
-        fneed, bneed = set(fwd_core.members()), set(bwd_core.members())
-        assert fneed <= set(w.fwd.members())
-        assert bneed <= set(w.bwd.members())
+        fneed, bneed = set(ap_members(fwd_core)), set(ap_members(bwd_core))
+        assert fneed <= set(ap_members(w.fwd))
+        assert bneed <= set(ap_members(w.bwd))
 
         st = rng.choice(b.states)
         lo = rng.randint(0, 10)
@@ -259,8 +259,8 @@ def test_criterion_07_perfect_core_minimality():
         for m in mutants:
             if verify_witness(b, s2, t2, m).verified:
                 verified_mutants += 1
-                assert fneed <= set(m.fwd.members()), (a.transitions, src, trg)
-                assert bneed <= set(m.bwd.members()), (a.transitions, src, trg)
+                assert fneed <= set(ap_members(m.fwd)), (a.transitions, src, trg)
+                assert bneed <= set(ap_members(m.bwd)), (a.transitions, src, trg)
         done += 1
     assert verified_mutants >= 1
     print(

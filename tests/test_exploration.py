@@ -25,6 +25,7 @@ from ocareach.automaton import (
 )
 from ocareach.analysis import climbing_cycles
 from ocareach.exploration import (
+    Configs,
     ResourceExceeded,
     candidate_reach,
     is_bounded,
@@ -39,7 +40,8 @@ from ocareach.exploration import (
     _value_cap,
 )
 from ocareach.generators import FuzzSpec, gen_subset_sum, instances
-from ocareach.values import iterate
+from ocareach.pessimistic import pessimistic_post_star
+from ocareach.values import iterate, of
 from ocareach.solver import decide_full, normalize_endpoints
 
 from _oracles import (
@@ -486,6 +488,74 @@ def test_closures_taking_laps_at_once_match_a_sorted_bfs(monkeypatch):
             seen["restrict"] += restrict is not None
             seen["cap_hit"] += hit
             seen["cap_free"] += not hit and n > 200
+    assert min(seen.values()) >= 20, seen
+
+
+def _view(configs) -> Configs:
+    """A :class:`Configs` view holding ``configs``, built with ``of``."""
+    values: dict[str, list[int]] = {}
+    for state, value in configs:
+        values.setdefault(state, []).append(value)
+    return Configs({state: of(got) for state, got in values.items()})
+
+
+def test_set_roots_match_list_roots():
+    """post_star and pessimistic_post_star, with and without local
+    boundedness, find the same sets with the same ``cap_hit`` from a
+    Configs view of their roots as from the list of those
+    configurations: on random automata with != and == tests and their
+    reversals, with roots a restriction refuses, roots above the value
+    cap and roots more than a page apart at one state.  An invalid root
+    raises ValueError from both.  Both agree with a level-sorted search."""
+    rng = random.Random(3030)
+    keys = ("draws", "eq", "refused", "capped", "segments", "invalid")
+    seen = dict.fromkeys(keys, 0)
+    while seen["draws"] < 200:
+        base = random_oca(
+            rng,
+            num_states=rng.randint(1, 4),
+            max_update=3,
+            max_guard=rng.choice((10, 2500)),
+            equality_fraction=0.3,
+        )
+        for a in (base, reverse(base)):
+            pool = [Config(q, rng.choice((0, 1100, 2400)) + rng.randint(0, 12)) for q in a.states for _ in range(4)]
+            pool += [Config(q, g.value) for q, g in a.guards.items() if g.kind == "eq"]
+            roots = sorted({c for c in pool if a.is_valid(c)}, key=str)
+            if not roots:
+                continue
+            roots = rng.sample(roots, rng.randint(1, len(roots)))
+            keeps = {q: None for q in a.states}
+            for q in rng.sample(a.states, rng.randint(0, len(a.states))):
+                salt, gap = rng.randint(0, 20), rng.randint(2, 9)
+                keeps[q] = (lambda salt, gap: lambda v: (v + salt) % gap != 0)(salt, gap)
+            restrict = keeps.__getitem__ if rng.random() < 0.6 else None
+            value_cap = rng.randint(min(c.value for c in roots), max(c.value for c in roots) + 40)
+            view = _view(roots)
+            listed = post_star(a, roots, 20_000, value_cap, restrict=restrict)
+            viewed = post_star(a, view, 20_000, value_cap, restrict=restrict)
+            assert viewed.sets == listed.sets and viewed.cap_hit == listed.cap_hit, format_oca(a)
+            parents, hit = sorted_bfs(a, roots, value_cap, restrict)
+            assert set(listed.configs) == set(parents) and listed.cap_hit == hit, format_oca(a)
+            for bounded in (False, True):
+                got = pessimistic_post_star(a, view, locally_bounded=bounded)
+                assert got.sets == pessimistic_post_star(a, roots, locally_bounded=bounded).sets
+            bad = rng.choice(
+                [Config(q, g.value) for q, g in a.guards.items() if g.kind == "ne"]
+                + [Config(q, g.value + 1) for q, g in a.guards.items() if g.kind == "eq"]
+                + [Config(a.states[0], -1), Config("nowhere", 0)]
+            )
+            for call in (post_star, pessimistic_post_star):
+                for start in (roots + [bad], _view(roots + [bad])):
+                    with pytest.raises(ValueError):
+                        call(a, start, 20_000) if call is post_star else call(a, start)
+            seen["draws"] += 1
+            seen["eq"] += a.has_equality_tests()
+            kept = [restrict is None or keeps[q] is None or keeps[q](v) for q, v in roots]
+            seen["refused"] += not all(kept)
+            seen["capped"] += any(k and v > value_cap for k, (_, v) in zip(kept, roots))
+            seen["segments"] += any(len(got) > 2 for got in view.sets.values())
+            seen["invalid"] += bad.state != "nowhere" and bad.value >= 0
     assert min(seen.values()) >= 20, seen
 
 

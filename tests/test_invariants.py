@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -38,6 +39,7 @@ from ocareach.pessimistic import pessimistic_post_star
 from ocareach.values import iterate, of
 
 from _oracles import (
+    ap_members,
     naive_first_step,
     naive_reach,
     naive_successors,
@@ -119,7 +121,7 @@ def test_apset_members_dedupe():
             Progression("q", 0, 1, 0, 1),
         )
     )
-    assert sorted(c.value for c in aps.members()) == [0, 1, 2, 4]
+    assert sorted(c.value for c in ap_members(aps)) == [0, 1, 2, 4]
     assert aps.contains(Config("q", 1))
     assert not aps.contains(Config("q", 3))
 
@@ -246,7 +248,7 @@ def test_oversized_witness_is_refused_before_any_member_work(monkeypatch):
     src, trg = Config("q", 0), Config("q", 5_000_005)
     fwd = APSet((Progression("q", 0, 5, 0, 1_000_000),))
     bwd = APSet((Progression("q", 0, 5, 5_000_005, 5_000_005),))
-    assert sum(a.is_valid(c) for c in fwd.members()) == 200_001
+    assert sum(a.is_valid(c) for c in ap_members(fwd)) == 200_001
     with pytest.raises(ResourceExceeded):
         verify_witness(a, src, trg, NonReachabilityWitness(fwd, bwd))
 
@@ -549,8 +551,8 @@ def test_enlarged_verified_witnesses_contain_the_cores():
         grown = NonReachabilityWitness(APSet(w.fwd.progressions + (extra,)), w.bwd)
         if verify_witness(b, s2, t2, grown).verified:
             grown_verified += 1
-            members = set(grown.fwd.members())
-            assert set(w.fwd.members()) <= members
+            members = set(ap_members(grown.fwd))
+            assert set(ap_members(w.fwd)) <= members
     assert grown_verified > 0
 
 
@@ -560,7 +562,7 @@ def test_enlarged_verified_witnesses_contain_the_cores():
 def _thinned(rng, a, aps, keep, extra):
     """Singleton progressions for a random half of ``aps`` plus ``extra``
     random valid configurations; ``keep`` always stays."""
-    members = {c for c in aps.members() if c == keep or rng.random() < 0.5}
+    members = {c for c in ap_members(aps) if c == keep or rng.random() < 0.5}
     for _ in range(extra):
         c = Config(rng.choice(a.states), rng.randint(0, 12))
         if a.is_valid(c):
@@ -592,7 +594,7 @@ def test_refutation_details_match_a_sorted_scan():
         )
         expected = None
         for side, machine, aps in (("forward", b, w.fwd), ("backward", rev, w.bwd)):
-            members = set(aps.members())
+            members = set(ap_members(aps))
             closure = pessimistic_post_star(machine, members, locally_bounded=True)
             found = naive_first_step(
                 machine,
@@ -610,11 +612,11 @@ def test_refutation_details_match_a_sorted_scan():
 
         sides = []
         for machine, aps in ((b, w.fwd), (rev, w.bwd)):
-            closure = pessimistic_post_star(machine, list(aps.members()))
+            closure = pessimistic_post_star(machine, list(ap_members(aps)))
             sides.append(closure | {d for c in closure for d, _ in naive_successors(machine, c)})
         crossing = naive_first_step(b, sides[0], lambda d: d in sides[1])
         induced = [
-            invariants._closures(m, list(aps.members()))[1] for m, aps in ((b, w.fwd), (rev, w.bwd))
+            invariants._closures(m, list(ap_members(aps)))[1] for m, aps in ((b, w.fwd), (rev, w.bwd))
         ]
         res = check_separator(b, *induced)
         if crossing is not None:
@@ -705,6 +707,47 @@ def test_only_a_leaking_side_builds_the_unrestricted_closure(monkeypatch, loop3)
     unrestricted.clear()
     assert verify_witness(n, s2, t2, verdict.witness)
     assert sum(unrestricted) == 0 and len(unrestricted) == 2
+
+
+def test_check_inductive_reads_the_cores_as_value_sets(monkeypatch):
+    """check_inductive on the README loop's witness with tests scaled by
+    k asks no Configs membership, iterates no Configs view, and builds as
+    few configurations at k = 20,000 as at k = 200, though the cores grow
+    a hundredfold: it builds the escapes only."""
+    real_new, counts = Config.__new__, Counter()
+
+    def counted_new(cls, *args, **kwargs):
+        counts["built"] += 1
+        return real_new(cls, *args, **kwargs)
+
+    def refused(name):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            raise AssertionError(f"Configs.{name} called")
+
+        return call
+
+    built = {}
+    for k in (200, 20_000):
+        a = parse_oca(
+            f"states: q r s\nguard q != {5 * k}\nguard r != {30 * k}\n"
+            f"guard s != {15 * k}\ntrans q +2 r\ntrans r +1 s\ntrans s +2 q\n"
+        )
+        verdict = decide_full(a, Config("q", 0), Config("q", 5 * k + 5))
+        n, w = verdict.certified[0], verdict.witness
+        assert sum(len(p.values()) for p in w.fwd.progressions) > 3 * k
+        sides = ((n, w.fwd), (reverse(n), w.bwd))
+        escapes = sum(len(invariants._closures(m, list(ap_members(aps)))[0]) for m, aps in sides)
+        with monkeypatch.context() as m:
+            m.setattr(Config, "__new__", counted_new)
+            m.setattr(exploration.Configs, "__contains__", refused("__contains__"))
+            m.setattr(exploration.Configs, "__iter__", refused("__iter__"))
+            counts.clear()
+            assert check_inductive(n, w)[0]
+            built[k] = counts["built"]
+        assert counts["__contains__"] == counts["__iter__"] == 0
+        assert built[k] == 2 * escapes, (k, built, escapes)
+    assert built[200] == built[20_000], built
 
 
 def _value_sets(side) -> dict[str, set[int]]:
