@@ -365,18 +365,18 @@ def chain_of(a: OCA, c: Config) -> Chain | None:
 def spans_one_chain(a: OCA, q: str, period: int, low: int, high: int) -> bool:
     """Do ``low, low + period, ..., high``, ``low < high``, lie on one
     chain at q?  Then each is valid and reached from ``low`` by valid
-    laps.  One bisect: ``period`` is the canonical cycle's effect,
-    ``low`` is at or above the drop, and no blocked value of a state
-    that is not degenerate lies in ``[low, high)`` in ``low``'s residue
-    class.  A forbidden ``high`` is caught too: the lap's last step
-    pulls the state's own test value back one period, into that range.
+    laps.  Read as :func:`chain_of` reads a chain's last member:
+    ``period`` is the canonical cycle's effect on a state that is not
+    degenerate, and the laps free from ``low``
+    (:meth:`_ChainContext.laps_from`) reach ``high``.  A forbidden
+    ``low`` or ``high`` is caught too: the state's own test value is
+    blocked, and the lap's last step pulls it back one period.
     """
-    ctx = _chain_context(a, q)
-    if ctx is None or ctx.degenerate or period != ctx.period or low < ctx.drop:
+    ctx = lap_context(a, q)
+    if ctx is None or period != ctx.period:
         return False
-    blocked = ctx.blocked.get(low % period, ())
-    i = bisect_left(blocked, low)
-    return i == len(blocked) or blocked[i] >= high
+    up = ctx.laps_from(low)
+    return up is None or low + up * period >= high
 
 
 @per_automaton

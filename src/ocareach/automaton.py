@@ -146,9 +146,6 @@ class OCA:
             default=0,
         )
 
-    def guard(self, state: str) -> Guard:
-        return self.guards[state]
-
     def is_valid(self, c: Config) -> bool:
         """An undeclared state is invalid too: ``blocked.get`` yields ``value``."""
         state, value = c

@@ -5,17 +5,19 @@ state are a :mod:`ocareach.values` set: segments of bits, costing what
 the values span where they are dense and a few words each where they
 are sparse.  :func:`post_star` runs a capped breadth-first closure that
 steps a few values one by one and a wider frontier a segment at a time,
-per transition with a shift, a cleared ``!=`` bit and a mask of what
-was seen.  A closure is a set, found in any order: one given no target
-takes a chain's free laps at once from a thin frontier's value,
-climbing its state's canonical cycle and descending the reversed
-automaton's, and marks each lap position's values as one lattice.  A
-search given a target, and :func:`first_found`, go level by level and
-keep each level's frontiers, to read the shortest run back from them.
-Closures are restricted per state too: a restriction names,
-for each state, either nothing (every valid value is admitted) or a
-predicate on values.  Local boundedness (:func:`locally_bounded`) and
-the boundedness labels behind it take the same per-state form.
+per transition with a shift and a cleared ``!=`` bit.  Roots, stepped
+segments and lap lattices add values by one admission rule,
+:func:`_put`; only the per-value step spells it out inline.  A closure
+is a set, found in any order: one given no target takes a chain's free
+laps at once from a thin frontier's value, climbing its state's
+canonical cycle and descending the reversed automaton's, each lap
+position's values one lattice.  A search given a target, and
+:func:`first_found`, go level by level and keep each level's
+frontiers, to read the shortest run back from them.
+Closures are restricted per state too: a restriction names, for each
+state, either nothing (every valid value is admitted) or a predicate on
+values.  Local boundedness (:func:`locally_bounded`) and the
+boundedness labels behind it take the same per-state form.
 :func:`reach_oracle` layers escalating value caps on top of it
 and never answers unless the answer is certain; it is the only search
 that escalates.
@@ -70,7 +72,6 @@ from .values import (
     joined,
     lattice,
     mark,
-    mark_all,
     marked,
     of,
     unmarked,
@@ -242,34 +243,35 @@ def post_star(a, start, node_cap, value_cap=None, restrict=None, stop_at=None) -
     """Forward closure of ``start`` under valid steps, capped.
 
     ``start``, configurations or a :class:`Configs` view, is read as the
-    values at each state (:func:`value_sets`) and checked, restricted and
-    capped a segment at a time; an invalid one raises ValueError naming
-    it.  ``restrict`` filters which configurations may be traversed at
-    all, start configurations included.  It is asked per state:
-    ``restrict(state)`` is None when every valid value at ``state`` is
-    admitted, else a predicate on values, asked before the value cap.
-    ``cap_hit`` is set when ``value_cap`` cut anything off; only then may
-    the result be a strict subset of the true closure.  By default
-    ``value_cap`` cannot bind: it sits ``node_cap * max_update`` above
-    the highest start.  Finding a configuration beyond the first
-    ``node_cap`` raises :class:`ResourceExceeded` instead of returning
-    something wrong.  ``stop_at`` ends the search at the level that
-    finds that configuration, and only such a search keeps its levels,
-    to read ``run`` back from them.
+    values at each state (:func:`value_sets`) and checked per state; an
+    invalid one raises ValueError naming it.  ``restrict`` filters which
+    configurations may be traversed at all, start configurations
+    included.  It is asked per state: ``restrict(state)`` is None when
+    every valid value at ``state`` is admitted, else a predicate on
+    values, asked before the value cap.  ``cap_hit`` is set when
+    ``value_cap`` cut anything off; only then may the result be a strict
+    subset of the true closure.  By default ``value_cap`` cannot bind: it
+    sits ``node_cap * max_update`` above the highest start.  Finding a
+    configuration beyond the first ``node_cap``, roots included, raises
+    :class:`ResourceExceeded` instead of returning something wrong.
+    ``stop_at`` ends the search at the level that finds that
+    configuration, and only such a search keeps its levels, to read
+    ``run`` back from them.
 
     Breadth first, one level at a time, reading the test at each
     destination from :attr:`ocareach.automaton.OCA.step_table`.  A
     state's frontier is a tuple of at most :data:`_THIN` values, stepped
     one by one as in long climbs and descents, or else a list of
     segments, each of which a transition steps whole: the update shifts
-    it, a ``!=`` test clears one bit, an ``==`` test lets through the
-    one value its source must hold, and what the destination has already
-    marked is masked off.  A destination's restriction is looked up
-    once, when a new value first needs it; a predicate is asked of each
-    new value.  Found values are marked in pages (see
-    :mod:`ocareach.values`) once admitted and under the cap, so memory
-    follows the values found, not how high they are.  No configuration
-    is built.
+    it, a ``!=`` test clears one bit, and an ``==`` test lets through
+    the one value its source must hold.  Each root segment, stepped
+    segment and lap lattice is then admitted by one rule (:func:`_put`):
+    what its state has already marked is masked off, the state's
+    restriction, looked up once, when a new value first needs it, is
+    asked of each new value, the value cap cuts, and the rest is charged
+    to the node cap.  Found values are marked in pages (see
+    :mod:`ocareach.values`), so memory follows the values found, not how
+    high they are.  No configuration is built.
 
     A search given no ``stop_at`` is a set, found in any order: a thin
     value on a chain of its state's canonical cycle takes the chain's
@@ -322,22 +324,12 @@ def _search(a, start, node_cap, value_cap, restrict, stop_at, levels) -> PostSta
         if avoid is None or got[0] < 0 or (got != (pin, 1) if pin is not None else has(got, avoid)):
             bad = next(v for v in iterate(got) if not a.is_valid((state, v)))
             raise ValueError(f"start configuration {Config(state, bad)} is not valid")
-        keep = keeps[state] = None if restrict is None else restrict(state)
-        front, n = [], 0
         for k in range(0, len(got), 2):
-            at, bits = got[k], got[k + 1]
-            if keep is not None:
-                bits = admitted(at, bits, keep)
-            if bits and at + bits.bit_length() - 1 > value_cap:
-                cap_hit = True
-                bits &= (1 << max(value_cap + 1 - at, 0)) - 1
-            if bits:
-                front += (at, bits)
-                n += bits.bit_count()
-        if front:
-            mark_all(seen.setdefault(state, {}), front)
-            size += n
-            frontier[state] = tuple(iterate(joined(front))) if n <= _THIN else front
+            size, hit = _put(state, got[k], got[k + 1], seen, keeps, restrict, value_cap, node_cap, size, frontier)
+            cap_hit = cap_hit or hit
+    for state, front in frontier.items():
+        if count(front) <= _THIN:
+            frontier[state] = tuple(iterate(joined(front)))
     laps: dict[str, tuple] = {}  # each state's lap plans, looked up at first need
     few = _FEW if levels is None else node_cap  # laps are taken at once past this size
     run = None
@@ -413,36 +405,8 @@ def _search(a, start, node_cap, value_cap, restrict, stop_at, levels) -> PostSta
                         at, bits = pin, 1
                     else:
                         continue
-                    pages = seen.get(dst)
-                    if pages is None:
-                        pages = seen[dst] = {}
-                    top = at + bits.bit_length() - 1
-                    bits = unmarked(pages, at, bits)
-                    if not bits:
-                        continue
-                    keep = keeps.get(dst, keeps)
-                    if keep is keeps:
-                        keep = keeps[dst] = None if restrict is None else restrict(dst)
-                    if keep is not None:
-                        bits = admitted(at, bits, keep)
-                        if not bits:
-                            continue
-                    if top > value_cap and at + bits.bit_length() - 1 > value_cap:
-                        cap_hit = True
-                        bits &= (1 << max(value_cap + 1 - at, 0)) - 1
-                        if not bits:
-                            continue
-                    size += bits.bit_count()
-                    if size > node_cap:
-                        raise ResourceExceeded(f"post_star exceeded {node_cap} configurations")
-                    mark(pages, at, bits)
-                    found = nxt.get(dst)
-                    if found is None:
-                        nxt[dst] = [at, bits]
-                    else:
-                        if type(found) is tuple:
-                            found = nxt[dst] = list(of(found))
-                        _add(found, at, bits)
+                    size, hit = _put(dst, at, bits, seen, keeps, restrict, value_cap, node_cap, size, nxt)
+                    cap_hit = cap_hit or hit
         frontier = nxt
     sets = {state: from_pages(pages) for state, pages in seen.items() if pages}
     return PostStarResult(sets, cap_hit, run)
@@ -483,6 +447,46 @@ def _lap_plan(a: OCA, q: str, backwards: bool) -> tuple | None:
     return ctx.laps_into, -g, steps, max(off for _, off in steps)
 
 
+def _put(st, at, bits, seen, keeps, restrict, value_cap, node_cap, size, nxt) -> tuple[int, bool]:
+    """Add the values ``at + j`` of ``bits`` at ``st`` to a closure: the
+    one admission rule of roots, stepped segments and lap lattices.
+
+    What ``seen`` has marked at ``st`` is masked off; then, unless
+    ``keeps`` is None (values already asked and cut), st's restriction,
+    looked up once through ``keeps``, is asked of each new value in
+    increasing order and what lies above ``value_cap`` is cut.  The rest
+    is charged to ``node_cap``, marked, and goes on the frontier ``nxt``.
+    Returns the closure's new size and whether the cap cut anything."""
+    pages = seen.get(st)
+    if pages is None:
+        pages = seen[st] = {}
+    bits = unmarked(pages, at, bits)
+    cap_hit = False
+    if bits and keeps is not None:
+        keep = keeps.get(st, keeps)
+        if keep is keeps:
+            keep = keeps[st] = None if restrict is None else restrict(st)
+        if keep is not None:
+            bits = admitted(at, bits, keep)
+        if bits and at + bits.bit_length() - 1 > value_cap:
+            cap_hit = True
+            bits &= (1 << max(value_cap + 1 - at, 0)) - 1
+    if not bits:
+        return size, cap_hit
+    size += bits.bit_count()
+    if size > node_cap:
+        raise ResourceExceeded(f"post_star exceeded {node_cap} configurations")
+    mark(pages, at, bits)
+    found = nxt.get(st)
+    if found is None:
+        nxt[st] = [at, bits]
+    else:
+        if type(found) is tuple:
+            found = nxt[st] = list(of(found))
+        _add(found, at, bits)
+    return size, cap_hit
+
+
 def _take_laps(v, plan, value_cap, node_cap, size, seen, keeps, restrict, nxt) -> int:
     """Take the free laps of ``plan`` from ``v``, a value just found at
     the plan's state, at once, and return the closure's new size.
@@ -493,10 +497,10 @@ def _take_laps(v, plan, value_cap, node_cap, size, seen, keeps, restrict, nxt) -
     by lap, in lap order, of the values not yet found, as a
     level-by-level search would reach them; the laps stop at the first
     value it refuses, whose predecessors are kept.  Each step's values
-    ``v + offset, v + offset + d, ...`` are then marked as one lattice,
-    less what was found before, and go on the next frontier ``nxt`` as
-    one segment.  Fewer than two free laps are left to the search,
-    which steps them as fast."""
+    ``v + offset, v + offset + d, ...`` then go to :func:`_put` as one
+    lattice, which adds those not found before to the next frontier
+    ``nxt`` as one segment.  Fewer than two free laps are left to the
+    search, which steps them as fast."""
     free, d, steps, top = plan
     n = free(v)
     if n is not None and n < 2:
@@ -510,12 +514,10 @@ def _take_laps(v, plan, value_cap, node_cap, size, seen, keeps, restrict, nxt) -
     n = min(n, node_cap - size + 1)
     if n < 2:
         return size
-    ends = seen[steps[-1][0]]
+    n = _laps_to_found(v, n, d, seen[steps[-1][0]])
     whole, part = n, 0  # laps taken whole, then steps of the next one
     if restrict is not None:
-        whole, part = _ask_laps(v, n, d, steps, seen, ends, keeps, restrict)
-    if whole == n:
-        whole = _laps_to_found(v, n, d, ends)
+        whole, part = _ask_laps(v, n, d, steps, seen, keeps, restrict)
     laps = lattice(whole, g) if whole else 0
     for p, (st, off) in enumerate(steps):
         if p < part:
@@ -525,23 +527,7 @@ def _take_laps(v, plan, value_cap, node_cap, size, seen, keeps, restrict, nxt) -
         else:
             continue
         low = v + off if d > 0 else v + off - (k - 1) * g
-        pages = seen.get(st)
-        if pages is None:
-            pages = seen[st] = {}
-        bits = unmarked(pages, low, bits)
-        if not bits:
-            continue
-        size += bits.bit_count()
-        if size > node_cap:
-            raise ResourceExceeded(f"post_star exceeded {node_cap} configurations")
-        mark(pages, low, bits)
-        found = nxt.get(st)
-        if found is None:
-            nxt[st] = [low, bits]
-        else:
-            if type(found) is tuple:
-                found = nxt[st] = list(of(found))
-            _add(found, low, bits)
+        size, _ = _put(st, low, bits, seen, None, restrict, value_cap, node_cap, size, nxt)
     return size
 
 
@@ -561,14 +547,12 @@ def _laps_to_found(v, n, d, ends) -> int:
     return n
 
 
-def _ask_laps(v, n, d, steps, seen, ends, keeps, restrict) -> tuple[int, int]:
-    """Ask the restrictions along at most ``n`` laps from ``v`` of the
-    values not yet found, lap by lap and step by step: ``(k, p)`` for
-    the first refused, at step p of lap k, else ``(laps, 0)``.  The
-    first lap looks each state's restriction up, and the later ones,
-    if any step is restricted by a predicate, visit only those steps,
-    and stop after the first lap that ends on a value found before
-    (marked in ``ends``), as :func:`_take_laps` would."""
+def _ask_laps(v, n, d, steps, seen, keeps, restrict) -> tuple[int, int]:
+    """Ask the restrictions along ``n`` laps from ``v`` of the values not
+    yet found, lap by lap and step by step: ``(k, p)`` for the first
+    refused, at step p of lap k, else ``(n, 0)``.  The first lap looks
+    each state's restriction up, and the later ones, if any step is
+    restricted by a predicate, visit only those steps."""
     asked = []
     for p, (st, off) in enumerate(steps):
         pages = seen.get(st, {})
@@ -584,8 +568,6 @@ def _ask_laps(v, n, d, steps, seen, ends, keeps, restrict) -> tuple[int, int]:
         return n, 0
     for k in range(1, n):
         base = v + k * d
-        if marked(ends, base):
-            return k, 0
         for p, off, pages, keep in asked:
             x = base + off
             page = pages.get(x >> PAGE_SHIFT)

@@ -139,6 +139,16 @@ def _mults(flow: Flow, a: OCA, state: str) -> tuple[int, int]:
     return out_m, in_m
 
 
+def _confined(segments, a: OCA, state: str, lo: int, hi: int, leaves: bool, enters: bool) -> bool:
+    """Do ``segments[lo:hi]`` avoid ``state``: no step into or out of it,
+    but one step out in the first when ``leaves`` is set and one step in
+    in the last when ``enters`` is set?"""
+    return all(
+        _mults(segments[k], a, state) == (leaves and k == lo, enters and k == hi - 1)
+        for k in range(lo, hi)
+    )
+
+
 def make_certificate(a: OCA, src: Config, run: Path) -> PessimisticCertificate:
     """Split a replayable descent run into a verifiable certificate.
 
@@ -159,7 +169,7 @@ def make_certificate(a: OCA, src: Config, run: Path) -> PessimisticCertificate:
     for state, positions in visits.items():
         cuts.add(positions[0])
         cuts.add(positions[-1])
-        guard = a.guard(state)
+        guard = a.guards[state]
         if guard.kind != "ne":
             continue
         g = guard.value
@@ -247,21 +257,10 @@ def verify_pessimistic_certificate(
     # segments avoid the state entirely.
     for state in support_states:
         occ = occurrences[state]
-        first, last = occ[0], occ[-1]
-        if last < m:
-            out_m, in_m = _mults(cert.decomposition[last], a, state)
-            if out_m != 1 or in_m != 0:
-                return _refuted("last-occurrence")
-            for seg in cert.decomposition[last + 1 :]:
-                if _mults(seg, a, state) != (0, 0):
-                    return _refuted("last-occurrence")
-        if first > 0:
-            out_m, in_m = _mults(cert.decomposition[first - 1], a, state)
-            if out_m != 0 or in_m != 1:
-                return _refuted("first-occurrence")
-            for seg in cert.decomposition[: first - 1]:
-                if _mults(seg, a, state) != (0, 0):
-                    return _refuted("first-occurrence")
+        if not _confined(cert.decomposition, a, state, occ[-1], m, True, False):
+            return _refuted("last-occurrence")
+        if not _confined(cert.decomposition, a, state, 0, occ[0], False, True):
+            return _refuted("first-occurrence")
 
     # Between consecutive occurrences of a state all its visit values
     # are sandwiched (no positive cycle means revisits never climb), so
@@ -276,26 +275,17 @@ def verify_pessimistic_certificate(
         occ = occurrences.get(state)
         if occ is None:
             return _refuted("crossing-malformed")
-        guard = a.guard(state)
+        guard = a.guards[state]
         if guard.kind != "ne":
             return _refuted("crossing-malformed")
         if i not in occ or j not in occ or occ.index(j) != occ.index(i) + 1:
             return _refuted("crossing-malformed")
         if not wp[i].value > guard.value > wp[j].value:
             return _refuted("crossing-malformed")
-        if j == i + 1:
-            if _mults(cert.decomposition[i], a, state) != (1, 1):
-                return _refuted("crossing-confinement")
-        else:
-            if _mults(cert.decomposition[i], a, state) != (1, 0):
-                return _refuted("crossing-confinement")
-            if _mults(cert.decomposition[j - 1], a, state) != (0, 1):
-                return _refuted("crossing-confinement")
-            for seg in cert.decomposition[i + 1 : j - 1]:
-                if _mults(seg, a, state) != (0, 0):
-                    return _refuted("crossing-confinement")
+        if not _confined(cert.decomposition, a, state, i, j, True, True):
+            return _refuted("crossing-confinement")
     for state in support_states:
-        guard = a.guard(state)
+        guard = a.guards[state]
         if guard.kind != "ne":
             continue
         values = [wp[k].value for k in occurrences[state]]

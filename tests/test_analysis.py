@@ -11,9 +11,10 @@ from ocareach.analysis import (
     climbs_forever,
     in_pumpable_region,
     pumpable_drops,
+    spans_one_chain,
     structure_report,
 )
-from ocareach.automaton import OCA, Config, Transition, parse_oca, restrict
+from ocareach.automaton import OCA, Config, Transition, format_oca, parse_oca, restrict
 from ocareach.exploration import ResourceExceeded
 from ocareach.generators import FuzzSpec, instances
 from ocareach.invariants import format_witness
@@ -363,6 +364,49 @@ def test_chain_of_matches_the_lap_walk():
                     assert got == walked_chain(a, q, cyc.path, cyc.drop, z), (a, q, z)
                     compared += 1
     assert compared >= 40_000 and degenerate >= 300, (compared, degenerate)
+
+
+def test_spans_one_chain_agrees_with_chain_of():
+    """``low, ..., high`` lie on one chain exactly when the chain that
+    :func:`chain_of` finds at ``low`` is read in closed form (its state
+    is not degenerate), is no invalid anchor, has the period asked, and
+    ends at or above ``high``: on random automata with != and == tests,
+    at spans that fit, overrun, start below the drop or on a forbidden
+    value, and with periods other than the cycle's."""
+    rng = random.Random(3131)
+    keys = ("spans", "overruns", "degenerate", "below", "anchor", "other")
+    seen = dict.fromkeys(keys, 0)
+    for _ in range(600):
+        a = random_oca(
+            rng,
+            num_states=rng.randint(1, 4),
+            max_update=4,
+            max_guard=30,
+            guard_density=0.7,
+            equality_fraction=0.2,
+        )
+        for q, cyc in climbing_cycles(a).items():
+            for _ in range(12):
+                low = rng.randint(0, cyc.drop + a.max_test + 2 * cyc.effect)
+                period = cyc.effect if rng.random() < 0.85 else rng.randint(1, 9)
+                high = low + rng.randint(1, 8) * period
+                chain = chain_of(a, Config(q, low))
+                closed = chain_enumeration_complete(a, q)
+                expected = (
+                    chain is not None
+                    and closed
+                    and not chain.invalid_anchor
+                    and chain.period == period
+                    and (chain.last is None or chain.last >= high)
+                )
+                assert spans_one_chain(a, q, period, low, high) == expected, (format_oca(a), q, low, high)
+                seen["spans"] += expected
+                seen["overruns"] += closed and chain is not None and period == cyc.effect and not expected
+                seen["degenerate"] += not closed
+                seen["below"] += chain is None
+                seen["anchor"] += chain is not None and chain.invalid_anchor
+                seen["other"] += period != cyc.effect
+    assert min(seen.values()) >= 20, seen
 
 
 def _allows_per_chain_of(monkeypatch, k: int) -> list[int]:

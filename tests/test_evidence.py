@@ -171,11 +171,22 @@ def _evidence_digest(queries) -> str:
     return h.hexdigest()
 
 
+def _scaled_loop(k: int, lift: bool):
+    """The README loop with its three tests scaled by k, and with the
+    self-loop ``q -3 q`` that a lifted run descends by when ``lift``."""
+    return parse_oca(
+        f"states: q r s\nguard q != {5 * k}\nguard r != {30 * k}\nguard s != {15 * k}\n"
+        "trans q +2 r\ntrans r +1 s\ntrans s +2 q\n" + ("trans q -3 q\n" if lift else "")
+    )
+
+
 def test_evidence_is_stable():
     """Runs and witnesses are byte-identical to those of earlier releases:
     the same parent choices in every closure, the same core compression."""
     subset = [gen_subset_sum(values, x) for values, xs in _SUBSET_SUM.values() for x in xs]
     fuzz = [instance for _, instance in instances(_FUZZ_MIXED)]
+    loop = [(_scaled_loop(k, False), Config("q", 0), Config("q", 5 * k + 5)) for k in (50, 100, 200)]
+    loop += [(_scaled_loop(k, True), Config("q", 5 * k + 1), Config("q", 1)) for k in (1, 2, 3)]
     assert _evidence_digest(subset) == (
         "62565462993477a3265881388b8d7eeac070e3d15de21392ad2a7c7e767b3fb3"
     )
@@ -184,6 +195,11 @@ def test_evidence_is_stable():
     # cycles on unbounded chains.
     assert _evidence_digest(fuzz) == (
         "864582cf6202d1f25717cd887e5045abeceb274d581a6907da2e0e010cc7b249"
+    )
+    # The loop's witnesses, whose cores closures take by laps at once,
+    # and its lifted runs.
+    assert _evidence_digest(loop) == (
+        "d14f0cdc611cfaa045911b9c42927e548e8d7d3e7586dc690140966361667226"
     )
 
 
